@@ -2,7 +2,9 @@
 
 Subcommands: gen, sweep, rank, reroute, synth, run, render. Exit codes:
 0 success, 2 infeasible countermeasure, 3 pattern not stabilizable,
-4 input error (bad files, flags, or dimensions).
+4 input error (bad files, flags, or dimensions), 5 solver failure (a
+numerical solver gave up: singular Lyapunov solve, Riccati iteration,
+line search, lost stability, or iteration cap).
 """
 from __future__ import annotations
 
@@ -17,9 +19,14 @@ from .errors import (
     IndexOutOfRange,
     InfeasibleOutcome,
     InvalidAssumption,
+    LineSearchFailure,
+    LostStabilizability,
+    MaxIterations,
     NotHurwitz,
     NotStabilizing,
     PatternNotStabilizable,
+    RiccatiFailure,
+    SingularSolve,
     UnknownFormat,
 )
 from .render import render_pattern
@@ -63,6 +70,14 @@ _INPUT_ERRORS = (
     PermissionError,
     json.JSONDecodeError,
     UnicodeDecodeError,
+)
+
+_SOLVER_ERRORS = (
+    SingularSolve,
+    RiccatiFailure,
+    LineSearchFailure,
+    LostStabilizability,
+    MaxIterations,
 )
 
 
@@ -268,6 +283,9 @@ def main(argv=None) -> int:
     except _INPUT_ERRORS as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
+    except _SOLVER_ERRORS as exc:
+        print(f"solver failure: {exc}", file=sys.stderr)
+        return 5
 
 
 if __name__ == "__main__":

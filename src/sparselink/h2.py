@@ -15,7 +15,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs, schur
+from scipy.linalg import schur
+from scipy.linalg.lapack import dtrsyl
 
 from .errors import (
     DimensionMismatch,
@@ -27,19 +28,29 @@ from .errors import (
 from .plant import GainMatrix, LtiPlant, SimulationTrace, STABILITY_TOL
 
 
-def _schur_eigenvalues(t: np.ndarray) -> np.ndarray:
-    """Eigenvalues read off the 1x1/2x2 diagonal blocks of a real Schur form."""
-    n = t.shape[0]
-    out = np.empty(n, dtype=complex)
-    i = 0
-    while i < n:
-        if i + 1 < n and t[i + 1, i] != 0.0:
-            out[i : i + 2] = np.linalg.eigvals(t[i : i + 2, i : i + 2])
-            i += 2
-        else:
-            out[i] = t[i, i]
-            i += 1
-    return out
+def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
+    """Real Schur form a = Z T Z^T and the spectral abscissa max Re eig(a).
+
+    LAPACK returns T in standardized form: the two diagonal entries of a
+    2x2 block (a complex pair) are equal to its real part, so the abscissa
+    is max diag(T).
+    """
+    t, z = schur(a, output="real")
+    return t, z, float(np.max(np.diag(t)))
+
+
+def _lyapunov_factored(t: np.ndarray, z: np.ndarray, rhs: np.ndarray, transposed: bool) -> np.ndarray:
+    """Solve A^T X + X A + rhs = 0 (transposed=True) or A X + X A^T + rhs = 0
+    (False) from A = Z T Z^T by one trsyl call (Bartels-Stewart)."""
+    c = z.T @ (-rhs) @ z
+    trana, tranb = ("T", "N") if transposed else ("N", "T")
+    x, scale, info = dtrsyl(t, t, c, trana=trana, tranb=tranb, isgn=1)
+    if info < 0 or scale == 0.0 or not np.all(np.isfinite(x)):
+        raise SingularSolve(f"trsyl failed (info={info}, scale={scale})")
+    if info == 1:
+        raise SingularSolve("Lyapunov operator numerically singular")
+    sol = z @ (x / scale) @ z.T
+    return 0.5 * (sol + sol.T)
 
 
 class _ClosedLoop:
@@ -49,37 +60,21 @@ class _ClosedLoop:
     def __init__(self, plant: LtiPlant, k: np.ndarray, stability_tol: float = STABILITY_TOL):
         self.plant = plant
         self.k = k
-        self.a_cl = plant.A - plant.B @ k
-        self._t, self._z = schur(self.a_cl, output="real")
-        self.eigenvalues = _schur_eigenvalues(self._t)
-        self.stable = bool(np.max(self.eigenvalues.real) < -stability_tol)
-        self._trsyl = get_lapack_funcs(("trsyl",), (self._t,))[0]
+        self._t, self._z, abscissa = _real_schur(plant.A - plant.B @ k)
+        self.stable = abscissa < -stability_tol
         self._p = None
         self._l = None
-
-    def _solve(self, rhs: np.ndarray, transposed: bool) -> np.ndarray:
-        """Solve A_cl^T X + X A_cl + rhs = 0 (transposed=True) or
-        A_cl X + X A_cl^T + rhs = 0 (False) reusing the factorization."""
-        c = self._z.T @ (-rhs) @ self._z
-        trana, tranb = ("T", "N") if transposed else ("N", "T")
-        x, scale, info = self._trsyl(self._t, self._t, c, trana=trana, tranb=tranb, isgn=1)
-        if info < 0 or scale == 0.0 or not np.all(np.isfinite(x)):
-            raise SingularSolve(f"trsyl failed (info={info}, scale={scale})")
-        if info == 1:
-            raise SingularSolve("Lyapunov operator numerically singular")
-        sol = self._z @ (x / scale) @ self._z.T
-        return 0.5 * (sol + sol.T)
 
     def obs_gramian(self) -> np.ndarray:
         if self._p is None:
             q_hat = self.plant.Q + self.k.T @ self.plant.R @ self.k
-            self._p = self._solve(q_hat, transposed=True)
+            self._p = _lyapunov_factored(self._t, self._z, q_hat, transposed=True)
         return self._p
 
     def ctrl_gramian(self) -> np.ndarray:
         if self._l is None:
             w = self.plant.W
-            self._l = self._solve(w @ w.T, transposed=False)
+            self._l = _lyapunov_factored(self._t, self._z, w @ w.T, transposed=False)
         return self._l
 
     def cost(self) -> float:
@@ -96,8 +91,17 @@ class _ClosedLoop:
         l = self.ctrl_gramian()
         return 2.0 * (self.plant.R @ self.k - self.plant.B.T @ p) @ l
 
-    def cost_and_gradient(self) -> tuple[float, np.ndarray]:
-        return self.cost(), self.gradient()
+
+class _CostEval:
+    """J(K) and its gradient in the evaluation form descent.descend takes:
+    the value (+inf when not stabilizing) is computed on construction."""
+
+    def __init__(self, plant: LtiPlant, k: np.ndarray):
+        self._cl = _ClosedLoop(plant, k)
+        self.value = self._cl.cost()
+
+    def gradient(self) -> np.ndarray:
+        return self._cl.gradient()
 
 
 def _gain_array(plant: LtiPlant, gain) -> np.ndarray:
@@ -121,19 +125,10 @@ def solve_lyapunov(a_cl: np.ndarray, q_hat: np.ndarray, stability_tol: float = S
         raise DimensionMismatch("A_cl must be square")
     if q_hat.shape != a_cl.shape:
         raise DimensionMismatch("Q_hat shape must match A_cl")
-    t, z = schur(a_cl, output="real")
-    eigs = _schur_eigenvalues(t)
-    if np.max(eigs.real) >= -stability_tol:
-        raise NotHurwitz(f"max Re eig = {np.max(eigs.real):.3e} >= -{stability_tol}")
-    trsyl = get_lapack_funcs(("trsyl",), (t,))[0]
-    c = z.T @ (-q_hat) @ z
-    x, scale, info = trsyl(t, t, c, trana="T", tranb="N", isgn=1)
-    if info < 0 or scale == 0.0 or not np.all(np.isfinite(x)):
-        raise SingularSolve(f"trsyl failed (info={info}, scale={scale})")
-    if info == 1:
-        raise SingularSolve("Lyapunov operator numerically singular")
-    p = z @ (x / scale) @ z.T
-    return 0.5 * (p + p.T)
+    t, z, abscissa = _real_schur(a_cl)
+    if abscissa >= -stability_tol:
+        raise NotHurwitz(f"max Re eig = {abscissa:.3e} >= -{stability_tol}")
+    return _lyapunov_factored(t, z, q_hat, transposed=True)
 
 
 def is_stabilizing(plant: LtiPlant, gain, stability_tol: float = STABILITY_TOL) -> bool:

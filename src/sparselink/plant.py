@@ -70,6 +70,47 @@ class BlockPartition:
         """N x N matrix of element counts m_i * n_j."""
         return np.outer(self.row_sizes, self.col_sizes)
 
+    def block_norms(self, x: np.ndarray) -> np.ndarray:
+        """N x N matrix of block Frobenius norms ||x_ij||_F of an m x n matrix.
+
+        Each norm is the square root of the BLAS dot product of the block's
+        entries with themselves in row-major order, which is how
+        np.linalg.norm computes it, so the values agree bit for bit.
+        """
+        self.check_gain_shape(x)
+        flat = np.ascontiguousarray(x, dtype=float).reshape(-1)
+        sq = np.empty(self.n_nodes * self.n_nodes)
+        for blocks, gather in self._block_gathers():
+            entries = flat[gather]
+            sq[blocks] = np.vecdot(entries, entries)
+        return np.sqrt(sq).reshape(self.n_nodes, self.n_nodes)
+
+    def _block_gathers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """For each distinct block shape (m_i, n_j): the flat (i * N + j)
+        indices of the blocks of that shape, and a (count, m_i * n_j) index
+        into a flattened m x n matrix, row-major within each block. One
+        group for a uniform partition; built once and cached."""
+        cached = self.__dict__.get("_gathers")
+        if cached is None:
+            N = self.n_nodes
+            rows, cols = np.array(self.row_sizes), np.array(self.col_sizes)
+            row_off, col_off = np.array(self._row_off[:-1]), np.array(self._col_off[:-1])
+            groups = []
+            for mi in np.unique(rows):
+                for nj in np.unique(cols):
+                    bi, bj = np.nonzero(np.outer(rows == mi, cols == nj))
+                    a = np.repeat(np.arange(mi), nj)
+                    b = np.tile(np.arange(nj), mi)
+                    gather = (row_off[bi, None] + a) * self.n + col_off[bj, None] + b
+                    groups.append((bi * N + bj, gather))
+            cached = tuple(groups)
+            object.__setattr__(self, "_gathers", cached)
+        return cached
+
+    def expand(self, blockwise: np.ndarray) -> np.ndarray:
+        """m x n matrix repeating entry (i, j) of an N x N array over block (i, j)."""
+        return np.repeat(np.repeat(blockwise, self.row_sizes, axis=0), self.col_sizes, axis=1)
+
     def check_gain_shape(self, k: np.ndarray):
         if k.shape != (self.m, self.n):
             raise DimensionMismatch(
@@ -140,24 +181,13 @@ class SparsityPattern:
     @classmethod
     def from_gain(cls, gain: GainMatrix, threshold: float) -> "SparsityPattern":
         """Blocks whose Frobenius norm exceeds threshold are free."""
-        N = gain.partition.n_nodes
-        mask = np.zeros((N, N), dtype=bool)
-        for i in range(N):
-            for j in range(N):
-                mask[i, j] = np.linalg.norm(gain.block(i, j)) > threshold
-        return cls(mask, gain.partition)
+        return cls(gain.partition.block_norms(gain.K) > threshold, gain.partition)
 
     def structural_identity(self) -> np.ndarray:
         """Entrywise m x n 0/1 matrix, 1 on free-block entries."""
         cached = self.__dict__.get("_identity")
         if cached is None:
-            p = self.partition
-            ident = np.zeros((p.m, p.n))
-            for i in range(p.n_nodes):
-                for j in range(p.n_nodes):
-                    if self.mask[i, j]:
-                        ri, cj = p.block(i, j)
-                        ident[ri, cj] = 1.0
+            ident = self.partition.expand(self.mask).astype(float)
             ident.setflags(write=False)
             object.__setattr__(self, "_identity", ident)
             cached = ident

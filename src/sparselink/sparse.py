@@ -34,7 +34,7 @@ from .errors import (
     MaxIterations,
     NotStabilizing,
 )
-from .h2 import _ClosedLoop, closed_loop_cost, is_stabilizing, lqr_centralized
+from .h2 import _ClosedLoop, _CostEval, closed_loop_cost, is_stabilizing, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import AugLagConfig, synthesize_structured_info
 
@@ -85,13 +85,7 @@ class SweepResult:
 
 def block_frobenius(gain: GainMatrix) -> np.ndarray:
     """N x N matrix of block Frobenius norms ||K_ij||_F."""
-    p = gain.partition
-    n_nodes = p.n_nodes
-    norms = np.empty((n_nodes, n_nodes))
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            norms[i, j] = np.linalg.norm(gain.block(i, j))
-    return norms
+    return gain.partition.block_norms(gain.K)
 
 
 def reweight(norms: np.ndarray, eps: float) -> np.ndarray:
@@ -107,18 +101,12 @@ def reweight(norms: np.ndarray, eps: float) -> np.ndarray:
 def block_soft_threshold(v: np.ndarray, thresholds: np.ndarray, partition: BlockPartition) -> np.ndarray:
     """Blockwise shrinkage: block V_ij maps to (1 - t_ij/||V_ij||)_+ V_ij."""
     v = np.asarray(v, dtype=float)
-    partition.check_gain_shape(v)
-    out = np.zeros_like(v)
-    n_nodes = partition.n_nodes
-    for i in range(n_nodes):
-        for j in range(n_nodes):
-            ri, cj = partition.block(i, j)
-            blk = v[ri, cj]
-            nrm = np.linalg.norm(blk)
-            t = thresholds[i, j]
-            if nrm > t:
-                out[ri, cj] = (1.0 - t / nrm) * blk
-    return out
+    norms = partition.block_norms(v)
+    keep = norms > thresholds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        factor = np.where(keep, 1.0 - thresholds / norms, 0.0)
+    # +0.0 (not factor * v, which is -0.0 on negative entries) off the kept blocks
+    return np.where(partition.expand(keep), partition.expand(factor) * v, 0.0)
 
 
 class _ProxEval:
@@ -179,7 +167,7 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
 
     if beta == 0.0:
         res = descend(
-            lambda kk: _CostOnly(plant, kk),
+            lambda kk: _CostEval(plant, kk),
             k0,
             grad_tol=1e-6,
             max_iter=5000,
@@ -320,15 +308,6 @@ def _prox_refine(plant, k, obj, beta, weights, cfg):
     grad = _ClosedLoop(plant, k).gradient()
     ok = _residual(k, grad) <= tol * (1.0 + float(np.linalg.norm(k)))
     return k, obj, trace, ok
-
-
-class _CostOnly:
-    def __init__(self, plant, k):
-        self._cl = _ClosedLoop(plant, k)
-        self.value = self._cl.cost()
-
-    def gradient(self):
-        return self._cl.gradient()
 
 
 def default_beta_schedule(j_centralized: float, count: int = 30) -> tuple[float, ...]:

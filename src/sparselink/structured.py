@@ -26,7 +26,7 @@ from .errors import (
     NotStabilizing,
     PatternNotStabilizable,
 )
-from .h2 import _ClosedLoop, is_stabilizing, lqr_centralized
+from .h2 import _ClosedLoop, _CostEval, is_stabilizing, lqr_centralized
 from .plant import GainMatrix, LtiPlant, SparsityPattern
 
 
@@ -93,17 +93,6 @@ class _AugLagEval:
 
     def gradient(self):
         return self._cl.gradient() + self._lam * self._comp + self._gamma * self._viol
-
-
-class _CostEval:
-    """Plain J(K) evaluation for the projected polish."""
-
-    def __init__(self, plant, k):
-        self._cl = _ClosedLoop(plant, k)
-        self.value = self._cl.cost()
-
-    def gradient(self):
-        return self._cl.gradient()
 
 
 def augmented_lagrangian(plant: LtiPlant, gain, multiplier, gamma: float, pattern: SparsityPattern) -> float:

@@ -12,8 +12,13 @@ from sparselink import (
     CostReport,
     GeneratorSpec,
     InvalidAssumption,
+    LineSearchFailure,
+    LostStabilizability,
     LtiPlant,
+    MaxIterations,
+    RiccatiFailure,
     Scenario,
+    SingularSolve,
     SparsityConfig,
     closed_loop_cost,
     dumps_canonical,
@@ -35,6 +40,7 @@ from sparselink import (
     write_artifacts,
     write_json,
 )
+from sparselink import cli
 from sparselink.cli import main
 
 from conftest import make_table
@@ -516,6 +522,44 @@ class TestCli:
         )
         assert code == 3
         assert "not stabilizable" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "error, command, solver",
+        [
+            (SingularSolve, "sweep", "sparsity_sweep"),
+            (RiccatiFailure, "synth", "synthesize_structured_info"),
+            (LineSearchFailure, "run", "run_pipeline"),
+            (LostStabilizability, "sweep", "sparsity_sweep"),
+            (MaxIterations, "synth", "synthesize_structured_info"),
+        ],
+    )
+    def test_solver_failure_exit_five(
+        self, tmp_path, capsys, monkeypatch, error, command, solver
+    ):
+        from sparselink import SparsityPattern, pattern_to_doc
+
+        def give_up(*args, **kwargs):
+            raise error("solver gave up")
+
+        monkeypatch.setattr(cli, solver, give_up)
+        if command == "synth":
+            plant = generate_plant(2, 2)
+            write_json(tmp_path / "plant.json", plant_to_doc(plant))
+            write_json(
+                tmp_path / "pattern.json",
+                pattern_to_doc(SparsityPattern.diagonal(plant.partition)),
+            )
+            args = [
+                "synth",
+                "--plant",
+                str(tmp_path / "plant.json"),
+                "--pattern",
+                str(tmp_path / "pattern.json"),
+            ]
+        else:
+            args = [command, "--scenario", str(write_scenario(tmp_path, {"attacked_top": 1}))]
+        assert main(args) == 5
+        assert "solver failure: solver gave up" in capsys.readouterr().err
 
     def test_run_csv_stdout(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {"attacked_top": 1})
