@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotStabilizing
+from .errors import LineSearchFailure, LostStabilizability, MaxIterations, NotStabilizing
 
 CONVERGED = "converged"
 MAX_ITER = "max_iter"
@@ -99,3 +99,21 @@ def descend(
         x, f, g = x_new, f_new, g_new
 
     return DescentResult(x, f, g, max_iter, MAX_ITER)
+
+
+_STATUS_ERRORS = {
+    MAX_ITER: (MaxIterations, "hit its iteration limit"),
+    STALLED: (LineSearchFailure, "stalled: no trial step decreased the objective"),
+    LOST_STABILITY: (
+        LostStabilizability,
+        "lost stability: every trial step left the stabilizing set",
+    ),
+}
+
+
+def require_converged(res: DescentResult, what: str) -> DescentResult:
+    """res when it converged; otherwise the typed error of its status."""
+    if res.status != CONVERGED:
+        error, reason = _STATUS_ERRORS[res.status]
+        raise error(f"{what} {reason}")
+    return res

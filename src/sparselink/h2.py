@@ -55,7 +55,11 @@ def _lyapunov_factored(t: np.ndarray, z: np.ndarray, rhs: np.ndarray, transposed
 
 class _ClosedLoop:
     """One Schur factorization of A - B K serving stability test, both
-    Gramians, cost, and gradient. Internal work happens on raw arrays."""
+    Gramians, cost, and gradient. Internal work happens on raw arrays.
+
+    value and gradient() are the evaluation form descent.descend takes; the
+    Lyapunov solves run only when one of them is asked for.
+    """
 
     def __init__(self, plant: LtiPlant, k: np.ndarray, stability_tol: float = STABILITY_TOL):
         self.plant = plant
@@ -77,7 +81,9 @@ class _ClosedLoop:
             self._l = _lyapunov_factored(self._t, self._z, w @ w.T, transposed=False)
         return self._l
 
-    def cost(self) -> float:
+    @property
+    def value(self) -> float:
+        """J(K) = trace(W^T P W), or +inf when K is not stabilizing."""
         if not self.stable:
             return math.inf
         p = self.obs_gramian()
@@ -90,18 +96,6 @@ class _ClosedLoop:
         p = self.obs_gramian()
         l = self.ctrl_gramian()
         return 2.0 * (self.plant.R @ self.k - self.plant.B.T @ p) @ l
-
-
-class _CostEval:
-    """J(K) and its gradient in the evaluation form descent.descend takes:
-    the value (+inf when not stabilizing) is computed on construction."""
-
-    def __init__(self, plant: LtiPlant, k: np.ndarray):
-        self._cl = _ClosedLoop(plant, k)
-        self.value = self._cl.cost()
-
-    def gradient(self) -> np.ndarray:
-        return self._cl.gradient()
 
 
 def _gain_array(plant: LtiPlant, gain) -> np.ndarray:
@@ -133,14 +127,12 @@ def solve_lyapunov(a_cl: np.ndarray, q_hat: np.ndarray, stability_tol: float = S
 
 def is_stabilizing(plant: LtiPlant, gain, stability_tol: float = STABILITY_TOL) -> bool:
     """True iff max Re eig(A - B K) < -stability_tol (strict margin)."""
-    k = _gain_array(plant, gain)
-    eigs = np.linalg.eigvals(plant.A - plant.B @ k)
-    return bool(np.max(eigs.real) < -stability_tol)
+    return _ClosedLoop(plant, _gain_array(plant, gain), stability_tol).stable
 
 
 def closed_loop_cost(plant: LtiPlant, gain) -> float:
     """H2 cost trace(W^T P W); +inf when the gain is not stabilizing."""
-    return _ClosedLoop(plant, _gain_array(plant, gain)).cost()
+    return _ClosedLoop(plant, _gain_array(plant, gain)).value
 
 
 def cost_gradient(plant: LtiPlant, gain) -> np.ndarray:
@@ -158,8 +150,9 @@ def _stabilizing_seed(plant: LtiPlant) -> np.ndarray:
     """
     a, b_mat = plant.A, plant.B
     n = plant.n
-    if np.max(np.linalg.eigvals(a).real) < -STABILITY_TOL:
-        return np.zeros((plant.m, n))
+    k0 = np.zeros((plant.m, n))
+    if _ClosedLoop(plant, k0).stable:
+        return k0
     shift = np.linalg.norm(a, "fro") + 1.0
     shifted = -(a + shift * np.eye(n)).T  # Hurwitz by construction
     bbt = 2.0 * (b_mat @ b_mat.T)

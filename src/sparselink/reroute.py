@@ -10,7 +10,6 @@ counts), exactly as the table stores it.
 """
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,11 +26,9 @@ from .priority import PriorityTable
 
 @dataclass(frozen=True)
 class AttackScenario:
-    """Attacked priority levels; single is set when the attack was specified
-    as one link (selects the single-link procedure on mixed-size tables)."""
+    """Attacked priority levels."""
 
     priorities: frozenset[int]
-    single: int | None = None
 
     @classmethod
     def from_mask(cls, mask) -> "AttackScenario":
@@ -177,25 +174,6 @@ def reroute_multi(table: PriorityTable, attacked) -> RerouteOutcome:
     b1 = sum(sizes[q - 1] for q in attacked)
     b2 = sum(sizes[q - 1] for q in range(1, top_attacked) if q not in attacked)
 
-    if b2 == 0 and r3 < r1 / 2:
-        # No capacity exists below the highest attacked priority, which
-        # forces the attacked set to be the r3 lowest priorities; zeroing
-        # rows 1..r3 drops exactly the attacked data.
-        lowest = set(range(1, r3 + 1))
-        if lowest != set(attacked):
-            warnings.warn(
-                "zeroing the lowest rows does not match the attacked set",
-                stacklevel=2,
-            )
-        final = table.with_zeroed_rows(lowest)
-        return RerouteOutcome(
-            final,
-            attacked,
-            frozenset(lowest - attacked),
-            frozenset(),
-            frozenset(lowest & attacked),
-            True,
-        )
     if b1 > b2 and r3 >= r1 / 2:
         return _infeasible_outcome(table, attacked)
 

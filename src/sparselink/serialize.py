@@ -218,7 +218,7 @@ def gain_from_doc(doc: dict, partition: BlockPartition) -> tuple[GainMatrix, dic
 
 def attack_from_doc(doc, r1: int) -> AttackScenario:
     """Accepted forms: {"attacked_priorities": [q...]}, {"attacked_block": q}
-    (single-link semantics), {"attacked_top": k} or {"top_fraction": f}
+    (the one priority q), {"attacked_top": k} or {"top_fraction": f}
     (the k = round(f*r1) highest priorities). None means no attack."""
     if doc is None:
         return AttackScenario.none()
@@ -235,7 +235,7 @@ def attack_from_doc(doc, r1: int) -> AttackScenario:
     if key == "attacked_block":
         q = int(value)
         _check_range({q}, r1)
-        return AttackScenario(frozenset([q]), single=q)
+        return AttackScenario(frozenset([q]))
     if key == "attacked_top":
         k = int(value)
     elif key == "top_fraction":

@@ -26,15 +26,9 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import descent
-from .descent import descend
-from .errors import (
-    DimensionMismatch,
-    LineSearchFailure,
-    LostStabilizability,
-    MaxIterations,
-    NotStabilizing,
-)
-from .h2 import _ClosedLoop, _CostEval, closed_loop_cost, is_stabilizing, lqr_centralized
+from .descent import descend, require_converged
+from .errors import DimensionMismatch, LostStabilizability, MaxIterations, NotStabilizing
+from .h2 import _ClosedLoop, closed_loop_cost, is_stabilizing, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import AugLagConfig, synthesize_structured_info
 
@@ -113,24 +107,25 @@ class _ProxEval:
     """J(K) + (rho/2)||K - anchor||_F^2 for the ADMM K-update."""
 
     def __init__(self, plant, k, anchor, rho):
-        self._cl = _ClosedLoop(plant, k)
+        self.cl = _ClosedLoop(plant, k)
         self._diff = k - anchor
         self._rho = rho
-        j = self._cl.cost()
+        j = self.cl.value
         if math.isfinite(j):
             self.value = j + 0.5 * rho * float(np.sum(self._diff * self._diff))
         else:
             self.value = math.inf
 
     def gradient(self):
-        return self._cl.gradient() + self._rho * self._diff
+        return self.cl.gradient() + self._rho * self._diff
 
 
-def _penalized_objective(plant, k, beta, weights, partition) -> float:
-    j = closed_loop_cost(plant, k)
+def _penalized_objective(cl, beta, weights, partition) -> float:
+    """J(K) + beta * sum_ij G_ij ||K_ij||_F at the closed loop of K."""
+    j = cl.value
     if not math.isfinite(j):
         return math.inf
-    norms = block_frobenius(GainMatrix(k, partition))
+    norms = block_frobenius(GainMatrix(cl.k, partition))
     return j + beta * float(np.sum(weights * norms))
 
 
@@ -162,22 +157,18 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
     if weights.shape != (n_nodes, n_nodes):
         raise DimensionMismatch(f"weights shape {weights.shape}, expected ({n_nodes},{n_nodes})")
     k0 = init.K if isinstance(init, GainMatrix) else np.asarray(init, dtype=float)
-    if not is_stabilizing(plant, k0):
+    cl = _ClosedLoop(plant, k0)
+    if not cl.stable:
         raise NotStabilizing("initial gain must be stabilizing")
 
     if beta == 0.0:
         res = descend(
-            lambda kk: _CostEval(plant, kk),
+            lambda kk: _ClosedLoop(plant, kk),
             k0,
             grad_tol=1e-6,
             max_iter=5000,
         )
-        if res.status == descent.LOST_STABILITY:
-            raise LostStabilizability("every line-search step left the stabilizing set")
-        if res.status not in (descent.CONVERGED,):
-            if res.status == descent.MAX_ITER:
-                raise MaxIterations("unpenalized descent did not converge")
-            raise LineSearchFailure("unpenalized descent stalled")
+        require_converged(res, "unpenalized descent")
         return _SparseGainDetails(res.x, (res.value,), res.iterations, True)
 
     partition = plant.partition
@@ -185,9 +176,18 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
     k = np.array(k0, dtype=float)
     f = k.copy()
     u = np.zeros_like(k)
-    best = k.copy()
-    best_obj = _penalized_objective(plant, k, beta, weights, partition)
+    best, best_cl = k.copy(), cl
+    best_obj = _penalized_objective(cl, beta, weights, partition)
     trace: list[float] = [best_obj]
+    last = None
+
+    def make_eval(kk):
+        # The K-update's last evaluation is, unless the descent stalled, the
+        # point it returns; its closed loop then serves the objective below.
+        nonlocal last
+        last = _ProxEval(plant, kk, anchor, rho)
+        return last
+
     converged = False
     refined = False
     stale = 0
@@ -195,7 +195,7 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
     for it in range(cfg.max_outer):
         anchor = f - u
         res = descend(
-            lambda kk: _ProxEval(plant, kk, anchor, rho),
+            make_eval,
             k,
             grad_tol=cfg.kupdate_tol,
             max_iter=cfg.kupdate_max_iter,
@@ -203,12 +203,13 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
         if res.status == descent.LOST_STABILITY:
             raise LostStabilizability("every line-search step left the stabilizing set")
         k = res.x
-        obj = _penalized_objective(plant, k, beta, weights, partition)
+        cl = last.cl if last.cl.k is k else _ClosedLoop(plant, k)
+        obj = _penalized_objective(cl, beta, weights, partition)
         if obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
-            best, best_obj, stale = k.copy(), obj, 0
+            best, best_cl, best_obj, stale = k.copy(), cl, obj, 0
         else:
             if obj < best_obj:
-                best, best_obj = k.copy(), obj
+                best, best_cl, best_obj = k.copy(), cl, obj
             stale += 1
         trace.append(best_obj)
         f_new = block_soft_threshold(k + u, beta * weights / rho, partition)
@@ -235,7 +236,7 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
         # Consensus stalled (or the budget ran out): finish with the
         # monotone proximal-gradient refinement from the best iterate.
         k, best_obj, tail, converged = _prox_refine(
-            plant, best, best_obj, beta, weights, cfg
+            plant, best, best_cl, best_obj, beta, weights, cfg
         )
         f = k
         trace.extend(tail)
@@ -256,11 +257,12 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
     return _SparseGainDetails(k_final, tuple(trace), it + 1, converged)
 
 
-def _prox_refine(plant, k, obj, beta, weights, cfg):
+def _prox_refine(plant, k, cl, obj, beta, weights, cfg):
     """Monotone proximal-gradient refinement of the composite objective,
-    started from a stabilizing iterate. Terminates at a fixed point of the
-    contract's shrink(K - grad J / rho, beta G / rho) map, measured by the
-    gradient-mapping residual against the consensus tolerances."""
+    started from a stabilizing iterate k with closed loop cl. Terminates at
+    a fixed point of the contract's shrink(K - grad J / rho, beta G / rho)
+    map, measured by the gradient-mapping residual against the consensus
+    tolerances."""
     partition = plant.partition
     eta_ref = 1.0 / cfg.rho
     tol = min(cfg.tol_primal, cfg.tol_dual)
@@ -277,7 +279,7 @@ def _prox_refine(plant, k, obj, beta, weights, cfg):
         return float(np.linalg.norm(point - ref)) / eta_ref
 
     for _ in range(budget):
-        grad = _ClosedLoop(plant, k).gradient()
+        grad = cl.gradient()
         if _residual(k, grad) <= tol * (1.0 + float(np.linalg.norm(k))):
             return k, obj, trace, True
         if prev_k is not None:
@@ -296,16 +298,17 @@ def _prox_refine(plant, k, obj, beta, weights, cfg):
             step_sq = float(np.sum((cand - k) ** 2))
             if step_sq == 0.0:
                 break
-            cand_obj = _penalized_objective(plant, cand, beta, weights, partition)
+            cand_cl = _ClosedLoop(plant, cand)
+            cand_obj = _penalized_objective(cand_cl, beta, weights, partition)
             if cand_obj <= obj - 1e-4 / (2.0 * eta) * step_sq:
-                k, obj = cand, cand_obj
+                k, cl, obj = cand, cand_cl, cand_obj
                 trace.append(obj)
                 accepted = True
                 break
             eta *= 0.5
         if not accepted:
             break
-    grad = _ClosedLoop(plant, k).gradient()
+    grad = cl.gradient()
     ok = _residual(k, grad) <= tol * (1.0 + float(np.linalg.norm(k)))
     return k, obj, trace, ok
 

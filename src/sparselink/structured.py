@@ -19,14 +19,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import descent
-from .descent import descend
-from .errors import (
-    LineSearchFailure,
-    MaxIterations,
-    NotStabilizing,
-    PatternNotStabilizable,
-)
-from .h2 import _ClosedLoop, _CostEval, is_stabilizing, lqr_centralized
+from .descent import descend, require_converged
+from .errors import MaxIterations, NotStabilizing, PatternNotStabilizable
+from .h2 import _ClosedLoop, is_stabilizing, lqr_centralized
 from .plant import GainMatrix, LtiPlant, SparsityPattern
 
 
@@ -81,7 +76,7 @@ class _AugLagEval:
         self._gamma = gamma
         self._viol = k * comp_identity
         self._comp = comp_identity
-        j = self._cl.cost()
+        j = self._cl.value
         if math.isfinite(j):
             self.value = (
                 j
@@ -123,20 +118,21 @@ def minimize_inner(
     lam = np.asarray(multiplier, dtype=float)
     comp = pattern.complement_identity()
     k0 = init.K if isinstance(init, GainMatrix) else np.asarray(init, dtype=float)
-    res = descend(
-        lambda k: _AugLagEval(plant, k, lam, gamma, comp),
-        k0,
-        grad_tol=cfg.inner_tol,
+    res = _inner_solve(plant, k0, lam, gamma, comp, cfg, cfg.inner_tol)
+    return GainMatrix(require_converged(res, "inner solve").x, plant.partition)
+
+
+def _inner_solve(plant, k, lam, gamma, comp, cfg, grad_tol):
+    """Descent of L_g over unstructured K at a fixed multiplier and penalty."""
+    return descend(
+        lambda kk: _AugLagEval(plant, kk, lam, gamma, comp),
+        k,
+        grad_tol=grad_tol,
         max_iter=cfg.inner_max_iter,
         c1=cfg.armijo_c1,
         shrink=cfg.armijo_shrink,
         max_backtracks=cfg.max_backtracks,
     )
-    if res.status == descent.MAX_ITER:
-        raise MaxIterations(f"inner solve hit {cfg.inner_max_iter} iterations")
-    if res.status in (descent.STALLED, descent.LOST_STABILITY):
-        raise LineSearchFailure("inner line search could not make progress")
-    return GainMatrix(res.x, plant.partition)
 
 
 def synthesize_structured(
@@ -187,16 +183,7 @@ def synthesize_structured_info(
         )
         # Loose-to-tight inner tolerance keeps early outer iterations cheap.
         inner_tol = max(cfg.inner_tol, 1e-2 / gamma)
-        res = descend(
-            lambda kk: _AugLagEval(plant, kk, lam, gamma, comp),
-            k,
-            grad_tol=inner_tol,
-            max_iter=cfg.inner_max_iter,
-            c1=cfg.armijo_c1,
-            shrink=cfg.armijo_shrink,
-            max_backtracks=cfg.max_backtracks,
-        )
-        k = res.x
+        k = _inner_solve(plant, k, lam, gamma, comp, cfg, inner_tol).x
         lam = lam + gamma * (k * comp)
         gamma = cfg.alpha * gamma
 
@@ -205,22 +192,25 @@ def synthesize_structured_info(
             f"no stabilizing projected iterate within {cfg.max_outer} outer iterations"
         )
 
-    final = _polish(plant, best_projection, ident, cfg)
-    cost = _CostEval(plant, final).value
-    grad_ok = _structured_stationary(plant, final, ident)
+    res = _polish(plant, best_projection, ident, cfg)
+    final = res.x * ident  # exact zeros off-pattern regardless of float dust
+    gnorm = float(np.linalg.norm(res.gradient * ident))
+    stationary = gnorm <= 1e-5 * (1.0 + float(np.linalg.norm(final)))
+    if res.status != descent.CONVERGED and not stationary:
+        raise MaxIterations("structured polish did not reach stationarity")
     return SynthesisInfo(
         gain=GainMatrix(final, plant.partition),
-        cost=cost,
+        cost=res.value,
         iterations=outer,
-        converged=bool(tightened and grad_ok),
+        converged=tightened and stationary,
         history=tuple(history),
     )
 
 
 def _polish(plant, k_projected, ident, cfg):
     """Projected-gradient descent of J on the free entries."""
-    res = descend(
-        lambda kk: _CostEval(plant, kk),
+    return descend(
+        lambda kk: _ClosedLoop(plant, kk),
         k_projected,
         mask=ident,
         grad_tol=cfg.polish_tol,
@@ -229,16 +219,3 @@ def _polish(plant, k_projected, ident, cfg):
         shrink=cfg.armijo_shrink,
         max_backtracks=cfg.max_backtracks,
     )
-    k = res.x * ident  # exact zeros off-pattern regardless of float dust
-    if res.status != descent.CONVERGED and not _structured_stationary(plant, k, ident, 1e-5):
-        raise MaxIterations("structured polish did not reach stationarity")
-    return k
-
-
-def _structured_stationary(plant, k, ident, tol: float | None = None) -> bool:
-    cl = _ClosedLoop(plant, k)
-    if not cl.stable:
-        return False
-    gnorm = float(np.linalg.norm(cl.gradient() * ident))
-    bound = (tol if tol is not None else 1e-5) * (1.0 + float(np.linalg.norm(k)))
-    return gnorm <= bound

@@ -1,5 +1,6 @@
 """Property tests: the vectorized block algebra against per-block loops, and
-the Schur-diagonal stability test against dense eigenvalues.
+the Schur-diagonal stability test (behind is_stabilizing too) against dense
+eigenvalues.
 
 The loop references below are the per-block implementations the vectorized
 helpers replaced. The helpers must reproduce them bit for bit (values and
@@ -17,6 +18,7 @@ from sparselink import (
     SparsityPattern,
     block_frobenius,
     block_soft_threshold,
+    is_stabilizing,
 )
 from sparselink.h2 import _ClosedLoop
 from sparselink.plant import STABILITY_TOL
@@ -146,5 +148,6 @@ def test_schur_stability_matches_eigenvalues(n, seed, shift):
     assume(abs(abscissa + STABILITY_TOL) > 1e-8)
     eye = np.eye(n)
     plant = LtiPlant(a, eye, eye, eye, eye, BlockPartition((n,), (n,)))
-    stable = _ClosedLoop(plant, np.zeros((n, n))).stable
-    assert stable == (abscissa < -STABILITY_TOL)
+    expected = abscissa < -STABILITY_TOL
+    assert _ClosedLoop(plant, np.zeros((n, n))).stable == expected
+    assert is_stabilizing(plant, np.zeros((n, n))) == expected

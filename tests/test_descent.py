@@ -4,13 +4,20 @@ import math
 import numpy as np
 import pytest
 
-from sparselink import NotStabilizing
+from sparselink import (
+    LineSearchFailure,
+    LostStabilizability,
+    MaxIterations,
+    NotStabilizing,
+)
 from sparselink.descent import (
     CONVERGED,
     LOST_STABILITY,
     MAX_ITER,
     STALLED,
+    DescentResult,
     descend,
+    require_converged,
 )
 
 
@@ -134,3 +141,17 @@ def test_stalled_status():
 
     res = descend(lambda x: _Cliff(x), start, grad_tol=1e-14, max_iter=50)
     assert res.status == STALLED
+
+
+@pytest.mark.parametrize(
+    "status, error",
+    [
+        (MAX_ITER, MaxIterations),
+        (STALLED, LineSearchFailure),
+        (LOST_STABILITY, LostStabilizability),
+    ],
+)
+def test_require_converged_raises_typed_error(status, error):
+    res = DescentResult(np.zeros((1, 1)), 0.0, np.zeros((1, 1)), 3, status)
+    with pytest.raises(error, match="^inner solve "):
+        require_converged(res, "inner solve")

@@ -130,7 +130,7 @@ class TestClosedLoopCost:
             plant = single_node_plant(rng, n, m)
             gain = perturbed_gain(rng, plant, np.zeros((m, n)))
             cl = _ClosedLoop(plant, gain.K)
-            j = cl.cost()
+            j = cl.value
             q_hat = plant.Q + gain.K.T @ plant.R @ gain.K
             dual = float(np.trace(q_hat @ cl.ctrl_gramian()))
             assert abs(j - dual) <= 1e-8 * (1.0 + abs(j))

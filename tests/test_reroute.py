@@ -1,6 +1,8 @@
 """Rerouting countermeasures: golden cases, branch coverage, set algebra."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_table
 from sparselink import (
@@ -22,7 +24,6 @@ class TestAttackScenario:
         attack = AttackScenario.from_mask((False, True, False, True))
         assert attack.priorities == frozenset({2, 4})
         assert attack.to_mask(5) == (False, True, False, True, False)
-        assert attack.single is None
 
     def test_none(self):
         attack = AttackScenario.none()
@@ -285,3 +286,68 @@ class TestFuzzInvariants:
         a = reroute_uniform(ex1_table, {3, 7, 8})
         b = reroute_uniform(ex1_table, {3, 7, 8})
         assert a == b
+
+
+def assert_reroute_invariants(table, attacked, out):
+    """The conservation rules every countermeasure keeps."""
+    assert out.attacked == frozenset(attacked)
+    sacrificed, rerouted, dropped = out.sacrificed, out.rerouted, out.dropped
+    if not out.feasible:
+        assert out.table == table
+        assert not (sacrificed | rerouted | dropped)
+        return
+    assert rerouted | dropped == out.attacked
+    assert not (sacrificed & rerouted)
+    assert not (sacrificed & dropped)
+    assert not (rerouted & dropped)
+    # A host serves a rerouted link of higher priority, so the hosts below
+    # any priority t carry at least the need of the rerouted links up to t;
+    # at t = r1 + 1 this is total capacity >= total need.
+    sizes = table.sizes()
+    for host in sacrificed:
+        assert any(host < a for a in rerouted)
+    for t in range(1, table.r1 + 2):
+        need = sum(sizes[a - 1] for a in rerouted if a <= t)
+        capacity = sum(sizes[q - 1] for q in sacrificed if q < t)
+        assert capacity >= need
+    for q in range(1, table.r1 + 1):
+        before, after = table.row(q), out.table.row(q)
+        if q in sacrificed | dropped:
+            assert after.values == (0.0,) * len(before.values)
+            assert (after.i, after.j, after.size) == (before.i, before.j, before.size)
+        else:
+            assert after == before
+
+
+@st.composite
+def tables(draw, uniform):
+    """Tables of 1..12 links of 1..4 units; every row has non-zero values."""
+    r1 = draw(st.integers(1, 12))
+    if uniform:
+        sizes = (draw(st.integers(1, 4)),) * r1
+    else:
+        sizes = tuple(draw(st.lists(st.integers(1, 4), min_size=r1, max_size=r1)))
+    return make_table(sizes)
+
+
+class TestRerouteProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_uniform(self, data):
+        table = data.draw(tables(uniform=True))
+        attacked = data.draw(st.sets(st.integers(1, table.r1)))
+        assert_reroute_invariants(table, attacked, reroute_uniform(table, attacked))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_single(self, data):
+        table = data.draw(tables(uniform=False))
+        r_attack = data.draw(st.integers(1, table.r1))
+        assert_reroute_invariants(table, {r_attack}, reroute_single(table, r_attack))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_multi(self, data):
+        table = data.draw(tables(uniform=False))
+        attacked = data.draw(st.sets(st.integers(1, table.r1)))
+        assert_reroute_invariants(table, attacked, reroute_multi(table, attacked))

@@ -197,7 +197,7 @@ class TestSelectReroute:
         assert select_reroute(ex1_table, attack) == reroute_uniform(ex1_table, {3, 7, 8})
 
     def test_single_dispatch(self, ex2_table):
-        attack = AttackScenario(frozenset({5}), single=5)
+        attack = AttackScenario(frozenset({5}))
         assert select_reroute(ex2_table, attack) == reroute_single(ex2_table, 5)
 
     def test_multi_dispatch(self):
@@ -208,7 +208,7 @@ class TestSelectReroute:
     def test_uniform_single_attack_uses_pairing(self, ex1_table):
         # one attacked link on a uniform table goes through the pairing
         # procedure, not the capacity loop
-        attack = AttackScenario(frozenset({1}), single=1)
+        attack = AttackScenario(frozenset({1}))
         out = select_reroute(ex1_table, attack)
         assert out == reroute_uniform(ex1_table, {1})
 

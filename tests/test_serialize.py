@@ -176,12 +176,10 @@ class TestAttackDoc:
     def test_explicit_priorities(self):
         attack = attack_from_doc({"attacked_priorities": [3, 7, 8]}, 9)
         assert attack.priorities == frozenset({3, 7, 8})
-        assert attack.single is None
 
     def test_single_block(self):
         attack = attack_from_doc({"attacked_block": 5}, 6)
         assert attack.priorities == frozenset({5})
-        assert attack.single == 5
 
     def test_top_count(self):
         attack = attack_from_doc({"attacked_top": 3}, 9)

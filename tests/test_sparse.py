@@ -9,6 +9,7 @@ from sparselink import (
     BlockPartition,
     DimensionMismatch,
     GainMatrix,
+    LostStabilizability,
     NotStabilizing,
     SparsityConfig,
     SparsityPattern,
@@ -25,6 +26,7 @@ from sparselink import (
     sweep_csv,
     synthesize_structured_info,
 )
+from sparselink import descent, sparse
 from sparselink.sparse import _sparse_gain_details
 
 
@@ -254,3 +256,16 @@ class TestSparsitySweep:
             assert float(b) == entry.beta
             assert int(nnz) == entry.nnz_blocks
             assert float(j) == entry.cost_polished
+
+
+def test_unpenalized_lost_stability_is_typed(monkeypatch):
+    def lost(make_eval, x0, **kwargs):
+        ev = make_eval(x0)
+        return descent.DescentResult(x0, ev.value, ev.gradient(), 0, descent.LOST_STABILITY)
+
+    monkeypatch.setattr(sparse, "descend", lost)
+    plant = generate_plant(2, 0)
+    kc = lqr_centralized(plant)
+    weights = np.ones((plant.partition.n_nodes,) * 2)
+    with pytest.raises(LostStabilizability):
+        sparse_gain(plant, 0.0, weights, kc)

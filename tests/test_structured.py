@@ -10,6 +10,7 @@ from sparselink import (
     AugLagConfig,
     BlockPartition,
     GainMatrix,
+    LostStabilizability,
     LtiPlant,
     NotStabilizing,
     PatternNotStabilizable,
@@ -23,6 +24,7 @@ from sparselink import (
     synthesize_structured,
     synthesize_structured_info,
 )
+from sparselink import descent, structured
 from sparselink.structured import _AugLagEval
 
 
@@ -127,6 +129,19 @@ class TestMinimizeInner:
         assert np.linalg.norm(g) <= 1e-7 * (1.0 + np.linalg.norm(out.K))
         assert is_stabilizing(plant, out)
 
+    def test_lost_stability_is_typed(self, monkeypatch):
+        # the same error sparse_gain raises when its descent loses stability
+        def lost(make_eval, x0, **kwargs):
+            ev = make_eval(x0)
+            return descent.DescentResult(x0, ev.value, ev.gradient(), 0, descent.LOST_STABILITY)
+
+        monkeypatch.setattr(structured, "descend", lost)
+        plant = two_node_plant(1)
+        pattern = SparsityPattern.diagonal(plant.partition)
+        with pytest.raises(LostStabilizability):
+            minimize_inner(plant, np.zeros((plant.m, plant.n)), 1.0, pattern,
+                           lqr_centralized(plant))
+
 
 class TestSynthesizeStructured:
     def test_full_pattern_matches_lqr(self):
@@ -176,6 +191,18 @@ class TestSynthesizeStructured:
         j_c = closed_loop_cost(plant, lqr_centralized(plant))
         assert info.cost >= j_c - 1e-8
         assert info.cost == pytest.approx(closed_loop_cost(plant, info.gain), abs=1e-12)
+
+    @pytest.mark.parametrize("seed, density", [(0, 0.0), (1, 0.3), (2, 0.6)])
+    def test_cost_is_closed_loop_cost_bitwise(self, seed, density):
+        from sparselink import generate_plant
+
+        plant = generate_plant(3, seed)
+        u = np.random.default_rng(seed).uniform(size=(3, 3))
+        pattern = SparsityPattern(np.eye(3, dtype=bool) | (u < density), plant.partition)
+        info = synthesize_structured_info(plant, pattern)
+        assert info.cost == closed_loop_cost(plant, info.gain)
+        warm = synthesize_structured_info(plant, pattern, init=info.gain)
+        assert warm.cost == closed_loop_cost(plant, warm.gain)
 
     def test_structured_stationarity(self):
         plant = two_node_plant(5)
