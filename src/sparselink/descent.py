@@ -23,6 +23,11 @@ LOST_STABILITY = "lost_stability"
 
 _STEP_MIN = 1e-18
 _STEP_MAX = 1e6
+# Armijo sufficient-decrease constant, backtracking factor, and the default
+# number of backtracking trials per iteration.
+ARMIJO_C1 = 1e-4
+ARMIJO_SHRINK = 0.5
+MAX_BACKTRACKS = 60
 
 
 @dataclass
@@ -41,9 +46,7 @@ def descend(
     grad_tol: float,
     max_iter: int,
     mask: np.ndarray | None = None,
-    c1: float = 1e-4,
-    shrink: float = 0.5,
-    max_backtracks: int = 60,
+    max_backtracks: int = MAX_BACKTRACKS,
 ) -> DescentResult:
     """Minimize a smooth objective from a feasible start.
 
@@ -75,12 +78,12 @@ def descend(
             x_trial = x + tau * d
             ev_trial = make_eval(x_trial)
             f_trial = ev_trial.value
-            if math.isfinite(f_trial) and f_trial <= f + c1 * tau * slope:
+            if math.isfinite(f_trial) and f_trial <= f + ARMIJO_C1 * tau * slope:
                 accepted = (x_trial, ev_trial, f_trial, tau)
                 break
             if math.isfinite(f_trial):
                 saw_finite_reject = True
-            tau *= shrink
+            tau *= ARMIJO_SHRINK
             if tau < _STEP_MIN:
                 break
         if accepted is None:

@@ -27,6 +27,11 @@ from .errors import (
 )
 from .plant import GainMatrix, LtiPlant, SimulationTrace, STABILITY_TOL
 
+# The Newton iteration stops once ||P_k - P_{k-1}||_F <= _RICCATI_TOL and
+# gives up after _RICCATI_MAX_ITER steps.
+_RICCATI_TOL = 1e-10
+_RICCATI_MAX_ITER = 100
+
 
 def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Real Schur form a = Z T Z^T and the spectral abscissa max Re eig(a).
@@ -61,11 +66,11 @@ class _ClosedLoop:
     Lyapunov solves run only when one of them is asked for.
     """
 
-    def __init__(self, plant: LtiPlant, k: np.ndarray, stability_tol: float = STABILITY_TOL):
+    def __init__(self, plant: LtiPlant, k: np.ndarray):
         self.plant = plant
         self.k = k
         self._t, self._z, abscissa = _real_schur(plant.A - plant.B @ k)
-        self.stable = abscissa < -stability_tol
+        self.stable = abscissa < -STABILITY_TOL
         self._p = None
         self._l = None
 
@@ -107,10 +112,10 @@ def _gain_array(plant: LtiPlant, gain) -> np.ndarray:
     return k
 
 
-def solve_lyapunov(a_cl: np.ndarray, q_hat: np.ndarray, stability_tol: float = STABILITY_TOL) -> np.ndarray:
+def solve_lyapunov(a_cl: np.ndarray, q_hat: np.ndarray) -> np.ndarray:
     """Solve A_cl^T P + P A_cl + Q_hat = 0 for Hurwitz A_cl.
 
-    Raises NotHurwitz when max Re eig(A_cl) >= -stability_tol and
+    Raises NotHurwitz when max Re eig(A_cl) >= -STABILITY_TOL and
     SingularSolve when the factored solve degenerates numerically.
     """
     a_cl = np.asarray(a_cl, dtype=float)
@@ -120,14 +125,14 @@ def solve_lyapunov(a_cl: np.ndarray, q_hat: np.ndarray, stability_tol: float = S
     if q_hat.shape != a_cl.shape:
         raise DimensionMismatch("Q_hat shape must match A_cl")
     t, z, abscissa = _real_schur(a_cl)
-    if abscissa >= -stability_tol:
-        raise NotHurwitz(f"max Re eig = {abscissa:.3e} >= -{stability_tol}")
+    if abscissa >= -STABILITY_TOL:
+        raise NotHurwitz(f"max Re eig = {abscissa:.3e} >= -{STABILITY_TOL}")
     return _lyapunov_factored(t, z, q_hat, transposed=True)
 
 
-def is_stabilizing(plant: LtiPlant, gain, stability_tol: float = STABILITY_TOL) -> bool:
-    """True iff max Re eig(A - B K) < -stability_tol (strict margin)."""
-    return _ClosedLoop(plant, _gain_array(plant, gain), stability_tol).stable
+def is_stabilizing(plant: LtiPlant, gain) -> bool:
+    """True iff max Re eig(A - B K) < -STABILITY_TOL (strict margin)."""
+    return _ClosedLoop(plant, _gain_array(plant, gain)).stable
 
 
 def closed_loop_cost(plant: LtiPlant, gain) -> float:
@@ -167,19 +172,19 @@ def _stabilizing_seed(plant: LtiPlant) -> np.ndarray:
     raise RiccatiFailure("could not construct an initial stabilizing gain")
 
 
-def lqr_centralized(plant: LtiPlant, tol: float = 1e-10, max_iter: int = 100) -> GainMatrix:
+def lqr_centralized(plant: LtiPlant) -> GainMatrix:
     """Centralized LQR gain K_c = R^{-1} B^T P* via the Newton iteration
     that re-solves one Lyapunov equation per step (quadratically convergent
     from any stabilizing start)."""
     k = _stabilizing_seed(plant)
     p_prev = None
-    for _ in range(max_iter):
+    for _ in range(_RICCATI_MAX_ITER):
         p = solve_lyapunov(plant.A - plant.B @ k, plant.Q + k.T @ plant.R @ k)
         k = np.linalg.solve(plant.R, plant.B.T @ p)
-        if p_prev is not None and np.linalg.norm(p - p_prev, "fro") <= tol:
+        if p_prev is not None and np.linalg.norm(p - p_prev, "fro") <= _RICCATI_TOL:
             return GainMatrix(k, plant.partition)
         p_prev = p
-    raise RiccatiFailure(f"Riccati iteration did not converge in {max_iter} steps")
+    raise RiccatiFailure(f"Riccati iteration did not converge in {_RICCATI_MAX_ITER} steps")
 
 
 def simulate_closed_loop(

@@ -19,12 +19,11 @@ from .errors import (
     EmptySweep,
     IndexOutOfRange,
     InvalidAssumption,
-    NotStabilizing,
     PatternNotStabilizable,
 )
 from .plant import GainMatrix, LtiPlant, SparsityPattern
 from .sparse import SweepResult
-from .structured import AugLagConfig, synthesize_structured_info
+from .structured import AugLagConfig, synthesize_projected, synthesize_structured_info
 
 
 @dataclass(frozen=True)
@@ -135,15 +134,8 @@ def removal_loss(
     if base_cost is None or base_gain is None:
         base_info = synthesize_structured_info(plant, base_pattern, cfg)
         base_cost, base_gain = base_info.cost, base_info.gain
-    reduced = base_pattern.without_block(i, j)
-    init = base_gain.project(reduced)
     try:
-        info = synthesize_structured_info(plant, reduced, cfg, init=init)
-    except NotStabilizing:
-        try:
-            info = synthesize_structured_info(plant, reduced, cfg)
-        except PatternNotStabilizable:
-            return math.inf
+        info = synthesize_projected(plant, base_pattern.without_block(i, j), base_gain, cfg)
     except PatternNotStabilizable:
         return math.inf
     return info.cost - base_cost

@@ -18,7 +18,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import InvalidAssumption
-from .h2 import closed_loop_cost, is_stabilizing
+from .h2 import closed_loop_cost
 from .plant import BlockPartition, LtiPlant, SparsityPattern
 from .priority import PriorityTable, rank_links
 from .render import render_pattern
@@ -41,17 +41,11 @@ from .serialize import (
     table_to_doc,
 )
 from .sparse import SparsityConfig, SweepResult, sparsity_sweep, sweep_csv
-from .structured import AugLagConfig, SynthesisInfo, synthesize_structured_info
-
-_REPORT_COLUMNS = (
-    "scenario",
-    "j_before",
-    "j_attack",
-    "j_reroute",
-    "n_attacked",
-    "n_sacrificed",
-    "n_dropped",
-    "feasible",
+from .structured import (
+    AugLagConfig,
+    SynthesisInfo,
+    synthesize_projected,
+    synthesize_structured_info,
 )
 
 
@@ -227,6 +221,9 @@ class CostReport:
     feasible: bool
 
 
+_REPORT_COLUMNS = tuple(f.name for f in dataclasses.fields(CostReport))
+
+
 @dataclass(frozen=True)
 class PipelineResult:
     plant: LtiPlant
@@ -273,12 +270,7 @@ def run_pipeline(scenario: Scenario) -> PipelineResult:
     j_reroute = None
     if outcome.feasible:
         pattern_after = pattern_from(outcome, plant.partition)
-        init = before.gain.project(pattern_after)
-        if not is_stabilizing(plant, init):
-            init = None
-        after = synthesize_structured_info(
-            plant, pattern_after, config=scenario.synthesis, init=init
-        )
+        after = synthesize_projected(plant, pattern_after, before.gain, scenario.synthesis)
         if after.cost < before.cost - 1e-9:
             # The post-attack gain is feasible for the richer pre-attack
             # pattern too, so it exposes a better pre-attack optimum;
@@ -339,16 +331,7 @@ def report_csv(reports) -> str:
 
 
 def report_to_doc(report: CostReport) -> dict:
-    return {
-        "scenario": report.scenario,
-        "j_before": report.j_before,
-        "j_attack": report.j_attack,
-        "j_reroute": report.j_reroute,
-        "n_attacked": report.n_attacked,
-        "n_sacrificed": report.n_sacrificed,
-        "n_dropped": report.n_dropped,
-        "feasible": report.feasible,
-    }
+    return dataclasses.asdict(report)
 
 
 def report_from_doc(doc: dict) -> CostReport:

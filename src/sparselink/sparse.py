@@ -26,27 +26,27 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import descent
-from .descent import descend, require_converged
+from .descent import ARMIJO_C1, ARMIJO_SHRINK, MAX_BACKTRACKS, descend, require_converged
 from .errors import DimensionMismatch, LostStabilizability, MaxIterations, NotStabilizing
 from .h2 import _ClosedLoop, closed_loop_cost, is_stabilizing, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
-from .structured import AugLagConfig, synthesize_structured_info
+from .structured import AugLagConfig, synthesize_projected, synthesize_structured_info
+
+EPSILON_REWEIGHT = 1e-3  # eps of the reweighting rule
+ZERO_THRESHOLD = 1e-6  # block norm at or below which a block is absent
+_RHO = 100.0  # initial ADMM penalty (residual balancing rescales it)
+_MAX_OUTER = 200
+_RESIDUAL_TOL = 1e-4  # primal and dual residual tolerance, relative to 1 + ||K||_F
+_KUPDATE_TOL = 1e-5
+_KUPDATE_MAX_ITER = 400
 
 
 @dataclass(frozen=True)
 class SparsityConfig:
-    """Schedule and solver knobs for the sparsity-promoting sweep."""
+    """Beta schedule (None: default_beta_schedule) and reweighting passes."""
 
     beta_schedule: tuple[float, ...] | None = None
-    epsilon_reweight: float = 1e-3
-    zero_threshold: float = 1e-6
-    rho: float = 100.0
-    max_outer: int = 200
     max_reweight: int = 3
-    tol_primal: float = 1e-4
-    tol_dual: float = 1e-4
-    kupdate_tol: float = 1e-5
-    kupdate_max_iter: int = 400
 
     def __post_init__(self):
         if self.beta_schedule is not None:
@@ -56,10 +56,6 @@ class SparsityConfig:
                 raise ValueError("beta schedule must be non-negative")
             if any(b2 <= b1 for b1, b2 in zip(sched, sched[1:])):
                 raise ValueError("beta schedule must be strictly increasing")
-        if not 0.0 < self.epsilon_reweight < 1.0:
-            raise ValueError("epsilon_reweight must lie in (0, 1)")
-        if self.zero_threshold <= 0.0 or self.rho <= 0.0:
-            raise ValueError("zero_threshold and rho must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -142,14 +138,13 @@ def sparse_gain(
     beta: float,
     weights: np.ndarray,
     init: GainMatrix,
-    config: SparsityConfig | None = None,
 ) -> GainMatrix:
     """Stabilizing fixed point of the ADMM scheme at one (beta, G)."""
-    details = _sparse_gain_details(plant, beta, weights, init, config or SparsityConfig())
+    details = _sparse_gain_details(plant, beta, weights, init)
     return GainMatrix(details.k, plant.partition)
 
 
-def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
+def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
     if beta < 0.0:
         raise ValueError("beta must be non-negative")
     weights = np.asarray(weights, dtype=float)
@@ -172,7 +167,7 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
         return _SparseGainDetails(res.x, (res.value,), res.iterations, True)
 
     partition = plant.partition
-    rho = cfg.rho
+    rho = _RHO
     k = np.array(k0, dtype=float)
     f = k.copy()
     u = np.zeros_like(k)
@@ -192,13 +187,13 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
     refined = False
     stale = 0
     it = 0
-    for it in range(cfg.max_outer):
+    for it in range(_MAX_OUTER):
         anchor = f - u
         res = descend(
             make_eval,
             k,
-            grad_tol=cfg.kupdate_tol,
-            max_iter=cfg.kupdate_max_iter,
+            grad_tol=_KUPDATE_TOL,
+            max_iter=_KUPDATE_MAX_ITER,
         )
         if res.status == descent.LOST_STABILITY:
             raise LostStabilizability("every line-search step left the stabilizing set")
@@ -218,7 +213,7 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
         u = u + k - f_new
         f = f_new
         scale = 1.0 + float(np.linalg.norm(k))
-        if primal <= cfg.tol_primal * scale and dual <= cfg.tol_dual * scale:
+        if primal <= _RESIDUAL_TOL * scale and dual <= _RESIDUAL_TOL * scale:
             converged = True
             break
         if stale >= 5:
@@ -236,13 +231,13 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
         # Consensus stalled (or the budget ran out): finish with the
         # monotone proximal-gradient refinement from the best iterate.
         k, best_obj, tail, converged = _prox_refine(
-            plant, best, best_cl, best_obj, beta, weights, cfg
+            plant, best, best_cl, best_obj, beta, weights
         )
         f = k
         trace.extend(tail)
         refined = True
     if not converged:
-        raise MaxIterations(f"ADMM did not converge within {cfg.max_outer} iterations")
+        raise MaxIterations(f"ADMM did not converge within {_MAX_OUTER} iterations")
 
     # Prefer the exactly-sparse consensus variable when it is admissible.
     k_final = k
@@ -250,25 +245,23 @@ def _sparse_gain_details(plant, beta, weights, init, cfg) -> _SparseGainDetails:
         if is_stabilizing(plant, f):
             k_final = f
         else:
-            pattern_f = SparsityPattern.from_gain(GainMatrix(f, partition), cfg.zero_threshold)
+            pattern_f = SparsityPattern.from_gain(GainMatrix(f, partition), ZERO_THRESHOLD)
             projected = k * pattern_f.structural_identity()
             if is_stabilizing(plant, projected):
                 k_final = projected
     return _SparseGainDetails(k_final, tuple(trace), it + 1, converged)
 
 
-def _prox_refine(plant, k, cl, obj, beta, weights, cfg):
+def _prox_refine(plant, k, cl, obj, beta, weights):
     """Monotone proximal-gradient refinement of the composite objective,
     started from a stabilizing iterate k with closed loop cl. Terminates at
     a fixed point of the contract's shrink(K - grad J / rho, beta G / rho)
     map, measured by the gradient-mapping residual against the consensus
-    tolerances."""
+    tolerance."""
     partition = plant.partition
-    eta_ref = 1.0 / cfg.rho
-    tol = min(cfg.tol_primal, cfg.tol_dual)
+    eta_ref = 1.0 / _RHO
     eta = eta_ref
     trace: list[float] = []
-    budget = max(200, cfg.kupdate_max_iter)
     prev_k = None
     prev_grad = None
 
@@ -278,9 +271,9 @@ def _prox_refine(plant, k, cl, obj, beta, weights, cfg):
         )
         return float(np.linalg.norm(point - ref)) / eta_ref
 
-    for _ in range(budget):
+    for _ in range(_KUPDATE_MAX_ITER):
         grad = cl.gradient()
-        if _residual(k, grad) <= tol * (1.0 + float(np.linalg.norm(k))):
+        if _residual(k, grad) <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(k))):
             return k, obj, trace, True
         if prev_k is not None:
             s = k - prev_k
@@ -291,7 +284,7 @@ def _prox_refine(plant, k, cl, obj, beta, weights, cfg):
         eta = min(max(eta, 1e-12), 1e6)
         prev_k, prev_grad = k, grad
         accepted = False
-        for _ in range(60):
+        for _ in range(MAX_BACKTRACKS):
             cand = block_soft_threshold(
                 k - eta * grad, eta * beta * weights, partition
             )
@@ -300,16 +293,16 @@ def _prox_refine(plant, k, cl, obj, beta, weights, cfg):
                 break
             cand_cl = _ClosedLoop(plant, cand)
             cand_obj = _penalized_objective(cand_cl, beta, weights, partition)
-            if cand_obj <= obj - 1e-4 / (2.0 * eta) * step_sq:
+            if cand_obj <= obj - ARMIJO_C1 / (2.0 * eta) * step_sq:
                 k, cl, obj = cand, cand_cl, cand_obj
                 trace.append(obj)
                 accepted = True
                 break
-            eta *= 0.5
+            eta *= ARMIJO_SHRINK
         if not accepted:
             break
     grad = cl.gradient()
-    ok = _residual(k, grad) <= tol * (1.0 + float(np.linalg.norm(k)))
+    ok = _residual(k, grad) <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(k)))
     return k, obj, trace, ok
 
 
@@ -342,13 +335,10 @@ def sparsity_sweep(
     entries: list[SweepEntry] = []
     for beta in schedule:
         for _ in range(cfg.max_reweight):
-            g = reweight(block_frobenius(gain), cfg.epsilon_reweight)
-            gain = sparse_gain(plant, beta, g, gain, cfg)
-        pattern = SparsityPattern.from_gain(gain, cfg.zero_threshold)
-        init = gain.project(pattern)
-        if not is_stabilizing(plant, init):
-            init = None
-        info = synthesize_structured_info(plant, pattern, synth_cfg, init=init)
+            g = reweight(block_frobenius(gain), EPSILON_REWEIGHT)
+            gain = sparse_gain(plant, beta, g, gain)
+        pattern = SparsityPattern.from_gain(gain, ZERO_THRESHOLD)
+        info = synthesize_projected(plant, pattern, gain, synth_cfg)
         entries.append(
             SweepEntry(
                 beta=float(beta),

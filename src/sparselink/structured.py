@@ -7,7 +7,7 @@ augmented Lagrangian
 
 is minimized over unstructured K for fixed multipliers, then Lam is updated
 by Lam + g (K o Ic) and the penalty grows geometrically until the structural
-violation ||K o Ic||_F drops below eps_stop. A final hard projection onto
+violation ||K o Ic||_F drops below _EPS_STOP. A final hard projection onto
 the pattern plus a projected-gradient polish removes the residual violation
 exactly while restoring stationarity on the free entries.
 """
@@ -24,38 +24,29 @@ from .errors import MaxIterations, NotStabilizing, PatternNotStabilizable
 from .h2 import _ClosedLoop, is_stabilizing, lqr_centralized
 from .plant import GainMatrix, LtiPlant, SparsityPattern
 
+# The multiplier loop stops once ||K o Ic||_F < _EPS_STOP at a stabilizing
+# projection. Inner solves and the polish are descend runs with these limits.
+_EPS_STOP = 1e-6
+_INNER_MAX_ITER = 3000
+_POLISH_TOL = 1e-6
+_POLISH_MAX_ITER = 20000
+_MAX_BACKTRACKS = 80
+
 
 @dataclass(frozen=True)
 class AugLagConfig:
-    """Knobs of the multiplier loop and its first-order inner solver."""
+    """Penalty schedule and inner tolerance of the multiplier loop."""
 
     gamma0: float = 1.0
     alpha: float = 5.0
-    eps_stop: float = 1e-6
     max_outer: int = 50
     inner_tol: float = 1e-6
-    inner_max_iter: int = 3000
-    polish_tol: float = 1e-6
-    polish_max_iter: int = 20000
-    armijo_c1: float = 1e-4
-    armijo_shrink: float = 0.5
-    max_backtracks: int = 80
 
     def __post_init__(self):
         if self.alpha <= 1.0:
             raise ValueError("penalty growth factor alpha must exceed 1")
-        if self.gamma0 <= 0.0 or self.eps_stop <= 0.0:
-            raise ValueError("gamma0 and eps_stop must be positive")
-
-
-@dataclass(frozen=True, eq=False)
-class AugLagState:
-    """Snapshot of one outer iteration (gain always stabilizing)."""
-
-    gain: GainMatrix
-    multiplier: np.ndarray
-    gamma: float
-    iteration: int
+        if self.gamma0 <= 0.0:
+            raise ValueError("gamma0 must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -64,7 +55,6 @@ class SynthesisInfo:
     cost: float
     iterations: int
     converged: bool
-    history: tuple[AugLagState, ...]
 
 
 class _AugLagEval:
@@ -118,20 +108,18 @@ def minimize_inner(
     lam = np.asarray(multiplier, dtype=float)
     comp = pattern.complement_identity()
     k0 = init.K if isinstance(init, GainMatrix) else np.asarray(init, dtype=float)
-    res = _inner_solve(plant, k0, lam, gamma, comp, cfg, cfg.inner_tol)
+    res = _inner_solve(plant, k0, lam, gamma, comp, cfg.inner_tol)
     return GainMatrix(require_converged(res, "inner solve").x, plant.partition)
 
 
-def _inner_solve(plant, k, lam, gamma, comp, cfg, grad_tol):
+def _inner_solve(plant, k, lam, gamma, comp, grad_tol):
     """Descent of L_g over unstructured K at a fixed multiplier and penalty."""
     return descend(
         lambda kk: _AugLagEval(plant, kk, lam, gamma, comp),
         k,
         grad_tol=grad_tol,
-        max_iter=cfg.inner_max_iter,
-        c1=cfg.armijo_c1,
-        shrink=cfg.armijo_shrink,
-        max_backtracks=cfg.max_backtracks,
+        max_iter=_INNER_MAX_ITER,
+        max_backtracks=_MAX_BACKTRACKS,
     )
 
 
@@ -143,6 +131,20 @@ def synthesize_structured(
 ) -> GainMatrix:
     """Structured H2-optimal gain on the pattern (exact zeros off-pattern)."""
     return synthesize_structured_info(plant, pattern, config, init).gain
+
+
+def synthesize_projected(
+    plant: LtiPlant,
+    pattern: SparsityPattern,
+    gain: GainMatrix,
+    config: AugLagConfig | None = None,
+) -> SynthesisInfo:
+    """synthesize_structured_info warm-started from gain projected onto the
+    pattern, or cold when that projection is not stabilizing."""
+    try:
+        return synthesize_structured_info(plant, pattern, config, init=gain.project(pattern))
+    except NotStabilizing:
+        return synthesize_structured_info(plant, pattern, config)
 
 
 def synthesize_structured_info(
@@ -165,7 +167,6 @@ def synthesize_structured_info(
 
     lam = np.zeros_like(k)
     gamma = cfg.gamma0
-    history: list[AugLagState] = []
     best_projection = None
     tightened = False
 
@@ -175,15 +176,12 @@ def synthesize_structured_info(
         projected = k * ident
         if is_stabilizing(plant, projected):
             best_projection = projected
-            if violation < cfg.eps_stop:
+            if violation < _EPS_STOP:
                 tightened = True
                 break
-        history.append(
-            AugLagState(GainMatrix(k, plant.partition), lam.copy(), gamma, outer)
-        )
         # Loose-to-tight inner tolerance keeps early outer iterations cheap.
         inner_tol = max(cfg.inner_tol, 1e-2 / gamma)
-        k = _inner_solve(plant, k, lam, gamma, comp, cfg, inner_tol).x
+        k = _inner_solve(plant, k, lam, gamma, comp, inner_tol).x
         lam = lam + gamma * (k * comp)
         gamma = cfg.alpha * gamma
 
@@ -192,7 +190,7 @@ def synthesize_structured_info(
             f"no stabilizing projected iterate within {cfg.max_outer} outer iterations"
         )
 
-    res = _polish(plant, best_projection, ident, cfg)
+    res = _polish(plant, best_projection, ident)
     final = res.x * ident  # exact zeros off-pattern regardless of float dust
     gnorm = float(np.linalg.norm(res.gradient * ident))
     stationary = gnorm <= 1e-5 * (1.0 + float(np.linalg.norm(final)))
@@ -203,19 +201,16 @@ def synthesize_structured_info(
         cost=res.value,
         iterations=outer,
         converged=tightened and stationary,
-        history=tuple(history),
     )
 
 
-def _polish(plant, k_projected, ident, cfg):
+def _polish(plant, k_projected, ident):
     """Projected-gradient descent of J on the free entries."""
     return descend(
         lambda kk: _ClosedLoop(plant, kk),
         k_projected,
         mask=ident,
-        grad_tol=cfg.polish_tol,
-        max_iter=cfg.polish_max_iter,
-        c1=cfg.armijo_c1,
-        shrink=cfg.armijo_shrink,
-        max_backtracks=cfg.max_backtracks,
+        grad_tol=_POLISH_TOL,
+        max_iter=_POLISH_MAX_ITER,
+        max_backtracks=_MAX_BACKTRACKS,
     )

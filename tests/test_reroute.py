@@ -12,7 +12,9 @@ from sparselink import (
     IndexOutOfRange,
     InfeasibleOutcome,
     InvalidAssumption,
+    parse_pattern,
     pattern_from,
+    render_pattern,
     reroute_multi,
     reroute_single,
     reroute_uniform,
@@ -351,3 +353,21 @@ class TestRerouteProperties:
         table = data.draw(tables(uniform=False))
         attacked = data.draw(st.sets(st.integers(1, table.r1)))
         assert_reroute_invariants(table, attacked, reroute_multi(table, attacked))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_render_parse_round_trip(self, data):
+        # the rendered post-attack grid parses back to pattern_from's pattern
+        table = data.draw(tables(uniform=data.draw(st.booleans())))
+        part = BlockPartition((1,) * table.r1, table.sizes())
+        attacked = data.draw(st.sets(st.integers(1, table.r1)))
+        outcomes = [reroute_multi(table, attacked)]
+        outcomes += [reroute_single(table, q) for q in sorted(attacked)]
+        if len(set(table.sizes())) == 1:
+            outcomes.append(reroute_uniform(table, attacked))
+        for out in outcomes:
+            if out.feasible:
+                text = render_pattern(table, outcome=out, partition=part)
+                assert np.array_equal(
+                    parse_pattern(text, part).mask, pattern_from(out, part).mask
+                )

@@ -142,12 +142,11 @@ class TestSparseGain:
         plant = generate_plant(3, 1)
         kc = lqr_centralized(plant)
         beta = 1e6 * closed_loop_cost(plant, kc)
-        cfg = SparsityConfig()
-        k = sparse_gain(plant, beta, np.ones((3, 3)), kc, cfg)
+        k = sparse_gain(plant, beta, np.ones((3, 3)), kc)
         norms = block_frobenius(k)
         off = norms[~np.eye(3, dtype=bool)]
-        assert np.all(off < cfg.zero_threshold)
-        pattern = SparsityPattern.from_gain(k, cfg.zero_threshold)
+        assert np.all(off < sparse.ZERO_THRESHOLD)
+        pattern = SparsityPattern.from_gain(k, sparse.ZERO_THRESHOLD)
         assert is_stabilizing(plant, k.project(pattern))
 
     def test_objective_trace_monotone(self):
@@ -155,7 +154,7 @@ class TestSparseGain:
         kc = lqr_centralized(plant)
         beta = 0.05 * closed_loop_cost(plant, kc)
         weights = np.ones((2, 2))
-        details = _sparse_gain_details(plant, beta, weights, kc, SparsityConfig())
+        details = _sparse_gain_details(plant, beta, weights, kc)
         trace = details.objective_trace
         assert len(trace) >= 2
         for prev, cur in zip(trace, trace[1:]):
@@ -167,12 +166,11 @@ class TestSparseGain:
         plant = generate_plant(3, 2)
         kc = lqr_centralized(plant)
         beta = 0.02 * closed_loop_cost(plant, kc)
-        cfg = SparsityConfig()
         gain = kc
-        for _ in range(cfg.max_reweight):
-            g = reweight(block_frobenius(gain), cfg.epsilon_reweight)
-            gain = sparse_gain(plant, beta, g, gain, cfg)
-        pattern = SparsityPattern.from_gain(gain, cfg.zero_threshold)
+        for _ in range(SparsityConfig().max_reweight):
+            g = reweight(block_frobenius(gain), sparse.EPSILON_REWEIGHT)
+            gain = sparse_gain(plant, beta, g, gain)
+        pattern = SparsityPattern.from_gain(gain, sparse.ZERO_THRESHOLD)
         assert pattern.n_free == 4
         assert 0 < pattern.n_free < 9
         assert is_stabilizing(plant, gain.project(pattern))
