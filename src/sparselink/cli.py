@@ -122,7 +122,7 @@ def _cmd_gen(args) -> int:
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario, seed=args.seed)
     fmt = _check_format(args.format, ("csv", "json"))
-    sweep = sparsity_sweep(scenario.resolve_plant(), scenario.sparsity, scenario.synthesis)
+    sweep = sparsity_sweep(scenario.resolve_plant(), scenario.beta_schedule)
     if fmt == "csv":
         text = sweep_csv(sweep)
         name = "sweep.csv"
@@ -146,8 +146,8 @@ def _cmd_rank(args) -> int:
 
     scenario = load_scenario(args.scenario, seed=args.seed)
     plant = scenario.resolve_plant()
-    sweep = sparsity_sweep(plant, scenario.sparsity, scenario.synthesis)
-    table = rank_links(plant, sweep, scenario.synthesis)
+    sweep = sparsity_sweep(plant, scenario.beta_schedule)
+    table = rank_links(plant, sweep)
     text = dumps_canonical(table_to_doc(table))
     _emit(text, args.out, "table.json")
     return 0

@@ -23,7 +23,7 @@ from .errors import (
 )
 from .plant import GainMatrix, LtiPlant, SparsityPattern
 from .sparse import SweepResult
-from .structured import AugLagConfig, synthesize_projected, synthesize_structured_info
+from .structured import synthesize_projected, synthesize_structured_info
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,6 @@ def removal_loss(
     plant: LtiPlant,
     base_pattern: SparsityPattern,
     block: tuple[int, int],
-    config: AugLagConfig | None = None,
     *,
     base_cost: float | None = None,
     base_gain: GainMatrix | None = None,
@@ -130,22 +129,17 @@ def removal_loss(
         raise IndexOutOfRange(f"block ({i},{j}) outside the {n_nodes}x{n_nodes} grid")
     if not base_pattern.mask[i, j]:
         raise InvalidAssumption(f"block ({i},{j}) is not free in the base pattern")
-    cfg = config or AugLagConfig()
     if base_cost is None or base_gain is None:
-        base_info = synthesize_structured_info(plant, base_pattern, cfg)
+        base_info = synthesize_structured_info(plant, base_pattern)
         base_cost, base_gain = base_info.cost, base_info.gain
     try:
-        info = synthesize_projected(plant, base_pattern.without_block(i, j), base_gain, cfg)
+        info = synthesize_projected(plant, base_pattern.without_block(i, j), base_gain)
     except PatternNotStabilizable:
         return math.inf
     return info.cost - base_cost
 
 
-def rank_links(
-    plant: LtiPlant,
-    sweep: SweepResult,
-    config: AugLagConfig | None = None,
-) -> PriorityTable:
+def rank_links(plant: LtiPlant, sweep: SweepResult) -> PriorityTable:
     """Rank the first sweep entry's blocks by vanish order across the schedule.
 
     A block's vanish step is the first schedule index from which it stays
@@ -155,7 +149,6 @@ def rank_links(
     """
     if not sweep.entries:
         raise EmptySweep("sweep has no entries")
-    cfg = config or AugLagConfig()
     entries = sweep.entries
     base = entries[0]
     blocks = base.pattern.free_blocks()
@@ -185,7 +178,6 @@ def rank_links(
                 plant,
                 base.pattern,
                 blk,
-                cfg,
                 base_cost=base.cost_polished,
                 base_gain=base.polished_gain,
             )

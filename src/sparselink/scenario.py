@@ -12,6 +12,8 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import numbers
+from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -40,13 +42,8 @@ from .serialize import (
     read_json,
     table_to_doc,
 )
-from .sparse import SparsityConfig, SweepResult, sparsity_sweep, sweep_csv
-from .structured import (
-    AugLagConfig,
-    SynthesisInfo,
-    synthesize_projected,
-    synthesize_structured_info,
-)
+from .sparse import SweepResult, sparsity_sweep, sweep_csv
+from .structured import SynthesisInfo, synthesize_projected, synthesize_structured_info
 
 
 @dataclass(frozen=True)
@@ -62,9 +59,17 @@ class GeneratorSpec:
     node_input: int = 1
 
     def __post_init__(self):
+        for name in ("n_nodes", "seed", "node_state", "node_input"):
+            value = getattr(self, name)
+            if not isinstance(value, numbers.Integral):
+                raise InvalidAssumption(f"generator {name} must be an integer, got {value!r}")
+        if not isinstance(self.delta, numbers.Real):
+            raise InvalidAssumption(f"generator delta must be a number, got {self.delta!r}")
         if self.n_nodes < 2:
             raise InvalidAssumption(f"generator needs n_nodes >= 2, got {self.n_nodes}")
-        if self.delta <= 0:
+        if self.seed < 0:
+            raise InvalidAssumption(f"generator needs seed >= 0, got {self.seed}")
+        if not self.delta > 0:
             raise InvalidAssumption(f"generator needs delta > 0, got {self.delta}")
         if self.node_state < 1 or self.node_input < 1:
             raise InvalidAssumption("node dimensions must be positive")
@@ -109,14 +114,14 @@ def generate_plant(
 @dataclass(frozen=True)
 class Scenario:
     """Everything the pipeline needs: a plant source (generator spec or an
-    inline plant document), solver configs, and the attack spec (raw JSON
-    form; resolved against the table's r1 at reroute time)."""
+    inline plant document), the sweep's beta schedule (None: the default
+    schedule of sparsity_sweep; checked there), and the attack spec (raw
+    JSON form; resolved against the table's r1 at reroute time)."""
 
     name: str
     generator: GeneratorSpec | None = None
     plant_doc: dict | None = None
-    sparsity: SparsityConfig | None = None
-    synthesis: AugLagConfig | None = None
+    beta_schedule: Sequence[float] | None = None
     attack: dict | None = None
 
     def __post_init__(self):
@@ -138,29 +143,19 @@ class Scenario:
         return plant_from_doc(self.plant_doc)
 
 
-def _config_from(doc: dict | None, cls, label: str):
-    if doc is None:
-        return None
-    if not isinstance(doc, dict):
-        raise InvalidAssumption(f"{label} config must be a JSON object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise InvalidAssumption(f"unknown {label} config keys: {sorted(unknown)}")
-    kwargs = dict(doc)
-    if "beta_schedule" in kwargs and kwargs["beta_schedule"] is not None:
-        kwargs["beta_schedule"] = tuple(float(b) for b in kwargs["beta_schedule"])
-    return cls(**kwargs)
-
-
 def scenario_from_doc(doc: dict, *, name: str = "scenario", base_dir=None, seed=None) -> Scenario:
     """Build a Scenario from its JSON document. seed, when given, overrides
     the generator's seed (the CLI --seed flag)."""
     if not isinstance(doc, dict):
         raise InvalidAssumption("scenario document must be a JSON object")
-    unknown = set(doc) - {"name", "plant", "sparsity", "synthesis", "attack"}
+    unknown = set(doc) - {"name", "plant", "sparsity", "attack"}
     if unknown:
         raise InvalidAssumption(f"unknown scenario keys: {sorted(unknown)}")
+    sparsity = {} if doc.get("sparsity") is None else doc["sparsity"]
+    if not isinstance(sparsity, dict) or set(sparsity) - {"beta_schedule"}:
+        raise InvalidAssumption(
+            f'scenario sparsity must be {{"beta_schedule": [...]}}, got {sparsity!r}'
+        )
     plant_spec = doc.get("plant")
     if not isinstance(plant_spec, dict) or len(plant_spec) != 1:
         raise InvalidAssumption(
@@ -196,8 +191,7 @@ def scenario_from_doc(doc: dict, *, name: str = "scenario", base_dir=None, seed=
         name=str(doc.get("name", name)),
         generator=generator,
         plant_doc=plant_doc,
-        sparsity=_config_from(doc.get("sparsity"), SparsityConfig, "sparsity"),
-        synthesis=_config_from(doc.get("synthesis"), AugLagConfig, "synthesis"),
+        beta_schedule=sparsity.get("beta_schedule"),
         attack=doc.get("attack"),
     )
 
@@ -251,16 +245,14 @@ def select_reroute(table: PriorityTable, attack: AttackScenario) -> RerouteOutco
 
 def run_pipeline(scenario: Scenario) -> PipelineResult:
     plant = scenario.resolve_plant()
-    sweep = sparsity_sweep(plant, scenario.sparsity, scenario.synthesis)
-    table = rank_links(plant, sweep, scenario.synthesis)
+    sweep = sparsity_sweep(plant, scenario.beta_schedule)
+    table = rank_links(plant, sweep)
 
     # The deployed pre-attack gain is the polished first sweep entry (the
     # densest footprint, which also defines the table's block universe).
     entry0 = sweep.entries[0]
     pattern_before = entry0.pattern
-    before = synthesize_structured_info(
-        plant, pattern_before, config=scenario.synthesis, init=entry0.polished_gain
-    )
+    before = synthesize_structured_info(plant, pattern_before, init=entry0.polished_gain)
 
     attack = attack_from_doc(scenario.attack, table.r1)
     outcome = select_reroute(table, attack)
@@ -270,14 +262,12 @@ def run_pipeline(scenario: Scenario) -> PipelineResult:
     j_reroute = None
     if outcome.feasible:
         pattern_after = pattern_from(outcome, plant.partition)
-        after = synthesize_projected(plant, pattern_after, before.gain, scenario.synthesis)
+        after = synthesize_projected(plant, pattern_after, before.gain)
         if after.cost < before.cost - 1e-9:
             # The post-attack gain is feasible for the richer pre-attack
             # pattern too, so it exposes a better pre-attack optimum;
             # re-polish from it to keep j_before <= j_reroute honest.
-            refined = synthesize_structured_info(
-                plant, pattern_before, config=scenario.synthesis, init=after.gain
-            )
+            refined = synthesize_structured_info(plant, pattern_before, init=after.gain)
             if refined.cost < before.cost:
                 before = refined
         j_reroute = after.cost

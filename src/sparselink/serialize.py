@@ -216,6 +216,14 @@ def gain_from_doc(doc: dict, partition: BlockPartition) -> tuple[GainMatrix, dic
 # ---------------------------------------------------------------------------
 # attack specs
 
+_ATTACK_VALUES = {
+    "attacked_priorities": lambda value: frozenset(int(q) for q in value),
+    "attacked_block": int,
+    "attacked_top": int,
+    "top_fraction": float,
+}
+
+
 def attack_from_doc(doc, r1: int) -> AttackScenario:
     """Accepted forms: {"attacked_priorities": [q...]}, {"attacked_block": q}
     (the one priority q), {"attacked_top": k} or {"top_fraction": f}
@@ -228,27 +236,26 @@ def attack_from_doc(doc, r1: int) -> AttackScenario:
             " attacked_block, attacked_top, top_fraction"
         )
     (key, value), = doc.items()
-    if key == "attacked_priorities":
-        prios = frozenset(int(q) for q in value)
-        _check_range(prios, r1)
-        return AttackScenario(prios)
-    if key == "attacked_block":
-        q = int(value)
-        _check_range({q}, r1)
-        return AttackScenario(frozenset([q]))
-    if key == "attacked_top":
-        k = int(value)
-    elif key == "top_fraction":
-        f = float(value)
-        if not 0.0 <= f <= 1.0:
-            raise InvalidAssumption(f"top_fraction {f} outside [0, 1]")
-        k = int(round(f * r1))
-    else:
+    convert = _ATTACK_VALUES.get(key)
+    if convert is None:
         raise InvalidAssumption(f"unknown attack spec key: {key}")
-    if not 0 <= k <= r1:
-        raise InvalidAssumption(f"attacked_top {k} outside 0..{r1}")
-    prios = frozenset(range(r1 - k + 1, r1 + 1))
-    return AttackScenario(prios)
+    try:
+        value = convert(value)
+    except (TypeError, ValueError) as exc:
+        raise InvalidAssumption(f"malformed attack spec: {doc!r}") from exc
+    if key == "attacked_priorities":
+        _check_range(value, r1)
+        return AttackScenario(value)
+    if key == "attacked_block":
+        _check_range({value}, r1)
+        return AttackScenario(frozenset([value]))
+    if key == "top_fraction":
+        if not 0.0 <= value <= 1.0:
+            raise InvalidAssumption(f"top_fraction {value} outside [0, 1]")
+        value = int(round(value * r1))
+    if not 0 <= value <= r1:
+        raise InvalidAssumption(f"attacked_top {value} outside 0..{r1}")
+    return AttackScenario(frozenset(range(r1 - value + 1, r1 + 1)))
 
 
 def _check_range(prios, r1: int) -> None:

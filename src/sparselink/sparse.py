@@ -21,17 +21,25 @@ synthesizer to obtain comparable costs.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import descent
 from .descent import ARMIJO_C1, ARMIJO_SHRINK, MAX_BACKTRACKS, descend, require_converged
-from .errors import DimensionMismatch, LostStabilizability, MaxIterations, NotStabilizing
+from .errors import (
+    DimensionMismatch,
+    InvalidAssumption,
+    LostStabilizability,
+    MaxIterations,
+    NotStabilizing,
+)
 from .h2 import _ClosedLoop, closed_loop_cost, is_stabilizing, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
-from .structured import AugLagConfig, synthesize_projected, synthesize_structured_info
+from .structured import synthesize_projected, synthesize_structured_info
 
+MAX_REWEIGHT = 3  # reweighting passes per beta
 EPSILON_REWEIGHT = 1e-3  # eps of the reweighting rule
 ZERO_THRESHOLD = 1e-6  # block norm at or below which a block is absent
 _RHO = 100.0  # initial ADMM penalty (residual balancing rescales it)
@@ -39,23 +47,6 @@ _MAX_OUTER = 200
 _RESIDUAL_TOL = 1e-4  # primal and dual residual tolerance, relative to 1 + ||K||_F
 _KUPDATE_TOL = 1e-5
 _KUPDATE_MAX_ITER = 400
-
-
-@dataclass(frozen=True)
-class SparsityConfig:
-    """Beta schedule (None: default_beta_schedule) and reweighting passes."""
-
-    beta_schedule: tuple[float, ...] | None = None
-    max_reweight: int = 3
-
-    def __post_init__(self):
-        if self.beta_schedule is not None:
-            sched = tuple(float(b) for b in self.beta_schedule)
-            object.__setattr__(self, "beta_schedule", sched)
-            if any(b < 0.0 for b in sched):
-                raise ValueError("beta schedule must be non-negative")
-            if any(b2 <= b1 for b1, b2 in zip(sched, sched[1:])):
-                raise ValueError("beta schedule must be strictly increasing")
 
 
 @dataclass(frozen=True, eq=False)
@@ -312,33 +303,44 @@ def default_beta_schedule(j_centralized: float, count: int = 30) -> tuple[float,
     return tuple(np.logspace(math.log10(lo), math.log10(hi), count))
 
 
-def sparsity_sweep(
-    plant: LtiPlant,
-    config: SparsityConfig | None = None,
-    synth_config: AugLagConfig | None = None,
-) -> SweepResult:
-    """Warm-started sweep over the beta schedule with per-beta reweighting.
+def _checked_schedule(schedule) -> tuple[float, ...]:
+    """The beta schedule as floats; InvalidAssumption unless it is a list of
+    non-negative numbers in strictly increasing order."""
+    if not isinstance(schedule, (list, tuple, np.ndarray)) or not all(
+        isinstance(b, numbers.Real) for b in schedule
+    ):
+        raise InvalidAssumption(f"beta schedule must be a list of numbers, got {schedule!r}")
+    sched = tuple(float(b) for b in schedule)
+    if not all(b >= 0.0 for b in sched):
+        raise InvalidAssumption("beta schedule must be non-negative")
+    if any(b2 <= b1 for b1, b2 in zip(sched, sched[1:])):
+        raise InvalidAssumption("beta schedule must be strictly increasing")
+    return sched
+
+
+def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
+    """Warm-started sweep over the beta schedule (None: default_beta_schedule)
+    with per-beta reweighting.
 
     Every recorded pattern gets a structured polish so the reported costs
     are comparable across entries. A final backward pass re-polishes any
     entry whose cost exceeds that of a (nested) sparser successor, which
     removes local-minimum artifacts from the warm-start path.
     """
-    cfg = config or SparsityConfig()
-    synth_cfg = synth_config or AugLagConfig()
     k_c = lqr_centralized(plant)
-    schedule = cfg.beta_schedule
-    if schedule is None:
+    if beta_schedule is None:
         schedule = default_beta_schedule(closed_loop_cost(plant, k_c))
+    else:
+        schedule = _checked_schedule(beta_schedule)
 
     gain = k_c
     entries: list[SweepEntry] = []
     for beta in schedule:
-        for _ in range(cfg.max_reweight):
+        for _ in range(MAX_REWEIGHT):
             g = reweight(block_frobenius(gain), EPSILON_REWEIGHT)
             gain = sparse_gain(plant, beta, g, gain)
         pattern = SparsityPattern.from_gain(gain, ZERO_THRESHOLD)
-        info = synthesize_projected(plant, pattern, gain, synth_cfg)
+        info = synthesize_projected(plant, pattern, gain)
         entries.append(
             SweepEntry(
                 beta=float(beta),
@@ -353,9 +355,7 @@ def sparsity_sweep(
     for idx in range(len(entries) - 2, -1, -1):
         cur, nxt = entries[idx], entries[idx + 1]
         if nxt.pattern.is_subset(cur.pattern) and cur.cost_polished > nxt.cost_polished:
-            refined = synthesize_structured_info(
-                plant, cur.pattern, synth_cfg, init=nxt.polished_gain
-            )
+            refined = synthesize_structured_info(plant, cur.pattern, init=nxt.polished_gain)
             if refined.cost < cur.cost_polished:
                 entries[idx] = replace(
                     cur, cost_polished=refined.cost, polished_gain=refined.gain

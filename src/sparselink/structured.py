@@ -24,29 +24,19 @@ from .errors import MaxIterations, NotStabilizing, PatternNotStabilizable
 from .h2 import _ClosedLoop, is_stabilizing, lqr_centralized
 from .plant import GainMatrix, LtiPlant, SparsityPattern
 
-# The multiplier loop stops once ||K o Ic||_F < _EPS_STOP at a stabilizing
+# The penalty starts at _GAMMA0 and grows by _ALPHA per multiplier update, at
+# most _MAX_OUTER times (the schedule of Lin, Fardad & Jovanovic, IEEE TAC
+# 2013); the loop stops once ||K o Ic||_F < _EPS_STOP at a stabilizing
 # projection. Inner solves and the polish are descend runs with these limits.
+_GAMMA0 = 1.0
+_ALPHA = 5.0
+_MAX_OUTER = 50
 _EPS_STOP = 1e-6
+_INNER_TOL = 1e-6
 _INNER_MAX_ITER = 3000
 _POLISH_TOL = 1e-6
 _POLISH_MAX_ITER = 20000
 _MAX_BACKTRACKS = 80
-
-
-@dataclass(frozen=True)
-class AugLagConfig:
-    """Penalty schedule and inner tolerance of the multiplier loop."""
-
-    gamma0: float = 1.0
-    alpha: float = 5.0
-    max_outer: int = 50
-    inner_tol: float = 1e-6
-
-    def __post_init__(self):
-        if self.alpha <= 1.0:
-            raise ValueError("penalty growth factor alpha must exceed 1")
-        if self.gamma0 <= 0.0:
-            raise ValueError("gamma0 must be positive")
 
 
 @dataclass(frozen=True, eq=False)
@@ -96,19 +86,17 @@ def minimize_inner(
     gamma: float,
     pattern: SparsityPattern,
     init: GainMatrix,
-    config: AugLagConfig | None = None,
 ) -> GainMatrix:
     """Minimize L_g over unstructured K from a stabilizing start.
 
-    Returns K with ||grad L_g||_F <= inner_tol * (1 + ||K||_F); every accepted
-    iterate is stabilizing because non-stabilizing trials evaluate to +inf and
-    are rejected by the backtracking.
+    Returns K with ||grad L_g||_F <= _INNER_TOL * (1 + ||K||_F); every
+    accepted iterate is stabilizing because non-stabilizing trials evaluate
+    to +inf and are rejected by the backtracking.
     """
-    cfg = config or AugLagConfig()
     lam = np.asarray(multiplier, dtype=float)
     comp = pattern.complement_identity()
     k0 = init.K if isinstance(init, GainMatrix) else np.asarray(init, dtype=float)
-    res = _inner_solve(plant, k0, lam, gamma, comp, cfg.inner_tol)
+    res = _inner_solve(plant, k0, lam, gamma, comp, _INNER_TOL)
     return GainMatrix(require_converged(res, "inner solve").x, plant.partition)
 
 
@@ -126,68 +114,69 @@ def _inner_solve(plant, k, lam, gamma, comp, grad_tol):
 def synthesize_structured(
     plant: LtiPlant,
     pattern: SparsityPattern,
-    config: AugLagConfig | None = None,
+    *,
     init: GainMatrix | None = None,
 ) -> GainMatrix:
     """Structured H2-optimal gain on the pattern (exact zeros off-pattern)."""
-    return synthesize_structured_info(plant, pattern, config, init).gain
+    return synthesize_structured_info(plant, pattern, init=init).gain
 
 
 def synthesize_projected(
     plant: LtiPlant,
     pattern: SparsityPattern,
     gain: GainMatrix,
-    config: AugLagConfig | None = None,
 ) -> SynthesisInfo:
     """synthesize_structured_info warm-started from gain projected onto the
     pattern, or cold when that projection is not stabilizing."""
     try:
-        return synthesize_structured_info(plant, pattern, config, init=gain.project(pattern))
+        return synthesize_structured_info(plant, pattern, init=gain.project(pattern))
     except NotStabilizing:
-        return synthesize_structured_info(plant, pattern, config)
+        return synthesize_structured_info(plant, pattern)
 
 
 def synthesize_structured_info(
     plant: LtiPlant,
     pattern: SparsityPattern,
-    config: AugLagConfig | None = None,
+    *,
     init: GainMatrix | None = None,
 ) -> SynthesisInfo:
     """As synthesize_structured, returning convergence diagnostics too."""
-    cfg = config or AugLagConfig()
     comp = pattern.complement_identity()
     ident = pattern.structural_identity()
 
+    # An init on the pattern is its own first projection: one check serves both.
+    init_on_pattern = False
     if init is None:
         k = lqr_centralized(plant).K
     else:
         k = np.array(init.K, dtype=float)
         if not is_stabilizing(plant, k):
             raise NotStabilizing("initial gain must be stabilizing")
+        init_on_pattern = not np.any(k * comp)
 
     lam = np.zeros_like(k)
-    gamma = cfg.gamma0
+    gamma = _GAMMA0
     best_projection = None
     tightened = False
 
     outer = 0
-    for outer in range(cfg.max_outer):
+    for outer in range(_MAX_OUTER):
         violation = float(np.linalg.norm(k * comp))
         projected = k * ident
-        if is_stabilizing(plant, projected):
+        if (outer == 0 and init_on_pattern) or is_stabilizing(plant, projected):
             best_projection = projected
             if violation < _EPS_STOP:
                 tightened = True
                 break
         # Loose-to-tight inner tolerance keeps early outer iterations cheap.
-        inner_tol = max(cfg.inner_tol, 1e-2 / gamma)
+        inner_tol = max(_INNER_TOL, 1e-2 / gamma)
         k = _inner_solve(plant, k, lam, gamma, comp, inner_tol).x
         lam = lam + gamma * (k * comp)
-        gamma = cfg.alpha * gamma
+        gamma = _ALPHA * gamma
 
     if best_projection is None:
         raise PatternNotStabilizable(
-            f"no stabilizing projected iterate within {cfg.max_outer} outer iterations"
+            f"no stabilizing projected iterate within {_MAX_OUTER} outer iterations"
         )
 
     res = _polish(plant, best_projection, ident)

@@ -103,6 +103,15 @@ def perturbed_gain(rng, plant, base, scale=0.2):
     raise AssertionError("could not build a stabilizing perturbed gain")
 
 
+@pytest.fixture
+def one_reweight(monkeypatch):
+    """One reweighting pass per beta instead of sparse.MAX_REWEIGHT, to keep
+    sweeps over small plants fast."""
+    from sparselink import sparse
+
+    monkeypatch.setattr(sparse, "MAX_REWEIGHT", 1)
+
+
 # ---------------------------------------------------------------------------
 # golden fixtures: the two worked rerouting examples
 

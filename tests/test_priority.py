@@ -7,7 +7,6 @@ from scipy.linalg import block_diag
 
 from conftest import EX1_K, EX1_PRIORITIES, EX1_ROWS, EX2_PRIORITIES, EX2_ROWS
 from sparselink import (
-    AugLagConfig,
     BlockPartition,
     DimensionMismatch,
     EmptySweep,
@@ -134,11 +133,10 @@ def decoupled_plant():
 
 class TestRemovalLoss:
     def test_nonnegative_on_random_plants(self):
-        cfg = AugLagConfig()
         for seed in range(3):
             plant = generate_plant(2, seed)
             full = SparsityPattern.full(plant.partition)
-            loss = removal_loss(plant, full, (0, 1), cfg)
+            loss = removal_loss(plant, full, (0, 1))
             assert loss >= -1e-6
 
     def test_zero_block_costs_nothing(self):
@@ -148,14 +146,16 @@ class TestRemovalLoss:
         loss = removal_loss(plant, full, (0, 1))
         assert -1e-6 <= loss <= 1e-6
 
-    def test_infinite_when_pattern_dies(self):
+    def test_infinite_when_pattern_dies(self, monkeypatch):
+        from sparselink import structured
+
+        monkeypatch.setattr(structured, "_MAX_OUTER", 8)
         part = BlockPartition((1, 1), (1, 1))
         plant = LtiPlant(
             np.diag([1.0, -1.0]), np.eye(2), np.eye(2), np.eye(2), np.eye(2), part
         )
         diag = SparsityPattern.diagonal(part)
-        cfg = AugLagConfig(max_outer=8)
-        loss = removal_loss(plant, diag, (0, 0), cfg)
+        loss = removal_loss(plant, diag, (0, 0))
         assert loss == math.inf
 
     def test_index_and_freeness_checks(self):
@@ -169,10 +169,9 @@ class TestRemovalLoss:
     def test_supplied_base_matches_recomputed(self):
         plant = generate_plant(2, 1)
         full = SparsityPattern.full(plant.partition)
-        cfg = AugLagConfig()
-        info = synthesize_structured_info(plant, full, cfg)
-        a = removal_loss(plant, full, (1, 0), cfg)
-        b = removal_loss(plant, full, (1, 0), cfg, base_cost=info.cost, base_gain=info.gain)
+        info = synthesize_structured_info(plant, full)
+        a = removal_loss(plant, full, (1, 0))
+        b = removal_loss(plant, full, (1, 0), base_cost=info.cost, base_gain=info.gain)
         assert a == pytest.approx(b, abs=1e-8 * (1.0 + abs(a)))
 
 
@@ -228,9 +227,8 @@ class TestRankLinks:
     def test_tied_group_ordered_by_removal_loss(self):
         plant = generate_plant(2, 1)
         part = plant.partition
-        cfg = AugLagConfig()
         full = SparsityPattern.full(part)
-        info = synthesize_structured_info(plant, full, cfg)
+        info = synthesize_structured_info(plant, full)
         masks = [[[1, 1], [1, 1]], [[0, 0], [0, 0]]]
         sweep = SweepResult(
             (
@@ -238,11 +236,9 @@ class TestRankLinks:
                 entry(2.0, info.gain, masks[1], part),
             )
         )
-        table = rank_links(plant, sweep, cfg)
+        table = rank_links(plant, sweep)
         losses = {
-            blk: removal_loss(
-                plant, full, blk, cfg, base_cost=info.cost, base_gain=info.gain
-            )
+            blk: removal_loss(plant, full, blk, base_cost=info.cost, base_gain=info.gain)
             for blk in full.free_blocks()
         }
         expected = sorted(losses, key=lambda blk: (losses[blk], blk[0], blk[1]))
@@ -272,16 +268,15 @@ class TestRankLinks:
     def test_deterministic(self):
         plant = generate_plant(2, 1)
         part = plant.partition
-        cfg = AugLagConfig()
         full = SparsityPattern.full(part)
-        info = synthesize_structured_info(plant, full, cfg)
+        info = synthesize_structured_info(plant, full)
         sweep = SweepResult(
             (
                 entry(1.0, info.gain, [[1, 1], [1, 1]], part, cost=info.cost, polished=info.gain),
                 entry(2.0, info.gain, [[0, 0], [0, 0]], part),
             )
         )
-        assert rank_links(plant, sweep, cfg) == rank_links(plant, sweep, cfg)
+        assert rank_links(plant, sweep) == rank_links(plant, sweep)
 
     def test_empty_sweep_raises(self):
         plant = generate_plant(2, 0)

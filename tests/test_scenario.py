@@ -7,7 +7,6 @@ import pytest
 
 from sparselink import (
     AttackScenario,
-    AugLagConfig,
     BlockPartition,
     CostReport,
     GeneratorSpec,
@@ -19,7 +18,6 @@ from sparselink import (
     RiccatiFailure,
     Scenario,
     SingularSolve,
-    SparsityConfig,
     closed_loop_cost,
     dumps_canonical,
     generate_plant,
@@ -46,14 +44,14 @@ from sparselink.cli import main
 from conftest import make_table
 
 
-FAST_SPARSITY = SparsityConfig(beta_schedule=(0.05, 0.5), max_reweight=1)
+FAST_SCHEDULE = (0.05, 0.5)  # with the one_reweight fixture
 
 
 def fast_scenario(attack, seed=0, name="t"):
     return Scenario(
         name=name,
         generator=GeneratorSpec(3, seed),
-        sparsity=FAST_SPARSITY,
+        beta_schedule=FAST_SCHEDULE,
         attack=attack,
     )
 
@@ -157,14 +155,10 @@ class TestScenarioDoc:
         assert np.array_equal(scn.resolve_plant().A, plant.A)
 
     def test_config_parsing(self):
-        doc = {
-            "plant": {"generator": {"n_nodes": 2, "seed": 0}},
-            "sparsity": {"beta_schedule": [0.1, 1.0], "max_reweight": 2},
-            "synthesis": {"gamma0": 2.0, "alpha": 4.0},
-        }
-        scn = scenario_from_doc(doc)
-        assert scn.sparsity == SparsityConfig(beta_schedule=(0.1, 1.0), max_reweight=2)
-        assert scn.synthesis == AugLagConfig(gamma0=2.0, alpha=4.0)
+        gen = {"generator": {"n_nodes": 2, "seed": 0}}
+        doc = {"plant": gen, "sparsity": {"beta_schedule": [0.1, 1.0]}}
+        assert scenario_from_doc(doc).beta_schedule == [0.1, 1.0]
+        assert scenario_from_doc({"plant": gen}).beta_schedule is None
 
     def test_rejections(self):
         gen = {"generator": {"n_nodes": 2, "seed": 0}}
@@ -213,6 +207,7 @@ class TestSelectReroute:
         assert out == reroute_uniform(ex1_table, {1})
 
 
+@pytest.mark.usefixtures("one_reweight")
 class TestPipeline:
     def test_no_attack_costs_agree(self):
         res = run_pipeline(fast_scenario(None))
@@ -293,6 +288,7 @@ class TestReportFormats:
         assert report_from_doc(report_to_doc(rep)) == rep
 
 
+@pytest.mark.usefixtures("one_reweight")
 class TestArtifacts:
     BASE_FILES = {
         "plant.json",
@@ -344,17 +340,20 @@ class TestArtifacts:
         assert report == res.report
 
 
-def write_scenario(tmp_path, attack, name="case"):
+def write_scenario(tmp_path, attack, name="case", **sections):
+    """A scenario file; sections replace or add top-level keys."""
     doc = {
         "plant": {"generator": {"n_nodes": 3, "seed": 0}},
-        "sparsity": {"beta_schedule": [0.05, 0.5], "max_reweight": 1},
+        "sparsity": {"beta_schedule": list(FAST_SCHEDULE)},
         "attack": attack,
+        **sections,
     }
     path = tmp_path / f"{name}.json"
     write_json(path, doc)
     return path
 
 
+@pytest.mark.usefixtures("one_reweight")
 class TestCli:
     def test_gen_to_dir(self, tmp_path):
         code = main(["gen", "--n-nodes", "3", "--seed", "1", "--out", str(tmp_path)])
@@ -593,6 +592,39 @@ class TestCli:
         assert main(["run", "--scenario", str(scenario)]) == 2
         out = capsys.readouterr().out
         assert ",false" in out.splitlines()[1]
+
+    @pytest.mark.parametrize(
+        "generator, attack",
+        [
+            ({"n_nodes": "x", "seed": 0}, None),
+            ({"n_nodes": 2.5, "seed": 0}, None),
+            ({"n_nodes": 3, "seed": "s"}, None),
+            ({"n_nodes": 3, "seed": 0, "delta": "x"}, None),
+            ({"n_nodes": 3, "seed": 0}, {"attacked_priorities": ["x"]}),
+            ({"n_nodes": 3, "seed": 0}, {"attacked_priorities": 5}),
+            ({"n_nodes": 3, "seed": 0}, {"top_fraction": "x"}),
+            ({"n_nodes": 3, "seed": 0}, {"attacked_top": [1]}),
+        ],
+    )
+    def test_malformed_value_exit_four(self, tmp_path, capsys, generator, attack):
+        scenario = write_scenario(tmp_path, attack, plant={"generator": generator})
+        assert main(["run", "--scenario", str(scenario)]) == 4
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "sections",
+        [
+            {"sparsity": {"beta_schedule": [1, 0.5]}},
+            {"sparsity": {"beta_schedule": 5}},
+            {"sparsity": {"beta_schedule": ["x"]}},
+            {"sparsity": {"beta_schedule": [0.05, 0.5], "max_reweight": 1}},
+            {"synthesis": {"gamma0": 1.0}},
+        ],
+    )
+    def test_bad_or_removed_solver_setting_exit_four(self, tmp_path, capsys, sections):
+        scenario = write_scenario(tmp_path, None, **sections)
+        assert main(["run", "--scenario", str(scenario)]) == 4
+        assert "input error" in capsys.readouterr().err
 
     def test_run_bad_format(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, None)

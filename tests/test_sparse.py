@@ -9,9 +9,9 @@ from sparselink import (
     BlockPartition,
     DimensionMismatch,
     GainMatrix,
+    InvalidAssumption,
     LostStabilizability,
     NotStabilizing,
-    SparsityConfig,
     SparsityPattern,
     block_frobenius,
     block_soft_threshold,
@@ -167,7 +167,7 @@ class TestSparseGain:
         kc = lqr_centralized(plant)
         beta = 0.02 * closed_loop_cost(plant, kc)
         gain = kc
-        for _ in range(SparsityConfig().max_reweight):
+        for _ in range(sparse.MAX_REWEIGHT):
             g = reweight(block_frobenius(gain), sparse.EPSILON_REWEIGHT)
             gain = sparse_gain(plant, beta, g, gain)
         pattern = SparsityPattern.from_gain(gain, sparse.ZERO_THRESHOLD)
@@ -189,21 +189,19 @@ class TestBetaSchedule:
         assert len(default_beta_schedule(1.0, count=7)) == 7
 
     def test_schedule_validation(self):
-        with pytest.raises(ValueError):
-            SparsityConfig(beta_schedule=(1.0, 0.5))
-        with pytest.raises(ValueError):
-            SparsityConfig(beta_schedule=(-1.0, 0.5))
-        with pytest.raises(ValueError):
-            SparsityConfig(beta_schedule=(1.0, 1.0))
+        plant = generate_plant(2, 0)
+        for schedule in ((1.0, 0.5), (-1.0, 0.5), (1.0, 1.0), 5, ["x"], "0.5"):
+            with pytest.raises(InvalidAssumption):
+                sparsity_sweep(plant, schedule)
 
 
+@pytest.mark.usefixtures("one_reweight")
 class TestSparsitySweep:
     def test_single_tiny_beta_matches_centralized(self):
         plant = generate_plant(2, 3)
         kc = lqr_centralized(plant)
         j_c = closed_loop_cost(plant, kc)
-        cfg = SparsityConfig(beta_schedule=(1e-8 * j_c,), max_reweight=1)
-        result = sparsity_sweep(plant, cfg)
+        result = sparsity_sweep(plant, (1e-8 * j_c,))
         assert len(result.entries) == 1
         entry = result.entries[0]
         assert entry.cost_polished <= j_c * (1.0 + 1e-5)
@@ -215,8 +213,7 @@ class TestSparsitySweep:
         kc = lqr_centralized(plant)
         j_c = closed_loop_cost(plant, kc)
         sched = tuple(j_c * b for b in (1e-4, 1e-2, 0.3, 3.0, 30.0))
-        cfg = SparsityConfig(beta_schedule=sched, max_reweight=1)
-        result = sparsity_sweep(plant, cfg)
+        result = sparsity_sweep(plant, sched)
         assert len(result.entries) == 5
         for entry in result.entries:
             assert is_stabilizing(plant, entry.polished_gain)
@@ -233,8 +230,7 @@ class TestSparsitySweep:
         plant = generate_plant(3, 4)
         j_c = closed_loop_cost(plant, lqr_centralized(plant))
         sched = tuple(j_c * b for b in (1e-3, 0.1, 1.0, 10.0))
-        cfg = SparsityConfig(beta_schedule=sched, max_reweight=1)
-        entries = sparsity_sweep(plant, cfg).entries
+        entries = sparsity_sweep(plant, sched).entries
         for cur, nxt in zip(entries, entries[1:]):
             if nxt.pattern.is_subset(cur.pattern):
                 assert cur.cost_polished <= nxt.cost_polished + 1e-6
@@ -242,8 +238,7 @@ class TestSparsitySweep:
     def test_csv_round_trip(self):
         plant = generate_plant(2, 6)
         j_c = closed_loop_cost(plant, lqr_centralized(plant))
-        cfg = SparsityConfig(beta_schedule=(0.01 * j_c, 1.0 * j_c), max_reweight=1)
-        result = sparsity_sweep(plant, cfg)
+        result = sparsity_sweep(plant, (0.01 * j_c, 1.0 * j_c))
         text = sweep_csv(result)
         lines = text.splitlines()
         assert lines[0] == "beta,nnz_blocks,J_polished"

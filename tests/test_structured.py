@@ -7,7 +7,6 @@ from scipy.linalg import block_diag, solve_continuous_are
 
 from conftest import fd_gradient, perturbed_gain, single_node_plant
 from sparselink import (
-    AugLagConfig,
     BlockPartition,
     GainMatrix,
     LostStabilizability,
@@ -122,11 +121,10 @@ class TestMinimizeInner:
         pattern = SparsityPattern.diagonal(plant.partition)
         lam = 0.1 * rng.standard_normal((plant.m, plant.n))
         gamma = 5.0
-        cfg = AugLagConfig(inner_tol=1e-7)
-        out = minimize_inner(plant, lam, gamma, pattern, lqr_centralized(plant), cfg)
+        out = minimize_inner(plant, lam, gamma, pattern, lqr_centralized(plant))
         comp = pattern.complement_identity()
         g = _AugLagEval(plant, out.K, lam, gamma, comp).gradient()
-        assert np.linalg.norm(g) <= 1e-7 * (1.0 + np.linalg.norm(out.K))
+        assert np.linalg.norm(g) <= structured._INNER_TOL * (1.0 + np.linalg.norm(out.K))
         assert is_stabilizing(plant, out)
 
     def test_lost_stability_is_typed(self, monkeypatch):
@@ -226,14 +224,14 @@ class TestSynthesizeStructured:
         monkeypatch.setattr(structured, "_inner_solve", recording)
         plant = two_node_plant(7)
         pattern = SparsityPattern.diagonal(plant.partition)
-        synthesize_structured_info(plant, pattern, AugLagConfig(gamma0=0.5, alpha=3.0))
+        synthesize_structured_info(plant, pattern)
         assert len(calls) >= 2
         comp = pattern.complement_identity()
         for (_, lam, gamma), (k_next, lam_next, gamma_next) in zip(calls, calls[1:]):
-            assert gamma_next == pytest.approx(3.0 * gamma, rel=1e-15)
+            assert gamma_next == pytest.approx(structured._ALPHA * gamma, rel=1e-15)
             assert np.allclose(lam_next, lam + gamma * (k_next * comp), atol=1e-14)
         assert all(is_stabilizing(plant, k) for k, _, _ in calls)
-        assert calls[0][2] == 0.5
+        assert calls[0][2] == structured._GAMMA0
         assert np.all(calls[0][1] == 0.0)
 
     def test_nonstabilizing_init_rejected(self):
@@ -243,12 +241,28 @@ class TestSynthesizeStructured:
         with pytest.raises(NotStabilizing):
             synthesize_structured(plant, SparsityPattern.full(plant.partition), init=bad)
 
-    def test_pattern_not_stabilizable(self):
+    def test_pattern_not_stabilizable(self, monkeypatch):
+        monkeypatch.setattr(structured, "_MAX_OUTER", 8)
         plant = cross_coupled_plant()
         pattern = SparsityPattern.diagonal(plant.partition)
-        cfg = AugLagConfig(max_outer=8)
         with pytest.raises(PatternNotStabilizable):
-            synthesize_structured(plant, pattern, cfg)
+            synthesize_structured(plant, pattern)
+
+    def test_on_pattern_init_checked_once(self, monkeypatch):
+        # an init on the pattern is its own first projection
+        checked = []
+
+        def counting(plant, k):
+            checked.append(k)
+            return is_stabilizing(plant, k)
+
+        plant = two_node_plant(9)
+        pattern = SparsityPattern.diagonal(plant.partition)
+        first = synthesize_structured_info(plant, pattern)
+        monkeypatch.setattr(structured, "is_stabilizing", counting)
+        again = synthesize_structured_info(plant, pattern, init=first.gain)
+        assert len(checked) == 1
+        assert again.iterations == 0
 
     def test_warm_start_accepted(self):
         plant = two_node_plant(9)
