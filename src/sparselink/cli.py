@@ -172,7 +172,7 @@ def _cmd_synth(args) -> int:
     pattern = pattern_from_doc(read_json(args.pattern))
     init = None
     if args.init is not None:
-        init, _ = gain_from_doc(read_json(args.init), plant.partition)
+        init = gain_from_doc(read_json(args.init), plant.partition)
     info = synthesize_structured_info(plant, pattern, init=init)
     text = dumps_canonical(gain_to_doc(info, pattern))
     _emit(text, args.out, "gain.json")

@@ -25,7 +25,7 @@ from .errors import (
     RiccatiFailure,
     SingularSolve,
 )
-from .plant import GainMatrix, LtiPlant, SimulationTrace, STABILITY_TOL
+from .plant import GainMatrix, LtiPlant, STABILITY_TOL
 
 # The Newton iteration stops once ||P_k - P_{k-1}||_F <= _RICCATI_TOL and
 # gives up after _RICCATI_MAX_ITER steps.
@@ -186,51 +186,3 @@ def lqr_centralized(plant: LtiPlant) -> GainMatrix:
         p_prev = p
     raise RiccatiFailure(f"Riccati iteration did not converge in {_RICCATI_MAX_ITER} steps")
 
-
-def simulate_closed_loop(
-    plant: LtiPlant,
-    gain,
-    x0,
-    disturbance=None,
-    horizon: float = 1.0,
-    dt: float = 1e-3,
-) -> SimulationTrace:
-    """Fixed-step RK4 integration of xdot = (A - B K) x + W d(t).
-
-    The recorded input is u = -K x, the signal the plant actually receives,
-    so xdot = A x + B u + W d holds identically on the trace. disturbance is
-    a callable t -> R^q, or None for d = 0.
-    """
-    if dt <= 0.0 or horizon <= 0.0:
-        raise DimensionMismatch("horizon and dt must be positive")
-    k = _gain_array(plant, gain)
-    x0 = np.asarray(x0, dtype=float).reshape(plant.n)
-    a_cl = plant.A - plant.B @ k
-    w = plant.W
-    if disturbance is None:
-        d_fun = lambda t: np.zeros(plant.q_dim)
-    else:
-        d_fun = lambda t: np.asarray(disturbance(t), dtype=float).reshape(plant.q_dim)
-
-    def rhs(t, x):
-        return a_cl @ x + w @ d_fun(t)
-
-    n_steps = int(round(horizon / dt))
-    times = np.arange(n_steps + 1) * dt
-    states = np.empty((n_steps + 1, plant.n))
-    states[0] = x0
-    x = x0.copy()
-    for step in range(n_steps):
-        t = times[step]
-        k1 = rhs(t, x)
-        k2 = rhs(t + 0.5 * dt, x + 0.5 * dt * k1)
-        k3 = rhs(t + 0.5 * dt, x + 0.5 * dt * k2)
-        k4 = rhs(t + dt, x + dt * k3)
-        x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        states[step + 1] = x
-
-    inputs = -(states @ k.T)
-    dists = np.vstack([d_fun(t) for t in times])
-    c, d_map = plant.output_maps()
-    outputs = states @ c.T + inputs @ d_map.T
-    return SimulationTrace(times, states, inputs, outputs, dists, x0)

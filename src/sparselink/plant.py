@@ -1,4 +1,4 @@
-"""Core LTI-network types: plants, block partitions, gains, patterns, traces.
+"""Core LTI-network types: plants, block partitions, gains and patterns.
 
 All types are immutable after construction (arrays are stored read-only) and
 validated eagerly, so downstream numerics can assume consistent shapes.
@@ -287,51 +287,8 @@ class LtiPlant:
     def m(self) -> int:
         return self.B.shape[1]
 
-    @property
-    def q_dim(self) -> int:
-        return self.W.shape[1]
-
     def state_weight_sqrt(self) -> np.ndarray:
         """Symmetric PSD square root of Q."""
-        cached = self.__dict__.get("_q_sqrt")
-        if cached is None:
-            vals, vecs = np.linalg.eigh(self.Q)
-            root = (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
-            root.setflags(write=False)
-            object.__setattr__(self, "_q_sqrt", root)
-            cached = root
-        return cached
-
-    def control_weight_sqrt(self) -> np.ndarray:
-        vals, vecs = np.linalg.eigh(self.R)
+        vals, vecs = np.linalg.eigh(self.Q)
         return (vecs * np.sqrt(np.clip(vals, 0.0, None))) @ vecs.T
 
-    def output_maps(self) -> tuple[np.ndarray, np.ndarray]:
-        """Performance-output maps: y = C x + D u stacks the weighted state
-        over the weighted control, C = [Q^{1/2}; 0], D = [0; R^{1/2}]."""
-        n, m = self.n, self.m
-        c = np.vstack([self.state_weight_sqrt(), np.zeros((m, n))])
-        d = np.vstack([np.zeros((n, m)), self.control_weight_sqrt()])
-        return c, d
-
-
-@dataclass(frozen=True, eq=False)
-class SimulationTrace:
-    """Sampled closed-loop trajectory. The stored input is the one the plant
-    actually receives, u = -K x, so that xdot = A x + B u + W d holds on the
-    samples (the closed loop is A - B K throughout the package)."""
-
-    times: np.ndarray
-    states: np.ndarray
-    inputs: np.ndarray
-    outputs: np.ndarray
-    disturbances: np.ndarray
-    x0: np.ndarray
-
-    def __post_init__(self):
-        for name in ("times", "states", "inputs", "outputs", "disturbances", "x0"):
-            object.__setattr__(self, name, _frozen_array(getattr(self, name)))
-        t = len(self.times)
-        for name in ("states", "inputs", "outputs", "disturbances"):
-            if getattr(self, name).shape[0] != t:
-                raise DimensionMismatch(f"{name} has wrong sample count")

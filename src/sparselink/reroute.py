@@ -31,16 +31,8 @@ class AttackScenario:
     priorities: frozenset[int]
 
     @classmethod
-    def from_mask(cls, mask) -> "AttackScenario":
-        prios = frozenset(q + 1 for q, hit in enumerate(mask) if hit)
-        return cls(prios)
-
-    @classmethod
     def none(cls) -> "AttackScenario":
         return cls(frozenset())
-
-    def to_mask(self, r1: int) -> tuple[bool, ...]:
-        return tuple(q + 1 in self.priorities for q in range(r1))
 
 
 @dataclass(frozen=True)

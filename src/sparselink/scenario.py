@@ -34,6 +34,7 @@ from .reroute import (
 )
 from .serialize import (
     attack_from_doc,
+    attack_spec,
     dumps_canonical,
     gain_to_doc,
     outcome_to_doc,
@@ -116,7 +117,8 @@ class Scenario:
     """Everything the pipeline needs: a plant source (generator spec or an
     inline plant document), the sweep's beta schedule (None: the default
     schedule of sparsity_sweep; checked there), and the attack spec (raw
-    JSON form; resolved against the table's r1 at reroute time)."""
+    JSON form; its form and values are checked here, its range against the
+    table's r1 at reroute time)."""
 
     name: str
     generator: GeneratorSpec | None = None
@@ -129,6 +131,7 @@ class Scenario:
             raise InvalidAssumption(
                 "scenario needs exactly one plant source: generator or inline plant"
             )
+        attack_spec(self.attack)
 
     def resolve_plant(self) -> LtiPlant:
         if self.generator is not None:
@@ -322,19 +325,6 @@ def report_csv(reports) -> str:
 
 def report_to_doc(report: CostReport) -> dict:
     return dataclasses.asdict(report)
-
-
-def report_from_doc(doc: dict) -> CostReport:
-    return CostReport(
-        scenario=str(doc["scenario"]),
-        j_before=float(doc["j_before"]),
-        j_attack=float(doc["j_attack"]),
-        j_reroute=None if doc["j_reroute"] is None else float(doc["j_reroute"]),
-        n_attacked=int(doc["n_attacked"]),
-        n_sacrificed=int(doc["n_sacrificed"]),
-        n_dropped=int(doc["n_dropped"]),
-        feasible=bool(doc["feasible"]),
-    )
 
 
 def write_artifacts(result: PipelineResult, out_dir) -> list:

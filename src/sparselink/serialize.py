@@ -9,6 +9,7 @@ the object bitwise, and re-serializing reproduces the byte stream.
 from __future__ import annotations
 
 import json
+import numbers
 from pathlib import Path
 
 import numpy as np
@@ -47,12 +48,17 @@ def _matrix_from(doc, name: str, rows: int | None = None, cols: int | None = Non
     return a
 
 
-def _sizes_from(doc, name: str) -> tuple[int, ...]:
-    try:
-        sizes = tuple(int(v) for v in doc)
-    except (TypeError, ValueError) as exc:
-        raise InvalidAssumption(f"{name} must be a list of integers") from exc
-    return sizes
+def _integer(value, name: str) -> int:
+    """value as an int; a bool, a float or a string is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidAssumption(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _integers(doc, name: str) -> tuple[int, ...]:
+    if not isinstance(doc, (list, tuple)):
+        raise InvalidAssumption(f"{name} must be a list of integers, got {doc!r}")
+    return tuple(_integer(v, name) for v in doc)
 
 
 # ---------------------------------------------------------------------------
@@ -77,8 +83,8 @@ def plant_from_doc(doc: dict) -> LtiPlant:
     if missing:
         raise InvalidAssumption(f"plant document missing fields: {sorted(missing)}")
     partition = BlockPartition(
-        _sizes_from(doc["rowBlockSizes"], "rowBlockSizes"),
-        _sizes_from(doc["colBlockSizes"], "colBlockSizes"),
+        _integers(doc["rowBlockSizes"], "rowBlockSizes"),
+        _integers(doc["colBlockSizes"], "colBlockSizes"),
     )
     n, m = partition.n, partition.m
     return LtiPlant(
@@ -109,8 +115,8 @@ def pattern_from_doc(doc: dict) -> SparsityPattern:
     if missing:
         raise InvalidAssumption(f"pattern document missing fields: {sorted(missing)}")
     partition = BlockPartition(
-        _sizes_from(doc["rowBlockSizes"], "rowBlockSizes"),
-        _sizes_from(doc["colBlockSizes"], "colBlockSizes"),
+        _integers(doc["rowBlockSizes"], "rowBlockSizes"),
+        _integers(doc["colBlockSizes"], "colBlockSizes"),
     )
     mask = np.asarray(doc["mask"], dtype=bool)
     return SparsityPattern(mask, partition)
@@ -140,10 +146,10 @@ def table_from_doc(doc) -> PriorityTable:
         try:
             rows.append(
                 PriorityRow(
-                    i=int(entry["i"]),
-                    j=int(entry["j"]),
-                    q=int(entry["q"]),
-                    size=int(entry["s"]),
+                    i=_integer(entry["i"], "i"),
+                    j=_integer(entry["j"], "j"),
+                    q=_integer(entry["q"], "q"),
+                    size=_integer(entry["s"], "s"),
                     values=tuple(float(v) for v in entry["values"]),
                 )
             )
@@ -170,10 +176,12 @@ def outcome_from_doc(doc: dict) -> RerouteOutcome:
     if not isinstance(doc, dict):
         raise InvalidAssumption("outcome document must be a JSON object")
     try:
-        rerouted = frozenset(int(q) for q in doc["rerouted"])
-        dropped = frozenset(int(q) for q in doc["dropped"])
-        sacrificed = frozenset(int(q) for q in doc["sacrificed"])
-        feasible = bool(doc["feasible"])
+        rerouted = frozenset(_integers(doc["rerouted"], "rerouted"))
+        dropped = frozenset(_integers(doc["dropped"], "dropped"))
+        sacrificed = frozenset(_integers(doc["sacrificed"], "sacrificed"))
+        feasible = doc["feasible"]
+        if not isinstance(feasible, bool):
+            raise InvalidAssumption(f"feasible must be true or false, got {feasible!r}")
         table = table_from_doc(doc["n_final"])
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidAssumption("malformed outcome document") from exc
@@ -200,36 +208,40 @@ def gain_to_doc(info: SynthesisInfo, pattern: SparsityPattern) -> dict:
     }
 
 
-def gain_from_doc(doc: dict, partition: BlockPartition) -> tuple[GainMatrix, dict]:
+def gain_from_doc(doc: dict, partition: BlockPartition) -> GainMatrix:
     if not isinstance(doc, dict) or "K" not in doc:
         raise InvalidAssumption("gain document must be an object with K")
-    k = _matrix_from(doc["K"], "K", partition.m, partition.n)
-    gain = GainMatrix(k, partition)
-    meta = {
-        "J": float(doc.get("J", float("nan"))),
-        "iterations": int(doc.get("iterations", 0)),
-        "converged": bool(doc.get("converged", False)),
-    }
-    return gain, meta
+    return GainMatrix(_matrix_from(doc["K"], "K", partition.m, partition.n), partition)
 
 
 # ---------------------------------------------------------------------------
 # attack specs
 
+def _fraction(value, name: str) -> float:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidAssumption(f"{name} must be a number, got {value!r}")
+    value = float(value)
+    if not 0.0 <= value <= 1.0:
+        raise InvalidAssumption(f"{name} {value} outside [0, 1]")
+    return value
+
+
 _ATTACK_VALUES = {
-    "attacked_priorities": lambda value: frozenset(int(q) for q in value),
-    "attacked_block": int,
-    "attacked_top": int,
-    "top_fraction": float,
+    "attacked_priorities": lambda value, name: frozenset(_integers(value, name)),
+    "attacked_block": _integer,
+    "attacked_top": _integer,
+    "top_fraction": _fraction,
 }
 
 
-def attack_from_doc(doc, r1: int) -> AttackScenario:
-    """Accepted forms: {"attacked_priorities": [q...]}, {"attacked_block": q}
-    (the one priority q), {"attacked_top": k} or {"top_fraction": f}
-    (the k = round(f*r1) highest priorities). None means no attack."""
+def attack_spec(doc) -> tuple[str, int | float | frozenset[int]] | None:
+    """Form check and value conversion of an attack spec, which need no
+    priority table: the spec's one (key, converted value), or None for no
+    attack. Accepted forms: {"attacked_priorities": [q...]},
+    {"attacked_block": q} (the one priority q), {"attacked_top": k} or
+    {"top_fraction": f} (the k = round(f*r1) highest priorities)."""
     if doc is None:
-        return AttackScenario.none()
+        return None
     if not isinstance(doc, dict) or len(doc) != 1:
         raise InvalidAssumption(
             "attack spec must be an object with exactly one of attacked_priorities,"
@@ -239,10 +251,16 @@ def attack_from_doc(doc, r1: int) -> AttackScenario:
     convert = _ATTACK_VALUES.get(key)
     if convert is None:
         raise InvalidAssumption(f"unknown attack spec key: {key}")
-    try:
-        value = convert(value)
-    except (TypeError, ValueError) as exc:
-        raise InvalidAssumption(f"malformed attack spec: {doc!r}") from exc
+    return key, convert(value, key)
+
+
+def attack_from_doc(doc, r1: int) -> AttackScenario:
+    """The attack an attack spec (see attack_spec) names on a table with
+    priorities 1..r1. None means no attack."""
+    spec = attack_spec(doc)
+    if spec is None:
+        return AttackScenario.none()
+    key, value = spec
     if key == "attacked_priorities":
         _check_range(value, r1)
         return AttackScenario(value)
@@ -250,8 +268,6 @@ def attack_from_doc(doc, r1: int) -> AttackScenario:
         _check_range({value}, r1)
         return AttackScenario(frozenset([value]))
     if key == "top_fraction":
-        if not 0.0 <= value <= 1.0:
-            raise InvalidAssumption(f"top_fraction {value} outside [0, 1]")
         value = int(round(value * r1))
     if not 0 <= value <= r1:
         raise InvalidAssumption(f"attacked_top {value} outside 0..{r1}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import descent
-from .descent import descend, require_converged
+from .descent import descend
 from .errors import MaxIterations, NotStabilizing, PatternNotStabilizable
 from .h2 import _ClosedLoop, is_stabilizing, lqr_centralized
 from .plant import GainMatrix, LtiPlant, SparsityPattern
@@ -80,26 +80,6 @@ def augmented_lagrangian(plant: LtiPlant, gain, multiplier, gamma: float, patter
     return ev.value
 
 
-def minimize_inner(
-    plant: LtiPlant,
-    multiplier,
-    gamma: float,
-    pattern: SparsityPattern,
-    init: GainMatrix,
-) -> GainMatrix:
-    """Minimize L_g over unstructured K from a stabilizing start.
-
-    Returns K with ||grad L_g||_F <= _INNER_TOL * (1 + ||K||_F); every
-    accepted iterate is stabilizing because non-stabilizing trials evaluate
-    to +inf and are rejected by the backtracking.
-    """
-    lam = np.asarray(multiplier, dtype=float)
-    comp = pattern.complement_identity()
-    k0 = init.K if isinstance(init, GainMatrix) else np.asarray(init, dtype=float)
-    res = _inner_solve(plant, k0, lam, gamma, comp, _INNER_TOL)
-    return GainMatrix(require_converged(res, "inner solve").x, plant.partition)
-
-
 def _inner_solve(plant, k, lam, gamma, comp, grad_tol):
     """Descent of L_g over unstructured K at a fixed multiplier and penalty."""
     return descend(
@@ -109,16 +89,6 @@ def _inner_solve(plant, k, lam, gamma, comp, grad_tol):
         max_iter=_INNER_MAX_ITER,
         max_backtracks=_MAX_BACKTRACKS,
     )
-
-
-def synthesize_structured(
-    plant: LtiPlant,
-    pattern: SparsityPattern,
-    *,
-    init: GainMatrix | None = None,
-) -> GainMatrix:
-    """Structured H2-optimal gain on the pattern (exact zeros off-pattern)."""
-    return synthesize_structured_info(plant, pattern, init=init).gain
 
 
 def synthesize_projected(
@@ -140,7 +110,8 @@ def synthesize_structured_info(
     *,
     init: GainMatrix | None = None,
 ) -> SynthesisInfo:
-    """As synthesize_structured, returning convergence diagnostics too."""
+    """Structured H2-optimal gain on the pattern (exact zeros off-pattern)
+    with its cost and convergence diagnostics."""
     comp = pattern.complement_identity()
     ident = pattern.structural_identity()
 

@@ -1,4 +1,4 @@
-"""H2 cost, gradient, Lyapunov/Riccati solvers, and simulation.
+"""H2 cost, gradient, and Lyapunov/Riccati solvers.
 
 Every numerical result is checked against an independent oracle: the
 Kronecker-vectorized Lyapunov solve, quadrature of the Gramian integral,
@@ -31,7 +31,6 @@ from sparselink import (
     cost_gradient,
     is_stabilizing,
     lqr_centralized,
-    simulate_closed_loop,
     solve_lyapunov,
 )
 from sparselink.h2 import _ClosedLoop
@@ -199,51 +198,3 @@ class TestLqrCentralized:
             delta = 1e-3 * rng.standard_normal(kc.K.shape)
             assert j_star <= closed_loop_cost(plant, kc.K + delta) + 1e-12
 
-
-class TestSimulateClosedLoop:
-    def test_equilibrium(self):
-        trace = simulate_closed_loop(scalar_plant(), [[1.0]], [0.0], horizon=1.0)
-        assert np.all(trace.states == 0.0)
-        assert np.all(trace.inputs == 0.0)
-
-    def test_scalar_exponential(self):
-        trace = simulate_closed_loop(scalar_plant(), [[1.0]], [1.0], horizon=1.0, dt=1e-3)
-        assert trace.times[-1] == pytest.approx(1.0, abs=1e-12)
-        assert abs(trace.states[-1, 0] - math.exp(-1.0)) <= 1e-6
-
-    def test_decay(self):
-        rng = np.random.default_rng(3)
-        plant = single_node_plant(rng, 3, 2)
-        x0 = rng.standard_normal(3)
-        trace = simulate_closed_loop(plant, np.zeros((2, 3)), x0, horizon=20.0, dt=1e-2)
-        assert np.linalg.norm(trace.states[-1]) < np.linalg.norm(x0)
-
-    def test_dynamics_hold_on_samples(self):
-        # xdot = A x + B u + W d with the recorded u = -K x
-        rng = np.random.default_rng(13)
-        plant = single_node_plant(rng, 3, 2)
-        gain = perturbed_gain(rng, plant, np.zeros((2, 3)))
-        d = lambda t: np.array([math.sin(t), math.cos(t), 0.5])
-        trace = simulate_closed_loop(plant, gain, rng.standard_normal(3),
-                                     disturbance=d, horizon=0.5, dt=1e-3)
-        assert np.allclose(trace.inputs, -(trace.states @ gain.K.T), atol=1e-12)
-        mid = len(trace.times) // 2
-        # central-difference state derivative vs the model right-hand side
-        xdot = (trace.states[mid + 1] - trace.states[mid - 1]) / (2e-3)
-        rhs = (plant.A @ trace.states[mid] + plant.B @ trace.inputs[mid]
-               + plant.W @ trace.disturbances[mid])
-        assert np.linalg.norm(xdot - rhs) <= 1e-4 * (1.0 + np.linalg.norm(rhs))
-
-    def test_output_stacking(self):
-        plant = scalar_plant(q=4.0, r=9.0)
-        trace = simulate_closed_loop(plant, [[1.0]], [1.0], horizon=0.01, dt=1e-3)
-        # y = [Q^{1/2} x; R^{1/2} u]
-        assert trace.outputs.shape == (len(trace.times), 2)
-        assert trace.outputs[0, 0] == pytest.approx(2.0, abs=1e-12)
-        assert trace.outputs[0, 1] == pytest.approx(-3.0, abs=1e-12)
-
-    def test_bad_steps(self):
-        with pytest.raises(DimensionMismatch):
-            simulate_closed_loop(scalar_plant(), [[1.0]], [1.0], dt=0.0)
-        with pytest.raises(DimensionMismatch):
-            simulate_closed_loop(scalar_plant(), [[1.0]], [1.0], horizon=-1.0)

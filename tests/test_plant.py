@@ -1,4 +1,4 @@
-"""Core type validation: partitions, gains, patterns, plants, traces."""
+"""Core type validation: partitions, gains, patterns, plants."""
 import numpy as np
 import pytest
 
@@ -8,7 +8,6 @@ from sparselink import (
     GainMatrix,
     LtiPlant,
     NotStabilizing,
-    SimulationTrace,
     SparsityPattern,
 )
 
@@ -145,7 +144,7 @@ class TestSparsityPattern:
 class TestLtiPlant:
     def test_valid_construction(self):
         plant = simple_plant()
-        assert plant.n == 4 and plant.m == 2 and plant.q_dim == 4
+        assert plant.n == 4 and plant.m == 2 and plant.W.shape[1] == 4
 
     def test_shape_errors(self):
         part = BlockPartition((1,), (2,))
@@ -202,19 +201,3 @@ class TestLtiPlant:
         root = plant.state_weight_sqrt()
         assert np.allclose(root @ root, q, atol=1e-12)
         assert np.allclose(root, root.T, atol=1e-12)
-
-    def test_output_maps(self):
-        plant = simple_plant()
-        c, d = plant.output_maps()
-        assert c.shape == (6, 4) and d.shape == (6, 2)
-        assert np.allclose(c.T @ c, plant.Q, atol=1e-12)
-        assert np.allclose(d.T @ d, plant.R, atol=1e-12)
-        assert np.allclose(c.T @ d, 0.0, atol=1e-12)
-
-
-class TestSimulationTrace:
-    def test_sample_count_checked(self):
-        t = np.linspace(0.0, 1.0, 5)
-        good = np.zeros((5, 2))
-        with pytest.raises(DimensionMismatch):
-            SimulationTrace(t, np.zeros((4, 2)), good, good, good, np.zeros(2))

@@ -22,15 +22,9 @@ from sparselink import (
 
 
 class TestAttackScenario:
-    def test_mask_round_trip(self):
-        attack = AttackScenario.from_mask((False, True, False, True))
-        assert attack.priorities == frozenset({2, 4})
-        assert attack.to_mask(5) == (False, True, False, True, False)
-
     def test_none(self):
         attack = AttackScenario.none()
         assert attack.priorities == frozenset()
-        assert attack.to_mask(3) == (False, False, False)
 
 
 class TestGoldenExampleOne:

@@ -1,4 +1,5 @@
 """Scenario driver: plant generation, pipeline, reports, artifacts, CLI."""
+import dataclasses
 import json
 import math
 
@@ -26,7 +27,6 @@ from sparselink import (
     plant_from_doc,
     plant_to_doc,
     report_csv,
-    report_from_doc,
     report_to_doc,
     reroute_multi,
     reroute_single,
@@ -39,6 +39,7 @@ from sparselink import (
     write_json,
 )
 from sparselink import cli
+from sparselink import scenario as scenario_module
 from sparselink.cli import main
 
 from conftest import make_table
@@ -280,12 +281,13 @@ class TestReportFormats:
 
     def test_doc_round_trip(self):
         rep = CostReport("a", 1.25, math.inf, None, 3, 0, 3, False)
-        back = report_from_doc(json.loads(dumps_canonical(report_to_doc(rep))))
-        assert back == rep
+        back = json.loads(dumps_canonical(report_to_doc(rep)))
+        assert back == dataclasses.asdict(rep)
 
     def test_doc_round_trip_finite(self):
         rep = CostReport("b", 0.5, 0.75, 0.6, 1, 1, 0, True)
-        assert report_from_doc(report_to_doc(rep)) == rep
+        back = json.loads(dumps_canonical(report_to_doc(rep)))
+        assert back == dataclasses.asdict(rep)
 
 
 @pytest.mark.usefixtures("one_reweight")
@@ -336,8 +338,8 @@ class TestArtifacts:
         assert table == res.table
         outcome = outcome_from_doc(json.loads((tmp_path / "outcome.json").read_text()))
         assert outcome == res.outcome
-        report = report_from_doc(json.loads((tmp_path / "report.json").read_text()))
-        assert report == res.report
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report == dataclasses.asdict(res.report)
 
 
 def write_scenario(tmp_path, attack, name="case", **sections):
@@ -604,9 +606,18 @@ class TestCli:
             ({"n_nodes": 3, "seed": 0}, {"attacked_priorities": 5}),
             ({"n_nodes": 3, "seed": 0}, {"top_fraction": "x"}),
             ({"n_nodes": 3, "seed": 0}, {"attacked_top": [1]}),
+            ({"n_nodes": 3, "seed": 0}, {"attacked_top": 2.5}),
+            ({"n_nodes": 3, "seed": 0}, {"attacked_priorities": [1.7, "2"]}),
+            ({"n_nodes": 3, "seed": 0}, {"attacked_block": True}),
+            ({"n_nodes": 3, "seed": 0}, {"top_fraction": True}),
         ],
     )
-    def test_malformed_value_exit_four(self, tmp_path, capsys, generator, attack):
+    def test_malformed_value_exit_four(self, tmp_path, capsys, monkeypatch, generator, attack):
+        # rejected when the scenario loads, before any numerics
+        def no_sweep(*args, **kwargs):
+            pytest.fail("sparsity_sweep ran on a malformed scenario")
+
+        monkeypatch.setattr(scenario_module, "sparsity_sweep", no_sweep)
         scenario = write_scenario(tmp_path, attack, plant={"generator": generator})
         assert main(["run", "--scenario", str(scenario)]) == 4
         assert "input error" in capsys.readouterr().err

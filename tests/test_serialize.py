@@ -96,6 +96,11 @@ class TestPatternDoc:
             pattern_from_doc({"mask": [[True]]})
         with pytest.raises(InvalidAssumption):
             pattern_from_doc([[True]])
+        # block sizes are integers, not truncated floats or numeric strings
+        with pytest.raises(InvalidAssumption):
+            pattern_from_doc({"mask": [[True]], "rowBlockSizes": [1.9], "colBlockSizes": [1]})
+        with pytest.raises(InvalidAssumption):
+            pattern_from_doc({"mask": [[True]], "rowBlockSizes": [1], "colBlockSizes": ["2"]})
 
 
 class TestTableDoc:
@@ -114,6 +119,12 @@ class TestTableDoc:
             table_from_doc([{"i": 0, "j": 0}])
         with pytest.raises(InvalidAssumption):
             table_from_doc({"not": "a list"})
+        row = {"i": 0, "j": 0, "q": 1, "s": 1, "values": [1.0]}
+        assert table_from_doc([row]).rows[0].i == 0
+        with pytest.raises(InvalidAssumption):
+            table_from_doc([dict(row, i=0.9)])
+        with pytest.raises(InvalidAssumption):
+            table_from_doc([dict(row, j="0")])
 
 
 class TestOutcomeDoc:
@@ -137,11 +148,16 @@ class TestOutcomeDoc:
         again = dumps_canonical(outcome_to_doc(outcome_from_doc(json.loads(text))))
         assert again == text
 
-    def test_malformed(self):
+    def test_malformed(self, ex1_table):
         with pytest.raises(InvalidAssumption):
             outcome_from_doc({"feasible": True})
         with pytest.raises(InvalidAssumption):
             outcome_from_doc("nope")
+        doc = outcome_to_doc(reroute_uniform(ex1_table, {3, 7, 8}))
+        with pytest.raises(InvalidAssumption):
+            outcome_from_doc(dict(doc, feasible="false"))
+        with pytest.raises(InvalidAssumption):
+            outcome_from_doc(dict(doc, rerouted=[1.5]))
 
 
 class TestGainDoc:
@@ -150,19 +166,12 @@ class TestGainDoc:
         pattern = SparsityPattern.diagonal(plant.partition)
         info = synthesize_structured_info(plant, pattern)
         doc = json.loads(dumps_canonical(gain_to_doc(info, pattern)))
-        gain, meta = gain_from_doc(doc, plant.partition)
+        gain = gain_from_doc(doc, plant.partition)
         assert np.array_equal(gain.K, info.gain.K)
-        assert meta["J"] == info.cost
-        assert meta["iterations"] == info.iterations
-        assert meta["converged"] == info.converged
+        assert doc["J"] == info.cost
+        assert doc["iterations"] == info.iterations
+        assert doc["converged"] == info.converged
         assert doc["pattern"] == [[bool(v) for v in row] for row in pattern.mask]
-
-    def test_defaults_for_missing_meta(self):
-        part = BlockPartition((1,), (2,))
-        gain, meta = gain_from_doc({"K": [[1.0, 2.0]]}, part)
-        assert math.isnan(meta["J"])
-        assert meta["iterations"] == 0
-        assert meta["converged"] is False
 
     def test_shape_checked(self):
         part = BlockPartition((1,), (2,))
@@ -211,6 +220,17 @@ class TestAttackDoc:
             attack_from_doc({"attacked_top": 1, "top_fraction": 0.5}, 9)
         with pytest.raises(InvalidAssumption):
             attack_from_doc([1, 2], 9)
+        # values are rejected, not truncated or coerced
+        for doc in (
+            {"attacked_top": 2.5},
+            {"attacked_priorities": [1.7, "2"]},
+            {"attacked_priorities": "12"},
+            {"attacked_block": True},
+            {"top_fraction": True},
+            {"top_fraction": "0.5"},
+        ):
+            with pytest.raises(InvalidAssumption):
+                attack_from_doc(doc, 5)
 
 
 class TestFileIo:

@@ -1,5 +1,4 @@
 """Structured synthesis: augmented Lagrangian, inner solver, outer loop."""
-import math
 
 import numpy as np
 import pytest
@@ -9,7 +8,6 @@ from conftest import fd_gradient, perturbed_gain, single_node_plant
 from sparselink import (
     BlockPartition,
     GainMatrix,
-    LostStabilizability,
     LtiPlant,
     NotStabilizing,
     PatternNotStabilizable,
@@ -19,8 +17,6 @@ from sparselink import (
     cost_gradient,
     is_stabilizing,
     lqr_centralized,
-    minimize_inner,
-    synthesize_structured,
     synthesize_structured_info,
 )
 from sparselink import descent, structured
@@ -112,8 +108,10 @@ class TestMinimizeInner:
         plant = two_node_plant(1)
         pattern = SparsityPattern.diagonal(plant.partition)
         kc = lqr_centralized(plant)
-        out = minimize_inner(plant, np.zeros((plant.m, plant.n)), 0.0, pattern, kc)
-        assert np.linalg.norm(out.K - kc.K) <= 1e-8 * (1.0 + np.linalg.norm(kc.K))
+        res = structured._inner_solve(plant, kc.K, np.zeros((plant.m, plant.n)), 0.0,
+                                      pattern.complement_identity(), structured._INNER_TOL)
+        assert res.status == descent.CONVERGED
+        assert np.linalg.norm(res.x - kc.K) <= 1e-8 * (1.0 + np.linalg.norm(kc.K))
 
     def test_inner_tolerance_contract(self):
         rng = np.random.default_rng(47)
@@ -121,31 +119,20 @@ class TestMinimizeInner:
         pattern = SparsityPattern.diagonal(plant.partition)
         lam = 0.1 * rng.standard_normal((plant.m, plant.n))
         gamma = 5.0
-        out = minimize_inner(plant, lam, gamma, pattern, lqr_centralized(plant))
         comp = pattern.complement_identity()
-        g = _AugLagEval(plant, out.K, lam, gamma, comp).gradient()
-        assert np.linalg.norm(g) <= structured._INNER_TOL * (1.0 + np.linalg.norm(out.K))
-        assert is_stabilizing(plant, out)
-
-    def test_lost_stability_is_typed(self, monkeypatch):
-        # the same error sparse_gain raises when its descent loses stability
-        def lost(make_eval, x0, **kwargs):
-            ev = make_eval(x0)
-            return descent.DescentResult(x0, ev.value, ev.gradient(), 0, descent.LOST_STABILITY)
-
-        monkeypatch.setattr(structured, "descend", lost)
-        plant = two_node_plant(1)
-        pattern = SparsityPattern.diagonal(plant.partition)
-        with pytest.raises(LostStabilizability):
-            minimize_inner(plant, np.zeros((plant.m, plant.n)), 1.0, pattern,
-                           lqr_centralized(plant))
+        res = structured._inner_solve(plant, lqr_centralized(plant).K, lam, gamma, comp,
+                                      structured._INNER_TOL)
+        assert res.status == descent.CONVERGED
+        g = _AugLagEval(plant, res.x, lam, gamma, comp).gradient()
+        assert np.linalg.norm(g) <= structured._INNER_TOL * (1.0 + np.linalg.norm(res.x))
+        assert is_stabilizing(plant, res.x)
 
 
 class TestSynthesizeStructured:
     def test_full_pattern_matches_lqr(self):
         plant = two_node_plant(3)
         kc = lqr_centralized(plant)
-        k = synthesize_structured(plant, SparsityPattern.full(plant.partition))
+        k = synthesize_structured_info(plant, SparsityPattern.full(plant.partition)).gain
         assert np.linalg.norm(k.K - kc.K) <= 1e-5 * (1.0 + np.linalg.norm(kc.K))
 
     def test_block_diagonal_plant_decouples(self):
@@ -164,7 +151,7 @@ class TestSynthesizeStructured:
         part = BlockPartition((1, 1, 1), (2, 2, 2))
         plant = LtiPlant(a, b, 0.5 * np.eye(6), np.eye(6), 10.0 * np.eye(3), part)
         expected = block_diag(*gains)
-        k = synthesize_structured(plant, SparsityPattern.diagonal(part))
+        k = synthesize_structured_info(plant, SparsityPattern.diagonal(part)).gain
         assert np.linalg.norm(k.K - expected) <= 1e-5 * (1.0 + np.linalg.norm(expected))
 
     def test_exact_zeros_and_cost_bound(self):
@@ -239,14 +226,14 @@ class TestSynthesizeStructured:
         bad = GainMatrix(np.zeros((2, 2)), plant.partition)
         assert not is_stabilizing(plant, bad)
         with pytest.raises(NotStabilizing):
-            synthesize_structured(plant, SparsityPattern.full(plant.partition), init=bad)
+            synthesize_structured_info(plant, SparsityPattern.full(plant.partition), init=bad)
 
     def test_pattern_not_stabilizable(self, monkeypatch):
         monkeypatch.setattr(structured, "_MAX_OUTER", 8)
         plant = cross_coupled_plant()
         pattern = SparsityPattern.diagonal(plant.partition)
         with pytest.raises(PatternNotStabilizable):
-            synthesize_structured(plant, pattern)
+            synthesize_structured_info(plant, pattern)
 
     def test_on_pattern_init_checked_once(self, monkeypatch):
         # an init on the pattern is its own first projection
