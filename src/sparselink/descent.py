@@ -1,11 +1,11 @@
 """Monotone first-order descent with Armijo backtracking.
 
-Shared by the augmented-Lagrangian inner solver, the sparse-synthesis
-gain update, and the structured polish. Objectives may return +inf for
-infeasible (non-stabilizing) trial points; such trials are rejected by the
-line search and no arithmetic is ever performed on the sentinel. Step sizes
-are seeded by a Barzilai-Borwein estimate and safeguarded by backtracking,
-so accepted values decrease strictly.
+Shared by the augmented-Lagrangian inner solver, the structured polish,
+and the unpenalized (beta = 0) sparse-synthesis solve. Objectives may
+return +inf for infeasible (non-stabilizing) trial points; such trials are
+rejected by the line search and no arithmetic is ever performed on the
+sentinel. Step sizes are seeded by a Barzilai-Borwein estimate and
+safeguarded by backtracking, so accepted values decrease strictly.
 """
 from __future__ import annotations
 

@@ -33,6 +33,7 @@ from .reroute import (
     reroute_uniform,
 )
 from .serialize import (
+    _integer,
     attack_from_doc,
     attack_spec,
     dumps_canonical,
@@ -61,10 +62,8 @@ class GeneratorSpec:
 
     def __post_init__(self):
         for name in ("n_nodes", "seed", "node_state", "node_input"):
-            value = getattr(self, name)
-            if not isinstance(value, numbers.Integral):
-                raise InvalidAssumption(f"generator {name} must be an integer, got {value!r}")
-        if not isinstance(self.delta, numbers.Real):
+            _integer(getattr(self, name), f"generator {name}")
+        if isinstance(self.delta, bool) or not isinstance(self.delta, numbers.Real):
             raise InvalidAssumption(f"generator delta must be a number, got {self.delta!r}")
         if self.n_nodes < 2:
             raise InvalidAssumption(f"generator needs n_nodes >= 2, got {self.n_nodes}")

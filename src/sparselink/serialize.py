@@ -37,10 +37,29 @@ def _matrix_doc(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
+def _json_array(doc, name: str, leaf, ndim: int) -> np.ndarray:
+    """doc as an ndim-dimensional array of leaf (float or bool).
+    InvalidAssumption unless doc nests regularly and every entry is a JSON
+    value of that kind: a bool is not a number and a string is neither, so
+    neither is converted. DimensionMismatch for the wrong number of levels."""
+    if leaf is bool:
+        ok, kind = (lambda v: isinstance(v, bool)), "booleans"
+    else:
+        ok, kind = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)), "numbers"
+    try:
+        a = np.array(doc, dtype=object)
+    except ValueError as exc:
+        raise InvalidAssumption(f"{name} must be a regular array of {kind}") from exc
+    for v in a.flat:
+        if not ok(v):
+            raise InvalidAssumption(f"{name} must be a regular array of {kind}, got entry {v!r}")
+    if a.ndim != ndim:
+        raise DimensionMismatch(f"{name} must be an array of {ndim} dimensions, got {a.ndim}")
+    return a.astype(leaf)
+
+
 def _matrix_from(doc, name: str, rows: int | None = None, cols: int | None = None):
-    a = np.asarray(doc, dtype=float)
-    if a.ndim != 2:
-        raise DimensionMismatch(f"{name} must be a nested array of two levels")
+    a = _json_array(doc, name, float, 2)
     if rows is not None and a.shape[0] != rows:
         raise DimensionMismatch(f"{name} has {a.shape[0]} rows, expected {rows}")
     if cols is not None and a.shape[1] != cols:
@@ -118,8 +137,7 @@ def pattern_from_doc(doc: dict) -> SparsityPattern:
         _integers(doc["rowBlockSizes"], "rowBlockSizes"),
         _integers(doc["colBlockSizes"], "colBlockSizes"),
     )
-    mask = np.asarray(doc["mask"], dtype=bool)
-    return SparsityPattern(mask, partition)
+    return SparsityPattern(_json_array(doc["mask"], "mask", bool, 2), partition)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +168,7 @@ def table_from_doc(doc) -> PriorityTable:
                     j=_integer(entry["j"], "j"),
                     q=_integer(entry["q"], "q"),
                     size=_integer(entry["s"], "s"),
-                    values=tuple(float(v) for v in entry["values"]),
+                    values=tuple(_json_array(entry["values"], "values", float, 1).tolist()),
                 )
             )
         except (KeyError, TypeError, ValueError) as exc:

@@ -1,18 +1,16 @@
 """Sparsity-promoting feedback synthesis over a beta schedule.
 
-Minimizes J(K) + beta * sum_ij G_ij ||K_ij||_F by an ADMM split K = F:
-the K-update descends J(K) + (rho/2)||K - F + U||_F^2, the F-update is the
-blockwise soft-threshold with per-block threshold beta*G_ij/rho, and U is
-the scaled dual. Weights follow the reweighting rule G_ij = 1/(||K_ij|| + eps).
-
-The smooth part is nonconvex (and +inf off the stabilizing set), so plain
-ADMM can settle into a consensus limit cycle when the penalty asks for a
-block that stability cannot spare. Fixed points of the split coincide with
-fixed points of the proximal-gradient map K -> shrink(K - grad J / rho,
-beta G / rho), so when the best achieved objective stops improving, a
-monotone proximal-gradient refinement takes over from the best iterate and
-drives to the same kind of fixed point. The recorded objective trace is the
-accepted best-so-far sequence and is non-increasing by construction.
+Minimizes J(K) + beta * sum_ij G_ij ||K_ij||_F, with weights from the
+reweighting rule G_ij = 1/(||K_ij|| + eps), by monotone proximal gradient:
+the SpaRSA scheme of Wright, Nowak & Figueiredo (IEEE TSP 57(7), 2009).
+Each step soft-thresholds a gradient step on J block by block, so blocks
+below their threshold become exact zeros. The step length is a
+Barzilai-Borwein estimate, halved until the composite objective passes an
+Armijo test. J is +inf off the stabilizing set, so every accepted iterate
+is stabilizing. A solve stops at a fixed point of the proximal map
+K -> shrink(K - s grad J, s beta G) for the step s = _STEP, measured by the
+gradient-mapping residual. The recorded objective trace holds the start and
+every accepted objective, so it decreases strictly.
 
 A sweep warm-starts each beta from the previous solution, extracts the block
 pattern of the result, and polishes every pattern with the structured
@@ -26,27 +24,18 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import descent
 from .descent import ARMIJO_C1, ARMIJO_SHRINK, MAX_BACKTRACKS, descend, require_converged
-from .errors import (
-    DimensionMismatch,
-    InvalidAssumption,
-    LostStabilizability,
-    MaxIterations,
-    NotStabilizing,
-)
-from .h2 import _ClosedLoop, closed_loop_cost, is_stabilizing, lqr_centralized
+from .errors import DimensionMismatch, InvalidAssumption, MaxIterations, NotStabilizing
+from .h2 import _ClosedLoop, closed_loop_cost, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import synthesize_projected, synthesize_structured_info
 
 MAX_REWEIGHT = 3  # reweighting passes per beta
 EPSILON_REWEIGHT = 1e-3  # eps of the reweighting rule
 ZERO_THRESHOLD = 1e-6  # block norm at or below which a block is absent
-_RHO = 100.0  # initial ADMM penalty (residual balancing rescales it)
-_MAX_OUTER = 200
-_RESIDUAL_TOL = 1e-4  # primal and dual residual tolerance, relative to 1 + ||K||_F
-_KUPDATE_TOL = 1e-5
-_KUPDATE_MAX_ITER = 400
+_STEP = 0.01  # step of the fixed-point test and first trial step
+_RESIDUAL_TOL = 1e-4  # fixed-point residual tolerance, relative to 1 + ||K||_F
+_MAX_ITER = 400  # proximal-gradient iterations per solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,23 +79,6 @@ def block_soft_threshold(v: np.ndarray, thresholds: np.ndarray, partition: Block
     return np.where(partition.expand(keep), partition.expand(factor) * v, 0.0)
 
 
-class _ProxEval:
-    """J(K) + (rho/2)||K - anchor||_F^2 for the ADMM K-update."""
-
-    def __init__(self, plant, k, anchor, rho):
-        self.cl = _ClosedLoop(plant, k)
-        self._diff = k - anchor
-        self._rho = rho
-        j = self.cl.value
-        if math.isfinite(j):
-            self.value = j + 0.5 * rho * float(np.sum(self._diff * self._diff))
-        else:
-            self.value = math.inf
-
-    def gradient(self):
-        return self.cl.gradient() + self._rho * self._diff
-
-
 def _penalized_objective(cl, beta, weights, partition) -> float:
     """J(K) + beta * sum_ij G_ij ||K_ij||_F at the closed loop of K."""
     j = cl.value
@@ -121,7 +93,6 @@ class _SparseGainDetails:
     k: np.ndarray
     objective_trace: tuple[float, ...]
     iterations: int
-    converged: bool
 
 
 def sparse_gain(
@@ -130,7 +101,8 @@ def sparse_gain(
     weights: np.ndarray,
     init: GainMatrix,
 ) -> GainMatrix:
-    """Stabilizing fixed point of the ADMM scheme at one (beta, G)."""
+    """Stabilizing fixed point of the proximal-gradient map at one (beta, G),
+    reached from init by SpaRSA steps (see the module docstring)."""
     details = _sparse_gain_details(plant, beta, weights, init)
     return GainMatrix(details.k, plant.partition)
 
@@ -142,130 +114,35 @@ def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
     n_nodes = plant.partition.n_nodes
     if weights.shape != (n_nodes, n_nodes):
         raise DimensionMismatch(f"weights shape {weights.shape}, expected ({n_nodes},{n_nodes})")
-    k0 = init.K if isinstance(init, GainMatrix) else np.asarray(init, dtype=float)
-    cl = _ClosedLoop(plant, k0)
+    k = init.K if isinstance(init, GainMatrix) else np.asarray(init, dtype=float)
+    cl = _ClosedLoop(plant, k)
     if not cl.stable:
         raise NotStabilizing("initial gain must be stabilizing")
 
     if beta == 0.0:
         res = descend(
             lambda kk: _ClosedLoop(plant, kk),
-            k0,
+            k,
             grad_tol=1e-6,
             max_iter=5000,
         )
         require_converged(res, "unpenalized descent")
-        return _SparseGainDetails(res.x, (res.value,), res.iterations, True)
+        return _SparseGainDetails(res.x, (res.value,), res.iterations)
 
     partition = plant.partition
-    rho = _RHO
-    k = np.array(k0, dtype=float)
-    f = k.copy()
-    u = np.zeros_like(k)
-    best, best_cl = k.copy(), cl
-    best_obj = _penalized_objective(cl, beta, weights, partition)
-    trace: list[float] = [best_obj]
-    last = None
-
-    def make_eval(kk):
-        # The K-update's last evaluation is, unless the descent stalled, the
-        # point it returns; its closed loop then serves the objective below.
-        nonlocal last
-        last = _ProxEval(plant, kk, anchor, rho)
-        return last
-
-    converged = False
-    refined = False
-    stale = 0
-    it = 0
-    for it in range(_MAX_OUTER):
-        anchor = f - u
-        res = descend(
-            make_eval,
-            k,
-            grad_tol=_KUPDATE_TOL,
-            max_iter=_KUPDATE_MAX_ITER,
-        )
-        if res.status == descent.LOST_STABILITY:
-            raise LostStabilizability("every line-search step left the stabilizing set")
-        k = res.x
-        cl = last.cl if last.cl.k is k else _ClosedLoop(plant, k)
-        obj = _penalized_objective(cl, beta, weights, partition)
-        if obj < best_obj - 1e-12 * (1.0 + abs(best_obj)):
-            best, best_cl, best_obj, stale = k.copy(), cl, obj, 0
-        else:
-            if obj < best_obj:
-                best, best_cl, best_obj = k.copy(), cl, obj
-            stale += 1
-        trace.append(best_obj)
-        f_new = block_soft_threshold(k + u, beta * weights / rho, partition)
-        primal = float(np.linalg.norm(k - f_new))
-        dual = rho * float(np.linalg.norm(f_new - f))
-        u = u + k - f_new
-        f = f_new
-        scale = 1.0 + float(np.linalg.norm(k))
-        if primal <= _RESIDUAL_TOL * scale and dual <= _RESIDUAL_TOL * scale:
-            converged = True
-            break
-        if stale >= 5:
-            break
-        # Residual balancing keeps the penalty matched to the problem scale
-        # (the split's fixed points are the same for every rho; u is the
-        # scaled dual, so it rescales inversely).
-        if primal > 10.0 * dual:
-            rho *= 2.0
-            u *= 0.5
-        elif dual > 10.0 * primal:
-            rho *= 0.5
-            u *= 2.0
-    if not converged:
-        # Consensus stalled (or the budget ran out): finish with the
-        # monotone proximal-gradient refinement from the best iterate.
-        k, best_obj, tail, converged = _prox_refine(
-            plant, best, best_cl, best_obj, beta, weights
-        )
-        f = k
-        trace.extend(tail)
-        refined = True
-    if not converged:
-        raise MaxIterations(f"ADMM did not converge within {_MAX_OUTER} iterations")
-
-    # Prefer the exactly-sparse consensus variable when it is admissible.
-    k_final = k
-    if not refined:
-        if is_stabilizing(plant, f):
-            k_final = f
-        else:
-            pattern_f = SparsityPattern.from_gain(GainMatrix(f, partition), ZERO_THRESHOLD)
-            projected = k * pattern_f.structural_identity()
-            if is_stabilizing(plant, projected):
-                k_final = projected
-    return _SparseGainDetails(k_final, tuple(trace), it + 1, converged)
-
-
-def _prox_refine(plant, k, cl, obj, beta, weights):
-    """Monotone proximal-gradient refinement of the composite objective,
-    started from a stabilizing iterate k with closed loop cl. Terminates at
-    a fixed point of the contract's shrink(K - grad J / rho, beta G / rho)
-    map, measured by the gradient-mapping residual against the consensus
-    tolerance."""
-    partition = plant.partition
-    eta_ref = 1.0 / _RHO
-    eta = eta_ref
-    trace: list[float] = []
+    obj = _penalized_objective(cl, beta, weights, partition)
+    trace: list[float] = [obj]
+    eta = _STEP
     prev_k = None
     prev_grad = None
-
-    def _residual(point, grad):
-        ref = block_soft_threshold(
-            point - eta_ref * grad, eta_ref * beta * weights, partition
-        )
-        return float(np.linalg.norm(point - ref)) / eta_ref
-
-    for _ in range(_KUPDATE_MAX_ITER):
+    for it in range(_MAX_ITER + 1):
         grad = cl.gradient()
-        if _residual(k, grad) <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(k))):
-            return k, obj, trace, True
+        shrunk = block_soft_threshold(k - _STEP * grad, _STEP * beta * weights, partition)
+        residual = float(np.linalg.norm(k - shrunk)) / _STEP
+        if residual <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(k))):
+            return _SparseGainDetails(k, tuple(trace), it)
+        if it == _MAX_ITER:
+            raise MaxIterations(f"proximal gradient did not converge within {_MAX_ITER} iterations")
         if prev_k is not None:
             s = k - prev_k
             y = grad - prev_grad
@@ -276,9 +153,7 @@ def _prox_refine(plant, k, cl, obj, beta, weights):
         prev_k, prev_grad = k, grad
         accepted = False
         for _ in range(MAX_BACKTRACKS):
-            cand = block_soft_threshold(
-                k - eta * grad, eta * beta * weights, partition
-            )
+            cand = block_soft_threshold(k - eta * grad, eta * beta * weights, partition)
             step_sq = float(np.sum((cand - k) ** 2))
             if step_sq == 0.0:
                 break
@@ -291,10 +166,7 @@ def _prox_refine(plant, k, cl, obj, beta, weights):
                 break
             eta *= ARMIJO_SHRINK
         if not accepted:
-            break
-    grad = cl.gradient()
-    ok = _residual(k, grad) <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(k)))
-    return k, obj, trace, ok
+            raise MaxIterations(f"proximal gradient stalled after {it} iterations")
 
 
 def default_beta_schedule(j_centralized: float, count: int = 30) -> tuple[float, ...]:
@@ -307,7 +179,7 @@ def _checked_schedule(schedule) -> tuple[float, ...]:
     """The beta schedule as floats; InvalidAssumption unless it is a list of
     non-negative numbers in strictly increasing order."""
     if not isinstance(schedule, (list, tuple, np.ndarray)) or not all(
-        isinstance(b, numbers.Real) for b in schedule
+        isinstance(b, numbers.Real) and not isinstance(b, bool) for b in schedule
     ):
         raise InvalidAssumption(f"beta schedule must be a list of numbers, got {schedule!r}")
     sched = tuple(float(b) for b in schedule)

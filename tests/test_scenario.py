@@ -610,6 +610,8 @@ class TestCli:
             ({"n_nodes": 3, "seed": 0}, {"attacked_priorities": [1.7, "2"]}),
             ({"n_nodes": 3, "seed": 0}, {"attacked_block": True}),
             ({"n_nodes": 3, "seed": 0}, {"top_fraction": True}),
+            ({"n_nodes": 3, "seed": True}, None),
+            ({"n_nodes": 3, "seed": 0, "delta": True}, None),
         ],
     )
     def test_malformed_value_exit_four(self, tmp_path, capsys, monkeypatch, generator, attack):
@@ -630,6 +632,7 @@ class TestCli:
             {"sparsity": {"beta_schedule": ["x"]}},
             {"sparsity": {"beta_schedule": [0.05, 0.5], "max_reweight": 1}},
             {"synthesis": {"gamma0": 1.0}},
+            {"sparsity": {"beta_schedule": [True, 2]}},
         ],
     )
     def test_bad_or_removed_solver_setting_exit_four(self, tmp_path, capsys, sections):

@@ -74,6 +74,11 @@ class TestPlantDoc:
         doc["B"] = [[1.0, 0.0]]
         with pytest.raises(DimensionMismatch):
             plant_from_doc(doc)
+        good = plant_to_doc(generate_plant(2, 0))
+        a = good["A"]
+        for bad in ([["1.0"] * 4] + a[1:], [[True] * 4] + a[1:], [a[0][:3]] + a[1:]):
+            with pytest.raises(InvalidAssumption):
+                plant_from_doc(dict(good, A=bad))
 
     def test_non_object(self):
         with pytest.raises(InvalidAssumption):
@@ -101,6 +106,11 @@ class TestPatternDoc:
             pattern_from_doc({"mask": [[True]], "rowBlockSizes": [1.9], "colBlockSizes": [1]})
         with pytest.raises(InvalidAssumption):
             pattern_from_doc({"mask": [[True]], "rowBlockSizes": [1], "colBlockSizes": ["2"]})
+        # the mask holds JSON booleans only, nested regularly
+        sizes = {"rowBlockSizes": [1, 1], "colBlockSizes": [1, 1]}
+        for mask in ([["false", 0.5], [0, 1]], [[True, False], [True]], [[1, 0], [0, 1]]):
+            with pytest.raises(InvalidAssumption):
+                pattern_from_doc(dict(sizes, mask=mask))
 
 
 class TestTableDoc:
@@ -125,6 +135,10 @@ class TestTableDoc:
             table_from_doc([dict(row, i=0.9)])
         with pytest.raises(InvalidAssumption):
             table_from_doc([dict(row, j="0")])
+        # values are JSON numbers: no strings, bools or nested lists
+        for values in (["1.5"], [True], "12", [[1.0]]):
+            with pytest.raises(InvalidAssumption):
+                table_from_doc([dict(row, values=values)])
 
 
 class TestOutcomeDoc:
@@ -177,6 +191,9 @@ class TestGainDoc:
         part = BlockPartition((1,), (2,))
         with pytest.raises(DimensionMismatch):
             gain_from_doc({"K": [[1.0, 2.0, 3.0]]}, part)
+        for k in ([[1.0, "2.0"]], [[1.0, False]], [[1.0, 2.0], [3.0]]):
+            with pytest.raises(InvalidAssumption):
+                gain_from_doc({"K": k}, part)
         with pytest.raises(InvalidAssumption):
             gain_from_doc({}, part)
 

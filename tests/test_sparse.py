@@ -1,4 +1,5 @@
-"""Sparse feedback synthesis: shrinkage pieces, ADMM, and the beta sweep."""
+"""Sparse feedback synthesis: shrinkage pieces, the proximal-gradient
+solve for one beta, and the beta sweep."""
 import math
 
 import numpy as np
@@ -11,11 +12,13 @@ from sparselink import (
     GainMatrix,
     InvalidAssumption,
     LostStabilizability,
+    MaxIterations,
     NotStabilizing,
     SparsityPattern,
     block_frobenius,
     block_soft_threshold,
     closed_loop_cost,
+    cost_gradient,
     default_beta_schedule,
     generate_plant,
     is_stabilizing,
@@ -159,7 +162,29 @@ class TestSparseGain:
         assert len(trace) >= 2
         for prev, cur in zip(trace, trace[1:]):
             assert cur <= prev + 1e-10 * (1.0 + abs(prev))
-        assert details.converged
+
+    def test_iteration_cap_is_typed(self, monkeypatch):
+        monkeypatch.setattr(sparse, "_MAX_ITER", 1)
+        plant = generate_plant(3, 2)
+        kc = lqr_centralized(plant)
+        beta = 0.02 * closed_loop_cost(plant, kc)
+        with pytest.raises(MaxIterations):
+            sparse_gain(plant, beta, np.ones((3, 3)), kc)
+
+    @pytest.mark.parametrize("seed", [0, 2, 4])
+    @pytest.mark.parametrize("beta_rel", [1e-3, 0.05, 1.0])
+    def test_result_is_fixed_point(self, seed, beta_rel):
+        plant = generate_plant(3, seed)
+        kc = lqr_centralized(plant)
+        beta = beta_rel * closed_loop_cost(plant, kc)
+        weights = reweight(block_frobenius(kc), sparse.EPSILON_REWEIGHT)
+        gain = sparse_gain(plant, beta, weights, kc)
+        step = 0.01
+        shrunk = block_soft_threshold(
+            gain.K - step * cost_gradient(plant, gain), step * beta * weights, plant.partition
+        )
+        residual = np.linalg.norm(gain.K - shrunk) / step
+        assert residual <= sparse._RESIDUAL_TOL * (1.0 + np.linalg.norm(gain.K))
 
     def test_intermediate_beta_partial_sparsity(self):
         # block count pinned from a reference run of this exact instance
