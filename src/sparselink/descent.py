@@ -1,11 +1,18 @@
-"""Monotone first-order descent with Armijo backtracking.
+"""Monotone descent with Armijo backtracking.
 
 Shared by the augmented-Lagrangian inner solver, the structured polish,
-and the unpenalized (beta = 0) sparse-synthesis solve. Objectives may
-return +inf for infeasible (non-stabilizing) trial points; such trials are
-rejected by the line search and no arithmetic is ever performed on the
-sentinel. Step sizes are seeded by a Barzilai-Borwein estimate and
-safeguarded by backtracking, so accepted values decrease strictly.
+the unpenalized (beta = 0) sparse-synthesis solve and the removal-loss
+re-optimizations of priority.rank_links. Objectives may return +inf for
+infeasible (non-stabilizing) trial points; such trials are rejected by the
+line search and no arithmetic is ever performed on the sentinel. Accepted
+values decrease strictly.
+
+By default the direction is the negative (masked) gradient and step sizes
+are seeded by a Barzilai-Borwein estimate. A caller holding a Newton model
+passes a preconditioner instead: the direction is then -M g for a fixed
+positive definite M (priority.rank_links uses the inverse Hessian of J at
+the base optimum, downdated for the removed block), and every iteration
+tries the unit step first.
 """
 from __future__ import annotations
 
@@ -47,17 +54,24 @@ def descend(
     max_iter: int,
     mask: np.ndarray | None = None,
     max_backtracks: int = MAX_BACKTRACKS,
+    start=None,
+    precondition=None,
 ) -> DescentResult:
     """Minimize a smooth objective from a feasible start.
 
     make_eval(x) must return an object with a float attribute `value`
     (+inf allowed for infeasible points) and a `gradient()` method that is
-    only called at finite-value points. With a mask, descent is restricted
-    to the masked entries and convergence is measured on the masked
-    gradient: ||grad * mask||_F <= grad_tol * (1 + ||x||_F).
+    only called at finite-value points. start, when given, is the caller's
+    make_eval(x0), so x0 is not evaluated again. With a mask, descent is
+    restricted to the masked entries and convergence is measured on the
+    masked gradient: ||grad * mask||_F <= grad_tol * (1 + ||x||_F).
+    precondition(g), when given, returns the direction -M g for a positive
+    definite M that is zero off the mask; each iteration then tries the
+    unit step first (see the module docstring), and a direction along
+    which J does not decrease ends the descent as stalled.
     """
     x = np.array(x0, dtype=float)
-    ev = make_eval(x)
+    ev = make_eval(x) if start is None else start
     f = ev.value
     if not math.isfinite(f):
         raise NotStabilizing("descent requires a feasible starting point")
@@ -70,6 +84,12 @@ def descend(
         gnorm = math.sqrt(-slope)
         if gnorm <= grad_tol * (1.0 + float(np.linalg.norm(x))):
             return DescentResult(x, f, g, it, CONVERGED)
+        if precondition is not None:
+            d = precondition(g)
+            slope = float(np.sum(g * d))
+            if not slope < 0.0:  # not a descent direction: no step can pass Armijo
+                return DescentResult(x, f, g, it, STALLED)
+            step = 1.0
 
         tau = min(max(step, _STEP_MIN), _STEP_MAX)
         accepted = None

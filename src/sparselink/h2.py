@@ -4,19 +4,26 @@ The closed loop is A_cl = A - B K. The cost of a stabilizing gain is
 
     J(K) = trace(W^T P W),   A_cl^T P + P A_cl + Q + K^T R K = 0,
 
-and its gradient is grad J(K) = 2 (R K - B^T P) L with L the closed-loop
-controllability Gramian, A_cl L + L A_cl^T + W W^T = 0. Both Gramians share
-one real Schur factorization of A_cl (Bartels-Stewart via LAPACK trsyl).
+and its gradient is grad J(K) = 2 E L with E = R K - B^T P and L the
+closed-loop controllability Gramian, A_cl L + L A_cl^T + W W^T = 0. Its
+Hessian applied to a direction D is
+
+    H[D] = 2 (R D - B^T P~) L + 2 E L~,
+
+where A_cl^T P~ + P~ A_cl + D^T E + E^T D = 0 and
+A_cl L~ + L~ A_cl^T - B D L - L D^T B^T = 0 are the first-order changes of
+P and L along D. All these Lyapunov equations share one real Schur
+factorization of A_cl (Bartels-Stewart via LAPACK trsyl).
 Non-stabilizing gains map to J = +inf; optimizers must treat that value as
 a line-search rejection and never do arithmetic with it.
 """
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
-from scipy.linalg import schur
-from scipy.linalg.lapack import dtrsyl
+from scipy.linalg.lapack import dgees, dtrsyl
 
 from .errors import (
     DimensionMismatch,
@@ -33,14 +40,37 @@ _RICCATI_TOL = 1e-10
 _RICCATI_MAX_ITER = 100
 
 
+def _no_sort(x, y=None):
+    return None
+
+
+@functools.cache
+def _gees_lwork(n: int) -> int:
+    """Optimal dgees work size for order n. LAPACK's workspace query depends
+    on n alone, so one query per order serves every matrix."""
+    work = dgees(_no_sort, np.zeros((n, n)), lwork=-1)[-2]
+    return int(work[0])
+
+
 def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     """Real Schur form a = Z T Z^T and the spectral abscissa max Re eig(a).
 
-    LAPACK returns T in standardized form: the two diagonal entries of a
-    2x2 block (a complex pair) are equal to its real part, so the abscissa
-    is max diag(T).
+    The dgees call of scipy.linalg.schur(a, output="real") with its checks
+    and errors, minus the per-call workspace query and lookup. LAPACK
+    returns T in standardized form: the two diagonal entries of a 2x2 block
+    (a complex pair) are equal to its real part, so the abscissa is
+    max diag(T).
     """
-    t, z = schur(a, output="real")
+    a = np.asarray_chkfinite(a)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError("expected square matrix")
+    if a.size == 0:
+        raise ValueError("an empty matrix has no spectral abscissa")
+    t, _, _, _, z, _, info = dgees(_no_sort, a, lwork=_gees_lwork(a.shape[0]))
+    if info < 0:
+        raise ValueError(f"illegal value in {-info}-th argument of internal gees")
+    if info > 0:
+        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
     return t, z, float(np.max(np.diag(t)))
 
 
@@ -63,7 +93,8 @@ class _ClosedLoop:
     Gramians, cost, and gradient. Internal work happens on raw arrays.
 
     value and gradient() are the evaluation form descent.descend takes; the
-    Lyapunov solves run only when one of them is asked for.
+    Lyapunov solves run only when one of them is asked for. hessian() adds
+    two solves per column on the same factor.
     """
 
     def __init__(self, plant: LtiPlant, k: np.ndarray):
@@ -101,6 +132,32 @@ class _ClosedLoop:
         p = self.obs_gramian()
         l = self.ctrl_gramian()
         return 2.0 * (self.plant.R @ self.k - self.plant.B.T @ p) @ l
+
+    def hessian(self, free: np.ndarray) -> np.ndarray:
+        """Hessian of J restricted to the entries where the boolean m x n
+        mask free is set, in row-major order of those entries: column c is
+        H[D_c] (module docstring) at the unit direction D_c of entry c.
+        Symmetrized against rounding."""
+        if not self.stable:
+            raise NotStabilizing("Hessian undefined for a non-stabilizing gain")
+        plant, t, z = self.plant, self._t, self._z
+        p, l = self.obs_gramian(), self.ctrl_gramian()
+        e = plant.R @ self.k - plant.B.T @ p
+        rows, cols = np.nonzero(free)
+        h = np.empty((rows.size, rows.size), order="F")  # LAPACK's order: factored in place
+        d = np.zeros_like(self.k)
+        for c, (i, j) in enumerate(zip(rows, cols)):
+            d[i, j] = 1.0
+            de = d.T @ e
+            p_dot = _lyapunov_factored(t, z, de + de.T, transposed=True)
+            bdl = plant.B @ d @ l
+            l_dot = _lyapunov_factored(t, z, -(bdl + bdl.T), transposed=False)
+            hd = 2.0 * (plant.R @ d - plant.B.T @ p_dot) @ l + 2.0 * e @ l_dot
+            h[:, c] = hd[rows, cols]
+            d[i, j] = 0.0
+        h += h.T
+        h *= 0.5
+        return h
 
 
 def _gain_array(plant: LtiPlant, gain) -> np.ndarray:

@@ -125,6 +125,7 @@ def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
             k,
             grad_tol=1e-6,
             max_iter=5000,
+            start=cl,
         )
         require_converged(res, "unpenalized descent")
         return _SparseGainDetails(res.x, (res.value,), res.iterations)

@@ -10,6 +10,10 @@ by Lam + g (K o Ic) and the penalty grows geometrically until the structural
 violation ||K o Ic||_F drops below _EPS_STOP. A final hard projection onto
 the pattern plus a projected-gradient polish removes the residual violation
 exactly while restoring stationarity on the free entries.
+
+Every closed loop the method factors serves all its later uses: an inner
+solve starts from the evaluation its predecessor ended on, and the polish
+from the stability check of the projection it starts at.
 """
 from __future__ import annotations
 
@@ -21,7 +25,7 @@ import numpy as np
 from . import descent
 from .descent import descend
 from .errors import MaxIterations, NotStabilizing, PatternNotStabilizable
-from .h2 import _ClosedLoop, is_stabilizing, lqr_centralized
+from .h2 import _ClosedLoop, lqr_centralized
 from .plant import GainMatrix, LtiPlant, SparsityPattern
 
 # The penalty starts at _GAMMA0 and grows by _ALPHA per multiplier update, at
@@ -48,13 +52,14 @@ class SynthesisInfo:
 
 
 class _AugLagEval:
-    """Value/gradient of L_g at a fixed multiplier and penalty."""
+    """Value/gradient of L_g at a fixed multiplier and penalty, on the
+    closed loop cl of the gain."""
 
-    def __init__(self, plant, k, lam, gamma, comp_identity):
-        self._cl = _ClosedLoop(plant, k)
+    def __init__(self, cl, lam, gamma, comp_identity):
+        self._cl = cl
         self._lam = lam
         self._gamma = gamma
-        self._viol = k * comp_identity
+        self._viol = cl.k * comp_identity
         self._comp = comp_identity
         j = self._cl.value
         if math.isfinite(j):
@@ -73,22 +78,36 @@ class _AugLagEval:
 def augmented_lagrangian(plant: LtiPlant, gain, multiplier, gamma: float, pattern: SparsityPattern) -> float:
     """L_g value at a stabilizing gain; raises NotStabilizing otherwise."""
     k = gain.K if isinstance(gain, GainMatrix) else np.asarray(gain, dtype=float)
-    ev = _AugLagEval(plant, k, np.asarray(multiplier, dtype=float), gamma,
+    ev = _AugLagEval(_ClosedLoop(plant, k), np.asarray(multiplier, dtype=float), gamma,
                      pattern.complement_identity())
     if not math.isfinite(ev.value):
         raise NotStabilizing("augmented Lagrangian undefined for a non-stabilizing gain")
     return ev.value
 
 
-def _inner_solve(plant, k, lam, gamma, comp, grad_tol):
-    """Descent of L_g over unstructured K at a fixed multiplier and penalty."""
-    return descend(
-        lambda kk: _AugLagEval(plant, kk, lam, gamma, comp),
-        k,
+def _inner_solve(plant, cl, lam, gamma, comp, grad_tol):
+    """Descent of L_g over unstructured K at a fixed multiplier and penalty
+    from the closed loop cl; returns the descent result and the closed loop
+    of its end point."""
+    end = cl
+
+    def make_eval(kk):
+        nonlocal end
+        end = _ClosedLoop(plant, kk)
+        return _AugLagEval(end, lam, gamma, comp)
+
+    res = descend(
+        make_eval,
+        cl.k,
         grad_tol=grad_tol,
         max_iter=_INNER_MAX_ITER,
         max_backtracks=_MAX_BACKTRACKS,
+        start=_AugLagEval(cl, lam, gamma, comp),
     )
+    if res.iterations == 0:
+        return res, cl  # res.x is a copy of cl.k
+    # The accepted trial is the last evaluation unless the line search failed.
+    return res, end if end.k is res.x else _ClosedLoop(plant, res.x)
 
 
 def synthesize_projected(
@@ -115,34 +134,36 @@ def synthesize_structured_info(
     comp = pattern.complement_identity()
     ident = pattern.structural_identity()
 
-    # An init on the pattern is its own first projection: one check serves both.
+    # An init on the pattern is its own first projection (k * ident equals
+    # it bit for bit): one closed loop serves both.
     init_on_pattern = False
     if init is None:
-        k = lqr_centralized(plant).K
+        cl = _ClosedLoop(plant, lqr_centralized(plant).K)
     else:
-        k = np.array(init.K, dtype=float)
-        if not is_stabilizing(plant, k):
+        cl = _ClosedLoop(plant, np.array(init.K, dtype=float))
+        if not cl.stable:
             raise NotStabilizing("initial gain must be stabilizing")
-        init_on_pattern = not np.any(k * comp)
+        init_on_pattern = not np.any(cl.k * comp)
 
-    lam = np.zeros_like(k)
+    lam = np.zeros_like(cl.k)
     gamma = _GAMMA0
     best_projection = None
     tightened = False
 
     outer = 0
     for outer in range(_MAX_OUTER):
+        k = cl.k
         violation = float(np.linalg.norm(k * comp))
-        projected = k * ident
-        if (outer == 0 and init_on_pattern) or is_stabilizing(plant, projected):
-            best_projection = projected
+        projection = cl if outer == 0 and init_on_pattern else _ClosedLoop(plant, k * ident)
+        if projection.stable:
+            best_projection = projection
             if violation < _EPS_STOP:
                 tightened = True
                 break
         # Loose-to-tight inner tolerance keeps early outer iterations cheap.
         inner_tol = max(_INNER_TOL, 1e-2 / gamma)
-        k = _inner_solve(plant, k, lam, gamma, comp, inner_tol).x
-        lam = lam + gamma * (k * comp)
+        _, cl = _inner_solve(plant, cl, lam, gamma, comp, inner_tol)
+        lam = lam + gamma * (cl.k * comp)
         gamma = _ALPHA * gamma
 
     if best_projection is None:
@@ -150,7 +171,7 @@ def synthesize_structured_info(
             f"no stabilizing projected iterate within {_MAX_OUTER} outer iterations"
         )
 
-    res = _polish(plant, best_projection, ident)
+    res = _polish(plant, best_projection.k, ident, start=best_projection)
     final = res.x * ident  # exact zeros off-pattern regardless of float dust
     gnorm = float(np.linalg.norm(res.gradient * ident))
     stationary = gnorm <= 1e-5 * (1.0 + float(np.linalg.norm(final)))
@@ -164,8 +185,9 @@ def synthesize_structured_info(
     )
 
 
-def _polish(plant, k_projected, ident):
-    """Projected-gradient descent of J on the free entries."""
+def _polish(plant, k_projected, ident, *, start=None, precondition=None):
+    """Projected-gradient descent of J on the free entries (ident), or
+    preconditioned descent with precondition (descent.descend)."""
     return descend(
         lambda kk: _ClosedLoop(plant, kk),
         k_projected,
@@ -173,4 +195,6 @@ def _polish(plant, k_projected, ident):
         grad_tol=_POLISH_TOL,
         max_iter=_POLISH_MAX_ITER,
         max_backtracks=_MAX_BACKTRACKS,
+        start=start,
+        precondition=precondition,
     )

@@ -44,6 +44,7 @@ from sparselink import (
     table_to_doc,
     write_artifacts,
 )
+from sparselink.h2 import _ClosedLoop
 from sparselink.render import CHAR_ATTACKED, CHAR_REROUTED, CHAR_SACRIFICED
 from sparselink.structured import _AugLagEval
 
@@ -139,7 +140,7 @@ def test_criterion_04_gradient_oracle():
         lam = rng.standard_normal((plant.m, plant.n))
         gamma = float(rng.uniform(0.5, 8.0))
         g_al = _AugLagEval(
-            plant, gain.K, lam, gamma, pattern.complement_identity()
+            _ClosedLoop(plant, gain.K), lam, gamma, pattern.complement_identity()
         ).gradient()
         fd_al = fd_gradient(
             lambda kk: augmented_lagrangian(plant, kk, lam, gamma, pattern),

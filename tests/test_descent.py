@@ -57,6 +57,53 @@ def test_mask_restricts_updates():
     assert abs(res.x[1, 1] - 0.5) <= 1e-8
 
 
+def test_exact_inverse_hessian_converges_in_one_iteration():
+    # 0.5 x^T A x - b^T x: the unit step along -A^-1 g lands on A^-1 b
+    a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.2], [0.5, -0.2, 2.0]])
+    b = np.array([[1.0], [-2.0], [0.5]])
+
+    class _Spd:
+        def __init__(self, x):
+            self._g = a @ x - b
+            self.value = float(0.5 * np.sum(x * (a @ x)) - np.sum(b * x))
+
+        def gradient(self):
+            return self._g
+
+    res = descend(_Spd, np.full((3, 1), 5.0), grad_tol=1e-12, max_iter=50,
+                  precondition=lambda g: -np.linalg.solve(a, g))
+    assert res.status == CONVERGED
+    assert res.iterations == 1
+    assert np.allclose(res.x, np.linalg.solve(a, b), atol=1e-12)
+
+
+def test_ascent_preconditioner_stalls_without_a_step():
+    target = np.array([[1.0, -2.0]])
+    res = descend(lambda x: _Quadratic(x, target), np.zeros((1, 2)), grad_tol=1e-10,
+                  max_iter=50, precondition=lambda g: g)
+    assert res.status == STALLED
+    assert res.iterations == 0
+    assert np.array_equal(res.x, np.zeros((1, 2)))
+
+
+def test_start_evaluation_is_not_repeated():
+    target = np.array([[1.0, -2.0], [3.0, 0.5]])
+    x0 = np.zeros((2, 2))
+    evaluated = []
+
+    def make(x):
+        evaluated.append(x)
+        return _Quadratic(x, target)
+
+    plain = descend(make, x0, grad_tol=1e-10, max_iter=200)
+    n_plain = len(evaluated)
+    evaluated.clear()
+    started = descend(make, x0, grad_tol=1e-10, max_iter=200, start=_Quadratic(x0, target))
+    assert len(evaluated) == n_plain - 1
+    assert not any(x is x0 or np.array_equal(x, x0) for x in evaluated)
+    assert np.array_equal(started.x, plain.x) and started.iterations == plain.iterations
+
+
 def test_infeasible_trials_rejected():
     # optimum inside the feasible ball but far from the start; every accepted
     # iterate must stay feasible because +inf trials fail the Armijo test

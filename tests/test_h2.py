@@ -9,7 +9,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy.linalg import solve_continuous_are
+from scipy.linalg import schur, solve_continuous_are
 
 from conftest import (
     fd_gradient,
@@ -33,7 +33,7 @@ from sparselink import (
     lqr_centralized,
     solve_lyapunov,
 )
-from sparselink.h2 import _ClosedLoop
+from sparselink.h2 import _ClosedLoop, _real_schur
 
 
 def scalar_plant(a=0.0, b=1.0, w=1.0, q=1.0, r=1.0):
@@ -156,6 +156,51 @@ class TestCostGradient:
         g = cost_gradient(plant, gain)
         fd = fd_gradient(lambda k: closed_loop_cost(plant, k), gain.K, step=1e-5)
         assert np.linalg.norm(g - fd) <= 1e-4 * (1.0 + np.linalg.norm(fd))
+
+
+class TestHessian:
+    def test_scalar_analytic(self):
+        # J(k) = (1 + k^2)/(2k) has J''(k) = 1/k^3
+        h = _ClosedLoop(scalar_plant(), np.array([[2.0]])).hessian(np.ones((1, 1), bool))
+        assert h[0, 0] == pytest.approx(0.125, abs=1e-12)
+
+    def test_fd_of_gradient_on_free_entries(self):
+        rng = np.random.default_rng(31)
+        plant = single_node_plant(rng, 4, 2)
+        gain = perturbed_gain(rng, plant, np.zeros((2, 4)))
+        free = np.array([[True, False, True, True], [False, True, True, False]])
+        h = _ClosedLoop(plant, gain.K).hessian(free)
+        rows, cols = np.nonzero(free)
+        fd = np.empty_like(h)
+        for c, (i, j) in enumerate(zip(rows, cols)):
+            step = np.zeros_like(gain.K)
+            step[i, j] = 1e-5
+            g_diff = cost_gradient(plant, gain.K + step) - cost_gradient(plant, gain.K - step)
+            fd[:, c] = g_diff[rows, cols] / 2e-5
+        assert np.array_equal(h, h.T)
+        assert np.linalg.norm(h - fd) <= 1e-6 * (1.0 + np.linalg.norm(fd))
+
+    def test_not_stabilizing_raises(self):
+        with pytest.raises(NotStabilizing):
+            _ClosedLoop(scalar_plant(), np.array([[-1.0]])).hessian(np.ones((1, 1), bool))
+
+
+class TestRealSchur:
+    @pytest.mark.parametrize("n", [1, 2, 5, 20])
+    def test_matches_scipy_schur_bitwise(self, n):
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            a = rng.standard_normal((n, n))
+            t, z, abscissa = _real_schur(a)
+            t_ref, z_ref = schur(a, output="real")
+            assert np.array_equal(t, t_ref) and np.array_equal(z, z_ref)
+            assert abscissa == pytest.approx(np.max(np.linalg.eigvals(a).real), abs=1e-10)
+
+    @pytest.mark.parametrize("a", [np.array([[np.nan]]), np.array([[np.inf, 0.0], [0.0, 1.0]]),
+                                   np.ones((2, 3)), np.zeros((0, 0))])
+    def test_rejects_what_scipy_rejects(self, a):
+        with pytest.raises(ValueError):
+            _real_schur(a)
 
 
 class TestLqrCentralized:

@@ -1,8 +1,11 @@
 """Link priority tables, removal losses, and sweep-based ranking."""
+import dataclasses
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
 from conftest import EX1_K, EX1_PRIORITIES, EX1_ROWS, EX2_PRIORITIES, EX2_ROWS
@@ -14,6 +17,7 @@ from sparselink import (
     IndexOutOfRange,
     InvalidAssumption,
     LtiPlant,
+    PatternNotStabilizable,
     PriorityRow,
     PriorityTable,
     SparsityPattern,
@@ -22,9 +26,12 @@ from sparselink import (
     generate_plant,
     rank_links,
     removal_loss,
+    sparsity_sweep,
     synthesize_structured_info,
     table_from_gain,
 )
+from sparselink import descent, h2, priority
+from sparselink.structured import synthesize_projected
 
 
 class TestPriorityTable:
@@ -290,3 +297,129 @@ class TestRankLinks:
         sweep = SweepResult((entry(1.0, gain, [[0, 0], [0, 0]], part),))
         with pytest.raises(EmptySweep):
             rank_links(plant, sweep)
+
+
+# Betas small against J(K_c) ~ 0.3 of the generated plants, so the first
+# entry keeps most blocks and rank_links has tied groups to order.
+LOSS_SCHEDULE = (0.001, 0.01)
+
+
+def reference_loss(plant, pattern, block, *, base_cost, base_gain):
+    """removal_loss by a warm-started structured synthesis of the reduced
+    pattern, with no Newton model."""
+    try:
+        info = synthesize_projected(plant, pattern.without_block(*block), base_gain)
+    except PatternNotStabilizable:
+        return math.inf
+    return info.cost - base_cost
+
+
+def ranked_with(plant, sweep, loss):
+    """rank_links with priority.removal_loss replaced by loss; returns the
+    block order and the losses it asked for."""
+    losses = {}
+
+    def recording(*args, **kwargs):
+        losses[args[2]] = loss(*args, **kwargs)
+        return losses[args[2]]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(priority, "removal_loss", recording)
+        table = rank_links(plant, sweep)
+    return [(r.i, r.j) for r in table.rows], losses
+
+
+class TestNewtonRemovalLoss:
+    @settings(max_examples=25, deadline=None)
+    @given(n_nodes=st.integers(2, 4), seed=st.integers(0, 10_000))
+    def test_matches_reference_synthesis(self, n_nodes, seed):
+        plant = generate_plant(n_nodes, seed)
+        sweep = sparsity_sweep(plant, LOSS_SCHEDULE)
+        base_cost = sweep.entries[0].cost_polished
+        order, losses = ranked_with(plant, sweep, removal_loss)
+        ref_order, ref_losses = ranked_with(plant, sweep, reference_loss)
+        assert losses.keys() == ref_losses.keys()
+        agree = True
+        for blk, ref in ref_losses.items():
+            if math.isinf(ref):
+                assert losses[blk] == ref
+                continue
+            tol = 1e-9 * (base_cost + ref)
+            # The reduced problem can have several local minima, and the
+            # Newton start may reach a lower one than the projected start;
+            # it must never end higher.
+            assert losses[blk] <= ref + tol
+            agree = agree and losses[blk] >= ref - tol
+        if agree:
+            assert order == ref_order
+
+    def test_newton_path_is_taken_and_cheaper(self, monkeypatch):
+        plant = generate_plant(5, 1)
+        sweep = sparsity_sweep(plant)
+        factored = []
+        schur = h2._real_schur
+
+        def counting(a):
+            factored.append(1)
+            return schur(a)
+
+        monkeypatch.setattr(h2, "_real_schur", counting)
+        _, ref_losses = ranked_with(plant, sweep, reference_loss)
+        n_reference = len(factored)
+        factored.clear()
+
+        def no_fallback(*args):
+            raise AssertionError("removal loss fell back to the structured synthesis")
+
+        monkeypatch.setattr(priority, "synthesize_projected", no_fallback)
+        _, losses = ranked_with(plant, sweep, removal_loss)
+        assert losses.keys() == ref_losses.keys() and len(losses) >= 10
+        assert 2 * len(factored) < n_reference
+
+    def test_finds_the_lower_of_two_local_minima(self):
+        # Removing block (0, 0) here leaves two local minima: the projected
+        # warm start descends into the higher one, the Newton start into the
+        # lower one, which a cold synthesis of the reduced pattern finds too.
+        plant = generate_plant(2, 98)
+        base = sparsity_sweep(plant, LOSS_SCHEDULE).entries[0]
+        kwargs = dict(base_cost=base.cost_polished, base_gain=base.polished_gain)
+        loss = removal_loss(plant, base.pattern, (0, 0), **kwargs)
+        ref = reference_loss(plant, base.pattern, (0, 0), **kwargs)
+        cold = synthesize_structured_info(plant, base.pattern.without_block(0, 0)).cost
+        assert loss < ref - 1e-3
+        assert loss + base.cost_polished == pytest.approx(cold, rel=1e-9)
+
+    @pytest.mark.parametrize("failure", ["indefinite_hessian", "unstable_start", "no_convergence"])
+    def test_fallback_gives_reference_loss(self, monkeypatch, failure):
+        if failure == "indefinite_hessian":
+            monkeypatch.setattr(h2._ClosedLoop, "hessian",
+                                lambda self, free: -np.eye(int(np.count_nonzero(free))))
+        else:
+            polish = priority._polish
+
+            def failing(plant, k, ident, **kwargs):
+                if failure == "unstable_start":
+                    # -1e3 on every free entry puts a large positive
+                    # eigenvalue into A - B K, so descend rejects the start
+                    return polish(plant, k - 1e3 * ident, ident, **kwargs)
+                return dataclasses.replace(polish(plant, k, ident, **kwargs),
+                                           status=descent.MAX_ITER)
+
+            monkeypatch.setattr(priority, "_polish", failing)
+        fallbacks = []
+
+        def counting(*args):
+            fallbacks.append(args)
+            return synthesize_projected(*args)
+
+        monkeypatch.setattr(priority, "synthesize_projected", counting)
+        plant = generate_plant(3, 4)
+        sweep = sparsity_sweep(plant, LOSS_SCHEDULE)
+        base = sweep.entries[0]
+        order, losses = ranked_with(plant, sweep, removal_loss)
+        assert len(fallbacks) == len(losses) >= 2
+        for blk, loss in losses.items():
+            assert loss == reference_loss(plant, base.pattern, blk,
+                                          base_cost=base.cost_polished,
+                                          base_gain=base.polished_gain)
+        assert order == ranked_with(plant, sweep, reference_loss)[0]

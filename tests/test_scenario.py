@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparselink import (
     AttackScenario,
@@ -206,6 +208,25 @@ class TestSelectReroute:
         attack = AttackScenario(frozenset({1}))
         out = select_reroute(ex1_table, attack)
         assert out == reroute_uniform(ex1_table, {1})
+
+
+@pytest.mark.usefixtures("one_reweight")
+class TestPipelineProperties:
+    # The fixture patches a module constant once for all examples.
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_nodes=st.integers(2, 3), seed=st.integers(0, 10_000),
+           fraction=st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0]))
+    def test_reroute_never_beats_pre_attack(self, n_nodes, seed, fraction):
+        res = run_pipeline(Scenario(
+            name="p",
+            generator=GeneratorSpec(n_nodes, seed),
+            beta_schedule=FAST_SCHEDULE,
+            attack={"top_fraction": fraction},
+        ))
+        rep = res.report
+        if rep.feasible:
+            assert rep.j_before <= rep.j_reroute + 1e-9
 
 
 @pytest.mark.usefixtures("one_reweight")

@@ -19,7 +19,8 @@ from sparselink import (
     lqr_centralized,
     synthesize_structured_info,
 )
-from sparselink import descent, structured
+from sparselink import descent, h2, structured
+from sparselink.h2 import _ClosedLoop
 from sparselink.structured import _AugLagEval
 
 
@@ -93,7 +94,7 @@ class TestAugmentedLagrangian:
         lam = rng.standard_normal((plant.m, plant.n))
         gamma = 4.0
         comp = pattern.complement_identity()
-        g = _AugLagEval(plant, k.K, lam, gamma, comp).gradient()
+        g = _AugLagEval(_ClosedLoop(plant, k.K), lam, gamma, comp).gradient()
         fd = fd_gradient(
             lambda kk: augmented_lagrangian(plant, kk, lam, gamma, pattern),
             k.K,
@@ -108,8 +109,9 @@ class TestMinimizeInner:
         plant = two_node_plant(1)
         pattern = SparsityPattern.diagonal(plant.partition)
         kc = lqr_centralized(plant)
-        res = structured._inner_solve(plant, kc.K, np.zeros((plant.m, plant.n)), 0.0,
-                                      pattern.complement_identity(), structured._INNER_TOL)
+        res, _ = structured._inner_solve(plant, _ClosedLoop(plant, kc.K),
+                                         np.zeros((plant.m, plant.n)), 0.0,
+                                         pattern.complement_identity(), structured._INNER_TOL)
         assert res.status == descent.CONVERGED
         assert np.linalg.norm(res.x - kc.K) <= 1e-8 * (1.0 + np.linalg.norm(kc.K))
 
@@ -120,12 +122,35 @@ class TestMinimizeInner:
         lam = 0.1 * rng.standard_normal((plant.m, plant.n))
         gamma = 5.0
         comp = pattern.complement_identity()
-        res = structured._inner_solve(plant, lqr_centralized(plant).K, lam, gamma, comp,
-                                      structured._INNER_TOL)
+        res, end = structured._inner_solve(plant, _ClosedLoop(plant, lqr_centralized(plant).K),
+                                           lam, gamma, comp, structured._INNER_TOL)
         assert res.status == descent.CONVERGED
-        g = _AugLagEval(plant, res.x, lam, gamma, comp).gradient()
+        assert np.array_equal(end.k, res.x)
+        g = _AugLagEval(end, lam, gamma, comp).gradient()
         assert np.linalg.norm(g) <= structured._INNER_TOL * (1.0 + np.linalg.norm(res.x))
         assert is_stabilizing(plant, res.x)
+
+    def test_held_start_and_end_not_factored_again(self, monkeypatch):
+        rng = np.random.default_rng(49)
+        plant = two_node_plant(2)
+        comp = SparsityPattern.diagonal(plant.partition).complement_identity()
+        lam = 0.1 * rng.standard_normal((plant.m, plant.n))
+        start = _ClosedLoop(plant, lqr_centralized(plant).K)
+        a_start = plant.A - plant.B @ start.k
+        factored = []
+        schur = h2._real_schur
+
+        def recording(a):
+            factored.append(a)
+            return schur(a)
+
+        monkeypatch.setattr(h2, "_real_schur", recording)
+        res, end = structured._inner_solve(plant, start, lam, 5.0, comp, structured._INNER_TOL)
+        assert res.iterations > 0
+        assert not any(np.array_equal(a, a_start) for a in factored)
+        # the end point's closed loop is the one the accepted trial built
+        assert end.k is res.x
+        assert sum(np.array_equal(a, plant.A - plant.B @ res.x) for a in factored) == 1
 
 
 class TestSynthesizeStructured:
@@ -204,9 +229,9 @@ class TestSynthesizeStructured:
         calls = []
         inner = structured._inner_solve
 
-        def recording(plant, k, lam, gamma, comp, grad_tol):
-            calls.append((k.copy(), lam.copy(), gamma))
-            return inner(plant, k, lam, gamma, comp, grad_tol)
+        def recording(plant, cl, lam, gamma, comp, grad_tol):
+            calls.append((cl.k.copy(), lam.copy(), gamma))
+            return inner(plant, cl, lam, gamma, comp, grad_tol)
 
         monkeypatch.setattr(structured, "_inner_solve", recording)
         plant = two_node_plant(7)
@@ -236,19 +261,22 @@ class TestSynthesizeStructured:
             synthesize_structured_info(plant, pattern)
 
     def test_on_pattern_init_checked_once(self, monkeypatch):
-        # an init on the pattern is its own first projection
-        checked = []
-
-        def counting(plant, k):
-            checked.append(k)
-            return is_stabilizing(plant, k)
-
+        # an init on the pattern is its own first projection and the
+        # polish's start: one factorization serves the check and both
         plant = two_node_plant(9)
         pattern = SparsityPattern.diagonal(plant.partition)
         first = synthesize_structured_info(plant, pattern)
-        monkeypatch.setattr(structured, "is_stabilizing", counting)
+        a_init = plant.A - plant.B @ first.gain.K
+        factored = []
+        schur = h2._real_schur
+
+        def counting(a):
+            factored.append(np.array_equal(a, a_init))
+            return schur(a)
+
+        monkeypatch.setattr(h2, "_real_schur", counting)
         again = synthesize_structured_info(plant, pattern, init=first.gain)
-        assert len(checked) == 1
+        assert sum(factored) == 1
         assert again.iterations == 0
 
     def test_warm_start_accepted(self):
