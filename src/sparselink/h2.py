@@ -12,13 +12,22 @@ Hessian applied to a direction D is
 
 where A_cl^T P~ + P~ A_cl + D^T E + E^T D = 0 and
 A_cl L~ + L~ A_cl^T - B D L - L D^T B^T = 0 are the first-order changes of
-P and L along D. All these Lyapunov equations share one real Schur
-factorization of A_cl (Bartels-Stewart via LAPACK trsyl).
+P and L along D. The Lyapunov operator of L~ is the adjoint of that of P~,
+so <D', E L~> = -<P~', sym(B D L)> with P~' the change of P along D': on
+unit directions D_c the Hessian matrix is
+
+    H_dc = 2 R_ki L_jl + 2 <U_c, S_d> + 2 <U_d, S_c>,
+
+for c = (i, j) and d = (k, l), with A_cl^T U_c + U_c A_cl = D_c^T E + E^T D_c
+and S_d = sym(B D_d L), one Lyapunov solve per entry. All these Lyapunov
+equations share one real Schur factorization of A_cl (Bartels-Stewart via
+LAPACK trsyl).
 Non-stabilizing gains map to J = +inf; optimizers must treat that value as
 a line-search rejection and never do arithmetic with it.
 """
 from __future__ import annotations
 
+import contextvars
 import functools
 import math
 
@@ -94,7 +103,7 @@ class _ClosedLoop:
 
     value and gradient() are the evaluation form descent.descend takes; the
     Lyapunov solves run only when one of them is asked for. hessian() adds
-    two solves per column on the same factor.
+    one solve per column on the same factor.
     """
 
     def __init__(self, plant: LtiPlant, k: np.ndarray):
@@ -135,29 +144,67 @@ class _ClosedLoop:
 
     def hessian(self, free: np.ndarray) -> np.ndarray:
         """Hessian of J restricted to the entries where the boolean m x n
-        mask free is set, in row-major order of those entries: column c is
-        H[D_c] (module docstring) at the unit direction D_c of entry c.
-        Symmetrized against rounding."""
+        mask free is set, in row-major order of those entries (module
+        docstring): one Lyapunov solve per entry. Symmetrized against
+        rounding, in Fortran order so LAPACK can factor it in place."""
         if not self.stable:
             raise NotStabilizing("Hessian undefined for a non-stabilizing gain")
         plant, t, z = self.plant, self._t, self._z
         p, l = self.obs_gramian(), self.ctrl_gramian()
         e = plant.R @ self.k - plant.B.T @ p
         rows, cols = np.nonzero(free)
-        h = np.empty((rows.size, rows.size), order="F")  # LAPACK's order: factored in place
-        d = np.zeros_like(self.k)
+        cross = np.empty((rows.size, rows.size))  # cross[c, d] = <U_c, S_d>
+        de = np.zeros((self.k.shape[1],) * 2)
         for c, (i, j) in enumerate(zip(rows, cols)):
-            d[i, j] = 1.0
-            de = d.T @ e
-            p_dot = _lyapunov_factored(t, z, de + de.T, transposed=True)
-            bdl = plant.B @ d @ l
-            l_dot = _lyapunov_factored(t, z, -(bdl + bdl.T), transposed=False)
-            hd = 2.0 * (plant.R @ d - plant.B.T @ p_dot) @ l + 2.0 * e @ l_dot
-            h[:, c] = hd[rows, cols]
-            d[i, j] = 0.0
+            de[j] = e[i]  # D_c^T E
+            u = _lyapunov_factored(t, z, -(de + de.T), transposed=True)
+            cross[c] = (plant.B.T @ u @ l)[rows, cols]  # <U, sym(B D_d L)> = (B^T U L)_d
+            de[j] = 0.0
+        h = np.asfortranarray(plant.R[np.ix_(rows, rows)] * l[np.ix_(cols, cols)] + cross + cross.T)
         h += h.T
-        h *= 0.5
         return h
+
+
+class _Relay:
+    """The closed loop a caller holds between solves it makes through public
+    functions (sparse.sparsity_sweep). Inside `with relay:`, a solve that
+    starts from the gain of relay.cl, bit for bit, takes that loop instead
+    of factoring it again (_closed_loop), and hands on the loop it ended on
+    (_hand_on)."""
+
+    def __init__(self, cl: _ClosedLoop):
+        self.cl = cl
+        self._token = None
+
+    def __enter__(self) -> "_Relay":
+        self._token = _RELAY.set(self)
+        return self
+
+    def __exit__(self, *exc) -> None:
+        _RELAY.reset(self._token)
+
+
+_RELAY: contextvars.ContextVar[_Relay | None] = contextvars.ContextVar(
+    "sparselink.h2._RELAY", default=None
+)
+
+
+def _closed_loop(plant: LtiPlant, k: np.ndarray) -> _ClosedLoop:
+    """The closed loop of k: the relayed one when it is of the same plant
+    and gain bit for bit, else a new factorization."""
+    relay = _RELAY.get()
+    if relay is not None:
+        held = relay.cl
+        if held.plant is plant and held.k.shape == k.shape and held.k.tobytes() == k.tobytes():
+            return held
+    return _ClosedLoop(plant, k)
+
+
+def _hand_on(cl: _ClosedLoop) -> None:
+    """Offer cl to the next solve of the enclosing relay, if any."""
+    relay = _RELAY.get()
+    if relay is not None:
+        relay.cl = cl
 
 
 def _gain_array(plant: LtiPlant, gain) -> np.ndarray:

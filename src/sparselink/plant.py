@@ -109,7 +109,18 @@ class BlockPartition:
 
     def expand(self, blockwise: np.ndarray) -> np.ndarray:
         """m x n matrix repeating entry (i, j) of an N x N array over block (i, j)."""
-        return np.repeat(np.repeat(blockwise, self.row_sizes, axis=0), self.col_sizes, axis=1)
+        return np.asarray(blockwise).reshape(-1)[self._entry_blocks()]
+
+    def _entry_blocks(self) -> np.ndarray:
+        """m x n matrix of the flat (i * N + j) block index of each entry;
+        built once and cached."""
+        cached = self.__dict__.get("_entry_block_index")
+        if cached is None:
+            index = np.arange(self.n_nodes * self.n_nodes).reshape(self.n_nodes, self.n_nodes)
+            cached = np.repeat(np.repeat(index, self.row_sizes, axis=0), self.col_sizes, axis=1)
+            cached.setflags(write=False)
+            object.__setattr__(self, "_entry_block_index", cached)
+        return cached
 
     def check_gain_shape(self, k: np.ndarray):
         if k.shape != (self.m, self.n):

@@ -10,7 +10,8 @@ table is the hand-off artifact consumed by the online rerouting step.
 A removal loss J*(pattern minus block) - J*(pattern) re-optimizes the gain
 with one block forced to zero. All these re-optimizations start from the
 same base optimum K*, so rank_links builds the exact Hessian H of J on the
-free entries of K* once (h2._ClosedLoop.hessian) and factors it once. Each
+free entries of K* once (h2._ClosedLoop.hessian, one Lyapunov solve per
+free entry) and factors it once. Each
 loss then starts at the Optimal Brain Surgeon point (Hassibi & Stork, NIPS
 1993)
 
@@ -20,9 +21,11 @@ the minimizer of the quadratic model with block b exactly zero, and
 descends from there with the downdated inverse
 H^-1 - H^-1[:, b] (H^-1_bb)^-1 H^-1[b, :], the inverse Hessian on the
 reduced pattern, as a fixed preconditioner (descent.descend), applied by
-solves with the Cholesky factor of H and the block's columns. That takes
-one or two Newton steps per block where the gradient polish it replaces
-took about a dozen.
+solves with the Cholesky factor of H and the block's columns (LAPACK potrf
+and potrs, called directly: each solve is a few microseconds on these
+sizes, less than scipy's checking wrapper adds). That takes one or two
+Newton steps per block where the gradient polish it replaces took about a
+dozen.
 When the Hessian is not positive definite, the start is not stabilizing,
 or the descent does not converge, the loss comes from the warm-started
 structured synthesis (structured.synthesize_projected) instead.
@@ -34,7 +37,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .errors import (
     DimensionMismatch,
@@ -140,15 +143,14 @@ class _RemovalNewton:
 
     def __init__(self, plant: LtiPlant, pattern: SparsityPattern, gain: GainMatrix):
         self.plant, self.pattern, self.gain = plant, pattern, gain
-        free = pattern.structural_identity() != 0.0
-        self._free = np.flatnonzero(free)  # row-major, the Hessian's order
+        self._ident = pattern.structural_identity()
+        self._free = np.flatnonzero(self._ident)  # row-major, the Hessian's order
         self._chol = None  # stays None unless H is positive definite: every loss falls back
         cl = _ClosedLoop(plant, gain.K)
         if cl.stable:
-            try:
-                self._chol = cho_factor(cl.hessian(free), overwrite_a=True)
-            except np.linalg.LinAlgError:
-                pass
+            chol, info = dpotrf(cl.hessian(self._ident != 0.0), overwrite_a=1, clean=0)
+            if info == 0:
+                self._chol = chol
 
     def serves(self, plant, pattern, gain) -> bool:
         return plant is self.plant and gain is self.gain and pattern.same_as(self.pattern)
@@ -159,30 +161,31 @@ class _RemovalNewton:
         if self._chol is None:
             return None
         k = self.gain.K
+        block_slices = self.plant.partition.block(*block)
         in_block = np.zeros(k.shape, dtype=bool)
-        in_block[self.plant.partition.block(*block)] = True
+        in_block[block_slices] = True
         b = np.flatnonzero(in_block.ravel()[self._free])  # block entries in Hessian order
         unit = np.zeros((self._free.size, b.size))
         unit[b, np.arange(b.size)] = 1.0
-        h_inv_b = cho_solve(self._chol, unit)  # H^-1[:, b]
-        try:
-            bb = cho_factor(h_inv_b[b])
-        except np.linalg.LinAlgError:  # rounding in a badly conditioned H
+        h_inv_b = dpotrs(self._chol, unit)[0]  # H^-1[:, b]
+        bb, info = dpotrf(h_inv_b[b], clean=0)
+        if info != 0:  # rounding in a badly conditioned H
             return None
         k_free = k.ravel()[self._free]
         start = np.zeros(k.size)
-        start[self._free] = k_free - h_inv_b @ cho_solve(bb, k_free[b])
+        start[self._free] = k_free - h_inv_b @ dpotrs(bb, k_free[b])[0]
         start[self._free[b]] = 0.0
 
         def newton_direction(g):
-            h_inv_g = cho_solve(self._chol, g.ravel()[self._free])
-            step = h_inv_g - h_inv_b @ cho_solve(bb, h_inv_g[b])
+            h_inv_g = dpotrs(self._chol, g.ravel()[self._free])[0]
+            step = h_inv_g - h_inv_b @ dpotrs(bb, h_inv_g[b])[0]
             d = np.zeros(g.size)
             d[self._free] = -step
             d[self._free[b]] = 0.0
             return d.reshape(g.shape)
 
-        keep = self.pattern.without_block(*block).structural_identity()
+        keep = self._ident.copy()
+        keep[block_slices] = 0.0
         try:
             res = _polish(self.plant, start.reshape(k.shape), keep,
                           precondition=newton_direction)

@@ -14,7 +14,12 @@ every accepted objective, so it decreases strictly.
 
 A sweep warm-starts each beta from the previous solution, extracts the block
 pattern of the result, and polishes every pattern with the structured
-synthesizer to obtain comparable costs.
+synthesizer to obtain comparable costs. No pass or polish factors its
+start again: each starts from the closed loop the sweep already holds
+(h2._Relay) -- the J(K_c) evaluation, the previous pass's end point, or the
+sparse gain when its projection onto its pattern leaves it bit for bit
+unchanged -- and an entry whose pattern equals the previous entry's takes
+that entry's polish instead of polishing again.
 """
 from __future__ import annotations
 
@@ -26,7 +31,7 @@ import numpy as np
 
 from .descent import ARMIJO_C1, ARMIJO_SHRINK, MAX_BACKTRACKS, descend, require_converged
 from .errors import DimensionMismatch, InvalidAssumption, MaxIterations, NotStabilizing
-from .h2 import _ClosedLoop, closed_loop_cost, lqr_centralized
+from .h2 import _ClosedLoop, _closed_loop, _hand_on, _Relay, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import synthesize_projected, synthesize_structured_info
 
@@ -84,8 +89,7 @@ def _penalized_objective(cl, beta, weights, partition) -> float:
     j = cl.value
     if not math.isfinite(j):
         return math.inf
-    norms = block_frobenius(GainMatrix(cl.k, partition))
-    return j + beta * float(np.sum(weights * norms))
+    return j + beta * float(np.sum(weights * partition.block_norms(cl.k)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -115,7 +119,7 @@ def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
     if weights.shape != (n_nodes, n_nodes):
         raise DimensionMismatch(f"weights shape {weights.shape}, expected ({n_nodes},{n_nodes})")
     k = init.K if isinstance(init, GainMatrix) else np.asarray(init, dtype=float)
-    cl = _ClosedLoop(plant, k)
+    cl = _closed_loop(plant, k)
     if not cl.stable:
         raise NotStabilizing("initial gain must be stabilizing")
 
@@ -141,6 +145,7 @@ def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
         shrunk = block_soft_threshold(k - _STEP * grad, _STEP * beta * weights, partition)
         residual = float(np.linalg.norm(k - shrunk)) / _STEP
         if residual <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(k))):
+            _hand_on(cl)
             return _SparseGainDetails(k, tuple(trace), it)
         if it == _MAX_ITER:
             raise MaxIterations(f"proximal gradient did not converge within {_MAX_ITER} iterations")
@@ -196,43 +201,59 @@ def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
     with per-beta reweighting.
 
     Every recorded pattern gets a structured polish so the reported costs
-    are comparable across entries. A final backward pass re-polishes any
-    entry whose cost exceeds that of a (nested) sparser successor, which
-    removes local-minimum artifacts from the warm-start path.
+    are comparable across entries; an entry whose pattern equals the
+    previous entry's takes that entry's polish. A final backward pass
+    re-polishes any entry whose cost exceeds that of a (nested) sparser
+    successor, which removes local-minimum artifacts from the warm-start
+    path. Passes and polishes start from the closed loops the sweep holds
+    (module docstring).
     """
     k_c = lqr_centralized(plant)
+    relay = _Relay(_ClosedLoop(plant, k_c.K))
     if beta_schedule is None:
-        schedule = default_beta_schedule(closed_loop_cost(plant, k_c))
+        schedule = default_beta_schedule(relay.cl.value)
     else:
         schedule = _checked_schedule(beta_schedule)
 
     gain = k_c
     entries: list[SweepEntry] = []
-    for beta in schedule:
-        for _ in range(MAX_REWEIGHT):
-            g = reweight(block_frobenius(gain), EPSILON_REWEIGHT)
-            gain = sparse_gain(plant, beta, g, gain)
-        pattern = SparsityPattern.from_gain(gain, ZERO_THRESHOLD)
-        info = synthesize_projected(plant, pattern, gain)
-        entries.append(
-            SweepEntry(
-                beta=float(beta),
-                gain=gain,
-                pattern=pattern,
-                nnz_blocks=pattern.n_free,
-                cost_polished=info.cost,
-                polished_gain=info.gain,
-            )
-        )
-
-    for idx in range(len(entries) - 2, -1, -1):
-        cur, nxt = entries[idx], entries[idx + 1]
-        if nxt.pattern.is_subset(cur.pattern) and cur.cost_polished > nxt.cost_polished:
-            refined = synthesize_structured_info(plant, cur.pattern, init=nxt.polished_gain)
-            if refined.cost < cur.cost_polished:
-                entries[idx] = replace(
-                    cur, cost_polished=refined.cost, polished_gain=refined.gain
+    polished_loops = []  # the closed loop each entry's polish ended on
+    with relay:
+        for beta in schedule:
+            for _ in range(MAX_REWEIGHT):
+                g = reweight(block_frobenius(gain), EPSILON_REWEIGHT)
+                gain = sparse_gain(plant, beta, g, gain)
+            pattern = SparsityPattern.from_gain(gain, ZERO_THRESHOLD)
+            if entries and pattern.same_as(entries[-1].pattern):
+                cost, polished = entries[-1].cost_polished, entries[-1].polished_gain
+                polished_loops.append(polished_loops[-1])
+            else:
+                sparse_end = relay.cl
+                info = synthesize_projected(plant, pattern, gain)
+                cost, polished = info.cost, info.gain
+                polished_loops.append(relay.cl)
+                relay.cl = sparse_end  # the next pass starts from gain
+            entries.append(
+                SweepEntry(
+                    beta=float(beta),
+                    gain=gain,
+                    pattern=pattern,
+                    nnz_blocks=pattern.n_free,
+                    cost_polished=cost,
+                    polished_gain=polished,
                 )
+            )
+
+        for idx in range(len(entries) - 2, -1, -1):
+            cur, nxt = entries[idx], entries[idx + 1]
+            if nxt.pattern.is_subset(cur.pattern) and cur.cost_polished > nxt.cost_polished:
+                relay.cl = polished_loops[idx + 1]
+                refined = synthesize_structured_info(plant, cur.pattern, init=nxt.polished_gain)
+                if refined.cost < cur.cost_polished:
+                    entries[idx] = replace(
+                        cur, cost_polished=refined.cost, polished_gain=refined.gain
+                    )
+                    polished_loops[idx] = relay.cl
     return SweepResult(tuple(entries))
 
 

@@ -13,7 +13,14 @@ exactly while restoring stationarity on the free entries.
 
 Every closed loop the method factors serves all its later uses: an inner
 solve starts from the evaluation its predecessor ended on, and the polish
-from the stability check of the projection it starts at.
+from the stability check of the projection it starts at. Inside a relay
+(h2._Relay, held by sparse.sparsity_sweep) a warm start takes the relayed
+closed loop of its init, and the polish hands on the loop it ended on.
+
+A pattern with no input entry (B^T o I = 0) cannot move trace(A - B K) off
+trace(A); when that is not below -n STABILITY_TOL, no gain on the pattern
+is Hurwitz, and the synthesis raises PatternNotStabilizable before the
+multiplier loop.
 """
 from __future__ import annotations
 
@@ -25,8 +32,8 @@ import numpy as np
 from . import descent
 from .descent import descend
 from .errors import MaxIterations, NotStabilizing, PatternNotStabilizable
-from .h2 import _ClosedLoop, lqr_centralized
-from .plant import GainMatrix, LtiPlant, SparsityPattern
+from .h2 import _ClosedLoop, _closed_loop, _hand_on, lqr_centralized
+from .plant import STABILITY_TOL, GainMatrix, LtiPlant, SparsityPattern
 
 # The penalty starts at _GAMMA0 and grows by _ALPHA per multiplier update, at
 # most _MAX_OUTER times (the schedule of Lin, Fardad & Jovanovic, IEEE TAC
@@ -133,6 +140,10 @@ def synthesize_structured_info(
     with its cost and convergence diagnostics."""
     comp = pattern.complement_identity()
     ident = pattern.structural_identity()
+    # Without an input on the pattern, trace(A - B K) = trace(A) for every
+    # K on it, and a Hurwitz A - B K needs a trace below -n STABILITY_TOL.
+    if not np.any(plant.B.T * ident) and np.trace(plant.A) >= -plant.n * STABILITY_TOL:
+        raise PatternNotStabilizable("trace(A - B K) cannot go negative on the pattern")
 
     # An init on the pattern is its own first projection (k * ident equals
     # it bit for bit): one closed loop serves both.
@@ -140,7 +151,7 @@ def synthesize_structured_info(
     if init is None:
         cl = _ClosedLoop(plant, lqr_centralized(plant).K)
     else:
-        cl = _ClosedLoop(plant, np.array(init.K, dtype=float))
+        cl = _closed_loop(plant, init.K)
         if not cl.stable:
             raise NotStabilizing("initial gain must be stabilizing")
         init_on_pattern = not np.any(cl.k * comp)
@@ -187,9 +198,17 @@ def synthesize_structured_info(
 
 def _polish(plant, k_projected, ident, *, start=None, precondition=None):
     """Projected-gradient descent of J on the free entries (ident), or
-    preconditioned descent with precondition (descent.descend)."""
-    return descend(
-        lambda kk: _ClosedLoop(plant, kk),
+    preconditioned descent with precondition (descent.descend). The closed
+    loop of the end point goes to the enclosing relay (h2._hand_on)."""
+    end = start
+
+    def make_eval(kk):
+        nonlocal end
+        end = _ClosedLoop(plant, kk)
+        return end
+
+    res = descend(
+        make_eval,
         k_projected,
         mask=ident,
         grad_tol=_POLISH_TOL,
@@ -198,3 +217,8 @@ def _polish(plant, k_projected, ident, *, start=None, precondition=None):
         start=start,
         precondition=precondition,
     )
+    # With no iteration res.x is a copy of the start; otherwise the accepted
+    # trial is the last evaluation unless the line search failed.
+    if res.iterations == 0 or end.k is res.x:
+        _hand_on(end)
+    return res

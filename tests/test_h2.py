@@ -9,6 +9,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import schur, solve_continuous_are
 
 from conftest import (
@@ -29,11 +31,12 @@ from sparselink import (
     NotStabilizing,
     closed_loop_cost,
     cost_gradient,
+    generate_plant,
     is_stabilizing,
     lqr_centralized,
     solve_lyapunov,
 )
-from sparselink.h2 import _ClosedLoop, _real_schur
+from sparselink.h2 import _ClosedLoop, _lyapunov_factored, _real_schur
 
 
 def scalar_plant(a=0.0, b=1.0, w=1.0, q=1.0, r=1.0):
@@ -158,7 +161,46 @@ class TestCostGradient:
         assert np.linalg.norm(g - fd) <= 1e-4 * (1.0 + np.linalg.norm(fd))
 
 
+def two_solve_hessian(cl, free):
+    """Reference Hessian: column c is H[D_c] = 2 (R D_c - B^T P~) L + 2 E L~
+    with both first-order Gramian changes solved for, two Lyapunov solves
+    per free entry."""
+    plant, t, z = cl.plant, cl._t, cl._z
+    p, l = cl.obs_gramian(), cl.ctrl_gramian()
+    e = plant.R @ cl.k - plant.B.T @ p
+    rows, cols = np.nonzero(free)
+    h = np.empty((rows.size, rows.size))
+    d = np.zeros_like(cl.k)
+    for c, (i, j) in enumerate(zip(rows, cols)):
+        d[i, j] = 1.0
+        de = d.T @ e
+        p_dot = _lyapunov_factored(t, z, de + de.T, transposed=True)
+        bdl = plant.B @ d @ l
+        l_dot = _lyapunov_factored(t, z, -(bdl + bdl.T), transposed=False)
+        hd = 2.0 * (plant.R @ d - plant.B.T @ p_dot) @ l + 2.0 * e @ l_dot
+        h[:, c] = hd[rows, cols]
+        d[i, j] = 0.0
+    return 0.5 * (h + h.T)
+
+
 class TestHessian:
+    @settings(max_examples=30, deadline=None)
+    @given(n_nodes=st.integers(2, 4), seed=st.integers(0, 10_000))
+    def test_matches_two_solve_reference(self, n_nodes, seed):
+        plant = generate_plant(n_nodes, seed)
+        rng = np.random.default_rng(seed)
+        k_c = lqr_centralized(plant).K
+        k = k_c + 0.1 * rng.standard_normal(k_c.shape) * (1.0 + np.abs(k_c))
+        cl = _ClosedLoop(plant, k)
+        if not cl.stable:
+            cl = _ClosedLoop(plant, k_c)
+        free = rng.uniform(size=k.shape) < 0.6
+        free[0, 0] = True
+        h = cl.hessian(free)
+        ref = two_solve_hessian(cl, free)
+        assert np.array_equal(h, h.T)
+        assert np.linalg.norm(h - ref) <= 1e-12 * np.linalg.norm(ref)
+
     def test_scalar_analytic(self):
         # J(k) = (1 + k^2)/(2k) has J''(k) = 1/k^3
         h = _ClosedLoop(scalar_plant(), np.array([[2.0]])).hessian(np.ones((1, 1), bool))

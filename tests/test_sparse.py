@@ -1,9 +1,12 @@
 """Sparse feedback synthesis: shrinkage pieces, the proximal-gradient
 solve for one beta, and the beta sweep."""
 import math
+import traceback
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import single_node_plant
 from sparselink import (
@@ -29,7 +32,7 @@ from sparselink import (
     sweep_csv,
     synthesize_structured_info,
 )
-from sparselink import descent, sparse
+from sparselink import descent, h2, sparse
 from sparselink.sparse import _sparse_gain_details
 
 
@@ -274,6 +277,47 @@ class TestSparsitySweep:
             assert float(b) == entry.beta
             assert int(nnz) == entry.nnz_blocks
             assert float(j) == entry.cost_polished
+
+
+def test_sweep_factors_no_held_gain_again(monkeypatch):
+    # Each pass starts from J(K_c)'s loop or the previous pass's end point,
+    # each polish from the sparse gain's loop: none of them factors a matrix
+    # the sweep already factored. (lqr_centralized may factor its stabilizing
+    # seed twice; that is not a hand-off.)
+    plant = generate_plant(3, 2)
+    j_c = closed_loop_cost(plant, lqr_centralized(plant))
+    seen, repeats, total = set(), [], []
+    schur = h2._real_schur
+
+    def recording(a):
+        key = a.tobytes()
+        stack = [f.name for f in traceback.extract_stack()]
+        if key in seen and "lqr_centralized" not in stack:
+            repeats.append(stack[-4:])
+        seen.add(key)
+        total.append(1)
+        return schur(a)
+
+    monkeypatch.setattr(h2, "_real_schur", recording)
+    entries = sparsity_sweep(plant, tuple(j_c * b for b in (1e-3, 1e-2, 0.1, 0.3))).entries
+    assert len(entries) == 4 and len(total) > 12
+    assert repeats == []
+
+
+@settings(max_examples=40, deadline=None)
+@given(n_nodes=st.integers(2, 4), seed=st.integers(0, 10_000),
+       rel_betas=st.lists(st.sampled_from((1e-3, 1e-2, 0.03, 0.1, 0.3, 1.0)),
+                          min_size=2, max_size=4, unique=True))
+def test_sweep_orders_nested_and_shares_equal_polishes(n_nodes, seed, rel_betas):
+    plant = generate_plant(n_nodes, seed)
+    j_c = closed_loop_cost(plant, lqr_centralized(plant))
+    entries = sparsity_sweep(plant, tuple(j_c * b for b in sorted(rel_betas))).entries
+    for cur, nxt in zip(entries, entries[1:]):
+        if nxt.pattern.is_subset(cur.pattern):
+            assert cur.cost_polished <= nxt.cost_polished
+        if nxt.pattern.same_as(cur.pattern):
+            assert cur.cost_polished == nxt.cost_polished
+            assert np.array_equal(cur.polished_gain.K, nxt.polished_gain.K)
 
 
 def test_unpenalized_lost_stability_is_typed(monkeypatch):

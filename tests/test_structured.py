@@ -260,6 +260,36 @@ class TestSynthesizeStructured:
         with pytest.raises(PatternNotStabilizable):
             synthesize_structured_info(plant, pattern)
 
+    def test_no_input_on_pattern_fails_before_any_factorization(self, monkeypatch):
+        # B^T o I = 0 makes trace(A - B K) = trace(A) = 0 for every K on the
+        # diagonal pattern, while the eigenvalues +-sqrt(1 + k1 k2) move with
+        # K; no closed loop is factored before the error.
+        plant = cross_coupled_plant()
+        part = plant.partition
+        factored = []
+        schur = h2._real_schur
+
+        def counting(a):
+            factored.append(a)
+            return schur(a)
+
+        monkeypatch.setattr(h2, "_real_schur", counting)
+        with pytest.raises(PatternNotStabilizable):
+            synthesize_structured_info(plant, SparsityPattern.diagonal(part))
+        assert factored == []
+        # The same input matrix reaches the state through the full pattern.
+        full = synthesize_structured_info(plant, SparsityPattern.full(part))
+        assert is_stabilizing(plant, full.gain)
+
+    def test_no_input_on_pattern_with_hurwitz_a_is_kept(self):
+        # trace(A) < 0: the rule does not apply, and K = 0 is the optimum
+        cross = cross_coupled_plant()
+        part = cross.partition
+        plant = LtiPlant(np.diag([-1.0, -2.0]), cross.B, np.eye(2), np.eye(2), np.eye(2), part)
+        info = synthesize_structured_info(plant, SparsityPattern.diagonal(part))
+        assert np.all(info.gain.K == 0.0)
+        assert info.cost == pytest.approx(0.5 + 0.25, rel=1e-12)
+
     def test_on_pattern_init_checked_once(self, monkeypatch):
         # an init on the pattern is its own first projection and the
         # polish's start: one factorization serves the check and both
