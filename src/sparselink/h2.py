@@ -24,10 +24,14 @@ equations share one real Schur factorization of A_cl (Bartels-Stewart via
 LAPACK trsyl).
 Non-stabilizing gains map to J = +inf; optimizers must treat that value as
 a line-search rejection and never do arithmetic with it.
+
+A GainMatrix can carry the closed loop of its K (_carry). A solve handed
+the gain on the same plant takes that loop instead of factoring A - B K
+again (_closed_loop), and the solvers attach the loop they end on to the
+gain they return, so a gain passed from stage to stage is factored once.
 """
 from __future__ import annotations
 
-import contextvars
 import functools
 import math
 
@@ -165,55 +169,30 @@ class _ClosedLoop:
         return h
 
 
-class _Relay:
-    """The closed loop a caller holds between solves it makes through public
-    functions (sparse.sparsity_sweep). Inside `with relay:`, a solve that
-    starts from the gain of relay.cl, bit for bit, takes that loop instead
-    of factoring it again (_closed_loop), and hands on the loop it ended on
-    (_hand_on)."""
-
-    def __init__(self, cl: _ClosedLoop):
-        self.cl = cl
-        self._token = None
-
-    def __enter__(self) -> "_Relay":
-        self._token = _RELAY.set(self)
-        return self
-
-    def __exit__(self, *exc) -> None:
-        _RELAY.reset(self._token)
+def _carry(gain: GainMatrix, cl: _ClosedLoop) -> GainMatrix:
+    """gain with cl, the closed loop of its K bit for bit, attached: a later
+    solve from gain on cl.plant takes cl instead of factoring again
+    (_closed_loop). K is read-only, so the loop stays valid."""
+    object.__setattr__(gain, "_loop", cl)
+    return gain
 
 
-_RELAY: contextvars.ContextVar[_Relay | None] = contextvars.ContextVar(
-    "sparselink.h2._RELAY", default=None
-)
+def _closed_loop(plant: LtiPlant, gain: GainMatrix) -> _ClosedLoop:
+    """The closed loop gain carries when it is of plant, else a new
+    factorization."""
+    cl = gain.__dict__.get("_loop")
+    return cl if cl is not None and cl.plant is plant else _ClosedLoop(plant, gain.K)
 
 
-def _closed_loop(plant: LtiPlant, k: np.ndarray) -> _ClosedLoop:
-    """The closed loop of k: the relayed one when it is of the same plant
-    and gain bit for bit, else a new factorization."""
-    relay = _RELAY.get()
-    if relay is not None:
-        held = relay.cl
-        if held.plant is plant and held.k.shape == k.shape and held.k.tobytes() == k.tobytes():
-            return held
-    return _ClosedLoop(plant, k)
-
-
-def _hand_on(cl: _ClosedLoop) -> None:
-    """Offer cl to the next solve of the enclosing relay, if any."""
-    relay = _RELAY.get()
-    if relay is not None:
-        relay.cl = cl
-
-
-def _gain_array(plant: LtiPlant, gain) -> np.ndarray:
-    k = gain.K if isinstance(gain, GainMatrix) else np.asarray(gain, dtype=float)
+def _gain_loop(plant: LtiPlant, gain) -> _ClosedLoop:
+    """The closed loop of a GainMatrix (_closed_loop) or of an m x n array."""
+    is_matrix = isinstance(gain, GainMatrix)
+    k = gain.K if is_matrix else np.asarray(gain, dtype=float)
     if k.shape != (plant.m, plant.n):
         raise DimensionMismatch(
             f"gain shape {k.shape} does not match plant ({plant.m},{plant.n})"
         )
-    return k
+    return _closed_loop(plant, gain) if is_matrix else _ClosedLoop(plant, k)
 
 
 def solve_lyapunov(a_cl: np.ndarray, q_hat: np.ndarray) -> np.ndarray:
@@ -236,21 +215,21 @@ def solve_lyapunov(a_cl: np.ndarray, q_hat: np.ndarray) -> np.ndarray:
 
 def is_stabilizing(plant: LtiPlant, gain) -> bool:
     """True iff max Re eig(A - B K) < -STABILITY_TOL (strict margin)."""
-    return _ClosedLoop(plant, _gain_array(plant, gain)).stable
+    return _gain_loop(plant, gain).stable
 
 
 def closed_loop_cost(plant: LtiPlant, gain) -> float:
     """H2 cost trace(W^T P W); +inf when the gain is not stabilizing."""
-    return _ClosedLoop(plant, _gain_array(plant, gain)).value
+    return _gain_loop(plant, gain).value
 
 
 def cost_gradient(plant: LtiPlant, gain) -> np.ndarray:
     """Gradient 2 (R K - B^T P) L of the H2 cost at a stabilizing gain."""
-    return _ClosedLoop(plant, _gain_array(plant, gain)).gradient()
+    return _gain_loop(plant, gain).gradient()
 
 
-def _stabilizing_seed(plant: LtiPlant) -> np.ndarray:
-    """Initial stabilizing gain for the Riccati iteration.
+def _stabilizing_seed(plant: LtiPlant) -> _ClosedLoop:
+    """Closed loop of an initial stabilizing gain for the Riccati iteration.
 
     Shifted-Lyapunov construction: with b > max Re eig(A) pick Z solving
     (A + bI) Z + Z (A + bI)^T = 2 B B^T, then K0 = B^T Z^{-1} gives
@@ -259,9 +238,9 @@ def _stabilizing_seed(plant: LtiPlant) -> np.ndarray:
     """
     a, b_mat = plant.A, plant.B
     n = plant.n
-    k0 = np.zeros((plant.m, n))
-    if _ClosedLoop(plant, k0).stable:
-        return k0
+    cl = _ClosedLoop(plant, np.zeros((plant.m, n)))
+    if cl.stable:
+        return cl
     shift = np.linalg.norm(a, "fro") + 1.0
     shifted = -(a + shift * np.eye(n)).T  # Hurwitz by construction
     bbt = 2.0 * (b_mat @ b_mat.T)
@@ -271,22 +250,26 @@ def _stabilizing_seed(plant: LtiPlant) -> np.ndarray:
             k0 = np.linalg.solve(z, b_mat).T
         except (SingularSolve, np.linalg.LinAlgError):
             continue
-        if is_stabilizing(plant, k0):
-            return k0
+        cl = _ClosedLoop(plant, k0)
+        if cl.stable:
+            return cl
     raise RiccatiFailure("could not construct an initial stabilizing gain")
 
 
 def lqr_centralized(plant: LtiPlant) -> GainMatrix:
     """Centralized LQR gain K_c = R^{-1} B^T P* via the Newton iteration
     that re-solves one Lyapunov equation per step (quadratically convergent
-    from any stabilizing start)."""
-    k = _stabilizing_seed(plant)
+    from any stabilizing start). Each step's P is the observability Gramian
+    of the previous gain's closed loop; the first is the seed's own."""
+    cl = _stabilizing_seed(plant)
     p_prev = None
     for _ in range(_RICCATI_MAX_ITER):
-        p = solve_lyapunov(plant.A - plant.B @ k, plant.Q + k.T @ plant.R @ k)
+        if not cl.stable:
+            raise NotHurwitz("Riccati iterate is not stabilizing")
+        p = cl.obs_gramian()
         k = np.linalg.solve(plant.R, plant.B.T @ p)
         if p_prev is not None and np.linalg.norm(p - p_prev, "fro") <= _RICCATI_TOL:
             return GainMatrix(k, plant.partition)
         p_prev = p
+        cl = _ClosedLoop(plant, k)
     raise RiccatiFailure(f"Riccati iteration did not converge in {_RICCATI_MAX_ITER} steps")
-

@@ -148,16 +148,20 @@ class GainMatrix:
         return self.K[ri, cj]
 
     def with_zeroed_blocks(self, blocks) -> "GainMatrix":
-        """Copy of the gain with the given (i, j) blocks set to zero."""
+        """The gain with the given (i, j) blocks set to zero: a copy, or the
+        gain itself when those blocks are zero already."""
         k = self.K.copy()
         for (i, j) in blocks:
             ri, cj = self.partition.block(i, j)
             k[ri, cj] = 0.0
-        return GainMatrix(k, self.partition)
+        return self if np.array_equal(k, self.K) else GainMatrix(k, self.partition)
 
     def project(self, pattern: "SparsityPattern") -> "GainMatrix":
-        """Hard projection onto a pattern: zero every non-free entry."""
-        return GainMatrix(self.K * pattern.structural_identity(), self.partition)
+        """Hard projection onto a pattern: zero every non-free entry. A gain
+        with no non-zero entry off the pattern is its own projection (the
+        product equals it bit for bit) and comes back as itself."""
+        k = self.K * pattern.structural_identity()
+        return self if np.array_equal(k, self.K) else GainMatrix(k, self.partition)
 
 
 @dataclass(frozen=True, eq=False)

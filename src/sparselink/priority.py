@@ -9,11 +9,12 @@ table is the hand-off artifact consumed by the online rerouting step.
 
 A removal loss J*(pattern minus block) - J*(pattern) re-optimizes the gain
 with one block forced to zero. All these re-optimizations start from the
-same base optimum K*, so rank_links builds the exact Hessian H of J on the
-free entries of K* once (h2._ClosedLoop.hessian, one Lyapunov solve per
-free entry) and factors it once. Each
-loss then starts at the Optimal Brain Surgeon point (Hassibi & Stork, NIPS
-1993)
+same base optimum K*, so the first removal loss from K* builds the exact
+Hessian H of J on the free entries of K* (h2._ClosedLoop.hessian, one
+Lyapunov solve per free entry, on the closed loop K* carries) and factors
+it once, and K* carries that model to every later loss from it on the same
+plant and pattern. Each loss then starts at the Optimal Brain Surgeon point
+(Hassibi & Stork, NIPS 1993)
 
     K* - H^-1[:, b] (H^-1_bb)^-1 K*_b,
 
@@ -32,7 +33,6 @@ structured synthesis (structured.synthesize_projected) instead.
 """
 from __future__ import annotations
 
-import contextvars
 import math
 from dataclasses import dataclass
 
@@ -48,7 +48,7 @@ from .errors import (
     PatternNotStabilizable,
 )
 from .descent import CONVERGED
-from .h2 import _ClosedLoop
+from .h2 import _closed_loop
 from .plant import GainMatrix, LtiPlant, SparsityPattern
 from .sparse import SweepResult
 from .structured import _polish, synthesize_projected, synthesize_structured_info
@@ -142,25 +142,25 @@ class _RemovalNewton:
     pattern's blocks share (module docstring)."""
 
     def __init__(self, plant: LtiPlant, pattern: SparsityPattern, gain: GainMatrix):
-        self.plant, self.pattern, self.gain = plant, pattern, gain
+        self.plant, self.pattern, self.k = plant, pattern, gain.K
         self._ident = pattern.structural_identity()
         self._free = np.flatnonzero(self._ident)  # row-major, the Hessian's order
         self._chol = None  # stays None unless H is positive definite: every loss falls back
-        cl = _ClosedLoop(plant, gain.K)
+        cl = _closed_loop(plant, gain)
         if cl.stable:
             chol, info = dpotrf(cl.hessian(self._ident != 0.0), overwrite_a=1, clean=0)
             if info == 0:
                 self._chol = chol
 
-    def serves(self, plant, pattern, gain) -> bool:
-        return plant is self.plant and gain is self.gain and pattern.same_as(self.pattern)
+    def serves(self, plant, pattern) -> bool:
+        return plant is self.plant and pattern.same_as(self.pattern)
 
     def reduced_cost(self, block: tuple[int, int]) -> float | None:
         """J* on the pattern without block, or None when the Newton path
         does not apply and the caller must fall back."""
         if self._chol is None:
             return None
-        k = self.gain.K
+        k = self.k
         block_slices = self.plant.partition.block(*block)
         in_block = np.zeros(k.shape, dtype=bool)
         in_block[block_slices] = True
@@ -187,17 +187,11 @@ class _RemovalNewton:
         keep = self._ident.copy()
         keep[block_slices] = 0.0
         try:
-            res = _polish(self.plant, start.reshape(k.shape), keep,
-                          precondition=newton_direction)
+            res, _ = _polish(self.plant, start.reshape(k.shape), keep,
+                             precondition=newton_direction)
         except NotStabilizing:
             return None
         return res.value if res.status == CONVERGED else None
-
-
-# The model rank_links shares with the removal_loss calls it makes.
-_SHARED_NEWTON: contextvars.ContextVar[_RemovalNewton | None] = contextvars.ContextVar(
-    "sparselink.priority._SHARED_NEWTON", default=None
-)
 
 
 def removal_loss(
@@ -214,8 +208,8 @@ def removal_loss(
     base synthesis (cost and gain) may be passed in to avoid recomputing
     it and to warm-start the reduced problem. The reduced problem is solved
     by Newton steps from the base optimum, with the structured synthesis as
-    the fallback (module docstring); within rank_links every call shares
-    one Hessian.
+    the fallback; base_gain carries the Newton model to the next call from
+    it (module docstring).
     """
     i, j = block
     n_nodes = base_pattern.partition.n_nodes
@@ -226,9 +220,10 @@ def removal_loss(
     if base_cost is None or base_gain is None:
         base_info = synthesize_structured_info(plant, base_pattern)
         base_cost, base_gain = base_info.cost, base_info.gain
-    model = _SHARED_NEWTON.get()
-    if model is None or not model.serves(plant, base_pattern, base_gain):
+    model = base_gain.__dict__.get("_removal_newton")
+    if model is None or not model.serves(plant, base_pattern):
         model = _RemovalNewton(plant, base_pattern, base_gain)
+        object.__setattr__(base_gain, "_removal_newton", model)
     cost = model.reduced_cost(block)
     if cost is None:
         try:
@@ -270,19 +265,14 @@ def rank_links(plant: LtiPlant, sweep: SweepResult) -> PriorityTable:
         groups.setdefault(v, []).append(blk)
     tied = [blk for members in groups.values() if len(members) > 1 for blk in members]
     losses: dict[tuple[int, int], float] = {}
-    if tied:
-        token = _SHARED_NEWTON.set(_RemovalNewton(plant, base.pattern, base.polished_gain))
-        try:
-            for blk in tied:
-                losses[blk] = removal_loss(
-                    plant,
-                    base.pattern,
-                    blk,
-                    base_cost=base.cost_polished,
-                    base_gain=base.polished_gain,
-                )
-        finally:
-            _SHARED_NEWTON.reset(token)
+    for blk in tied:
+        losses[blk] = removal_loss(
+            plant,
+            base.pattern,
+            blk,
+            base_cost=base.cost_polished,
+            base_gain=base.polished_gain,
+        )
 
     ordered = sorted(
         blocks,

@@ -15,11 +15,13 @@ every accepted objective, so it decreases strictly.
 A sweep warm-starts each beta from the previous solution, extracts the block
 pattern of the result, and polishes every pattern with the structured
 synthesizer to obtain comparable costs. No pass or polish factors its
-start again: each starts from the closed loop the sweep already holds
-(h2._Relay) -- the J(K_c) evaluation, the previous pass's end point, or the
-sparse gain when its projection onto its pattern leaves it bit for bit
-unchanged -- and an entry whose pattern equals the previous entry's takes
-that entry's polish instead of polishing again.
+start again: each gain carries the closed loop of its K (h2._carry) --
+K_c the J(K_c) evaluation, a sparse gain the loop its solve ended on, a
+polished gain the loop its polish ended on -- and a solve from a gain takes
+that loop (h2._closed_loop). A sparse gain already on its pattern is its
+own projection (GainMatrix.project), so its polish starts from its loop. An
+entry whose pattern equals the previous entry's takes that entry's polish
+instead of polishing again.
 """
 from __future__ import annotations
 
@@ -31,7 +33,7 @@ import numpy as np
 
 from .descent import ARMIJO_C1, ARMIJO_SHRINK, MAX_BACKTRACKS, descend, require_converged
 from .errors import DimensionMismatch, InvalidAssumption, MaxIterations, NotStabilizing
-from .h2 import _ClosedLoop, _closed_loop, _hand_on, _Relay, lqr_centralized
+from .h2 import _carry, _ClosedLoop, _closed_loop, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import synthesize_projected, synthesize_structured_info
 
@@ -97,6 +99,7 @@ class _SparseGainDetails:
     k: np.ndarray
     objective_trace: tuple[float, ...]
     iterations: int
+    cl: _ClosedLoop | None = None  # the closed loop of k, when the solve holds it
 
 
 def sparse_gain(
@@ -108,7 +111,8 @@ def sparse_gain(
     """Stabilizing fixed point of the proximal-gradient map at one (beta, G),
     reached from init by SpaRSA steps (see the module docstring)."""
     details = _sparse_gain_details(plant, beta, weights, init)
-    return GainMatrix(details.k, plant.partition)
+    gain = GainMatrix(details.k, plant.partition)
+    return gain if details.cl is None else _carry(gain, details.cl)
 
 
 def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
@@ -118,8 +122,8 @@ def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
     n_nodes = plant.partition.n_nodes
     if weights.shape != (n_nodes, n_nodes):
         raise DimensionMismatch(f"weights shape {weights.shape}, expected ({n_nodes},{n_nodes})")
-    k = init.K if isinstance(init, GainMatrix) else np.asarray(init, dtype=float)
-    cl = _closed_loop(plant, k)
+    cl = _closed_loop(plant, init)
+    k = cl.k
     if not cl.stable:
         raise NotStabilizing("initial gain must be stabilizing")
 
@@ -145,8 +149,7 @@ def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
         shrunk = block_soft_threshold(k - _STEP * grad, _STEP * beta * weights, partition)
         residual = float(np.linalg.norm(k - shrunk)) / _STEP
         if residual <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(k))):
-            _hand_on(cl)
-            return _SparseGainDetails(k, tuple(trace), it)
+            return _SparseGainDetails(k, tuple(trace), it, cl)
         if it == _MAX_ITER:
             raise MaxIterations(f"proximal gradient did not converge within {_MAX_ITER} iterations")
         if prev_k is not None:
@@ -205,55 +208,45 @@ def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
     previous entry's takes that entry's polish. A final backward pass
     re-polishes any entry whose cost exceeds that of a (nested) sparser
     successor, which removes local-minimum artifacts from the warm-start
-    path. Passes and polishes start from the closed loops the sweep holds
+    path. Passes and polishes start from the closed loops their gains carry
     (module docstring).
     """
     k_c = lqr_centralized(plant)
-    relay = _Relay(_ClosedLoop(plant, k_c.K))
+    cl_c = _ClosedLoop(plant, k_c.K)
     if beta_schedule is None:
-        schedule = default_beta_schedule(relay.cl.value)
+        schedule = default_beta_schedule(cl_c.value)
     else:
         schedule = _checked_schedule(beta_schedule)
 
-    gain = k_c
+    gain = _carry(k_c, cl_c)
     entries: list[SweepEntry] = []
-    polished_loops = []  # the closed loop each entry's polish ended on
-    with relay:
-        for beta in schedule:
-            for _ in range(MAX_REWEIGHT):
-                g = reweight(block_frobenius(gain), EPSILON_REWEIGHT)
-                gain = sparse_gain(plant, beta, g, gain)
-            pattern = SparsityPattern.from_gain(gain, ZERO_THRESHOLD)
-            if entries and pattern.same_as(entries[-1].pattern):
-                cost, polished = entries[-1].cost_polished, entries[-1].polished_gain
-                polished_loops.append(polished_loops[-1])
-            else:
-                sparse_end = relay.cl
-                info = synthesize_projected(plant, pattern, gain)
-                cost, polished = info.cost, info.gain
-                polished_loops.append(relay.cl)
-                relay.cl = sparse_end  # the next pass starts from gain
-            entries.append(
-                SweepEntry(
-                    beta=float(beta),
-                    gain=gain,
-                    pattern=pattern,
-                    nnz_blocks=pattern.n_free,
-                    cost_polished=cost,
-                    polished_gain=polished,
-                )
+    for beta in schedule:
+        for _ in range(MAX_REWEIGHT):
+            g = reweight(block_frobenius(gain), EPSILON_REWEIGHT)
+            gain = sparse_gain(plant, beta, g, gain)
+        pattern = SparsityPattern.from_gain(gain, ZERO_THRESHOLD)
+        if entries and pattern.same_as(entries[-1].pattern):
+            cost, polished = entries[-1].cost_polished, entries[-1].polished_gain
+        else:
+            info = synthesize_projected(plant, pattern, gain)
+            cost, polished = info.cost, info.gain
+        entries.append(
+            SweepEntry(
+                beta=float(beta),
+                gain=gain,
+                pattern=pattern,
+                nnz_blocks=pattern.n_free,
+                cost_polished=cost,
+                polished_gain=polished,
             )
+        )
 
-        for idx in range(len(entries) - 2, -1, -1):
-            cur, nxt = entries[idx], entries[idx + 1]
-            if nxt.pattern.is_subset(cur.pattern) and cur.cost_polished > nxt.cost_polished:
-                relay.cl = polished_loops[idx + 1]
-                refined = synthesize_structured_info(plant, cur.pattern, init=nxt.polished_gain)
-                if refined.cost < cur.cost_polished:
-                    entries[idx] = replace(
-                        cur, cost_polished=refined.cost, polished_gain=refined.gain
-                    )
-                    polished_loops[idx] = relay.cl
+    for idx in range(len(entries) - 2, -1, -1):
+        cur, nxt = entries[idx], entries[idx + 1]
+        if nxt.pattern.is_subset(cur.pattern) and cur.cost_polished > nxt.cost_polished:
+            refined = synthesize_structured_info(plant, cur.pattern, init=nxt.polished_gain)
+            if refined.cost < cur.cost_polished:
+                entries[idx] = replace(cur, cost_polished=refined.cost, polished_gain=refined.gain)
     return SweepResult(tuple(entries))
 
 

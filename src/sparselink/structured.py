@@ -13,9 +13,10 @@ exactly while restoring stationarity on the free entries.
 
 Every closed loop the method factors serves all its later uses: an inner
 solve starts from the evaluation its predecessor ended on, and the polish
-from the stability check of the projection it starts at. Inside a relay
-(h2._Relay, held by sparse.sparsity_sweep) a warm start takes the relayed
-closed loop of its init, and the polish hands on the loop it ended on.
+from the stability check of the projection it starts at. A warm start takes
+the closed loop its init carries (h2._closed_loop), and the returned gain
+carries the loop the polish ended on when that loop's gain is it bit for
+bit (h2._carry), so the next solve from it factors nothing.
 
 A pattern with no input entry (B^T o I = 0) cannot move trace(A - B K) off
 trace(A); when that is not below -n STABILITY_TOL, no gain on the pattern
@@ -32,7 +33,7 @@ import numpy as np
 from . import descent
 from .descent import descend
 from .errors import MaxIterations, NotStabilizing, PatternNotStabilizable
-from .h2 import _ClosedLoop, _closed_loop, _hand_on, lqr_centralized
+from .h2 import _carry, _ClosedLoop, _closed_loop, lqr_centralized
 from .plant import STABILITY_TOL, GainMatrix, LtiPlant, SparsityPattern
 
 # The penalty starts at _GAMMA0 and grows by _ALPHA per multiplier update, at
@@ -151,7 +152,7 @@ def synthesize_structured_info(
     if init is None:
         cl = _ClosedLoop(plant, lqr_centralized(plant).K)
     else:
-        cl = _closed_loop(plant, init.K)
+        cl = _closed_loop(plant, init)
         if not cl.stable:
             raise NotStabilizing("initial gain must be stabilizing")
         init_on_pattern = not np.any(cl.k * comp)
@@ -182,14 +183,18 @@ def synthesize_structured_info(
             f"no stabilizing projected iterate within {_MAX_OUTER} outer iterations"
         )
 
-    res = _polish(plant, best_projection.k, ident, start=best_projection)
+    res, end = _polish(plant, best_projection.k, ident, start=best_projection)
     final = res.x * ident  # exact zeros off-pattern regardless of float dust
     gnorm = float(np.linalg.norm(res.gradient * ident))
     stationary = gnorm <= 1e-5 * (1.0 + float(np.linalg.norm(final)))
     if res.status != descent.CONVERGED and not stationary:
         raise MaxIterations("structured polish did not reach stationarity")
+    gain = GainMatrix(final, plant.partition)
+    # x * 1 is x and x * 0 is a zero of x's sign, so equal values are equal bits
+    if end is not None and np.array_equal(final, end.k):
+        _carry(gain, end)
     return SynthesisInfo(
-        gain=GainMatrix(final, plant.partition),
+        gain=gain,
         cost=res.value,
         iterations=outer,
         converged=tightened and stationary,
@@ -198,8 +203,9 @@ def synthesize_structured_info(
 
 def _polish(plant, k_projected, ident, *, start=None, precondition=None):
     """Projected-gradient descent of J on the free entries (ident), or
-    preconditioned descent with precondition (descent.descend). The closed
-    loop of the end point goes to the enclosing relay (h2._hand_on)."""
+    preconditioned descent with precondition (descent.descend). Returns the
+    descent result and the closed loop of its end point, or None when the
+    descent does not hold that loop."""
     end = start
 
     def make_eval(kk):
@@ -219,6 +225,4 @@ def _polish(plant, k_projected, ident, *, start=None, precondition=None):
     )
     # With no iteration res.x is a copy of the start; otherwise the accepted
     # trial is the last evaluation unless the line search failed.
-    if res.iterations == 0 or end.k is res.x:
-        _hand_on(end)
-    return res
+    return res, end if res.iterations == 0 or end.k is res.x else None

@@ -402,8 +402,8 @@ class TestNewtonRemovalLoss:
                     # -1e3 on every free entry puts a large positive
                     # eigenvalue into A - B K, so descend rejects the start
                     return polish(plant, k - 1e3 * ident, ident, **kwargs)
-                return dataclasses.replace(polish(plant, k, ident, **kwargs),
-                                           status=descent.MAX_ITER)
+                res, end = polish(plant, k, ident, **kwargs)
+                return dataclasses.replace(res, status=descent.MAX_ITER), end
 
             monkeypatch.setattr(priority, "_polish", failing)
         fallbacks = []

@@ -1,4 +1,5 @@
 """Scenario driver: plant generation, pipeline, reports, artifacts, CLI."""
+import collections
 import dataclasses
 import json
 import math
@@ -25,6 +26,7 @@ from sparselink import (
     dumps_canonical,
     generate_plant,
     load_scenario,
+    lqr_centralized,
     outcome_from_doc,
     plant_from_doc,
     plant_to_doc,
@@ -40,7 +42,7 @@ from sparselink import (
     write_artifacts,
     write_json,
 )
-from sparselink import cli
+from sparselink import cli, h2
 from sparselink import scenario as scenario_module
 from sparselink.cli import main
 
@@ -268,6 +270,32 @@ class TestPipeline:
         # the mutilated gain may or may not stabilize; the cost is whatever
         # zeroing every attacked block costs
         assert rep.j_attack > rep.j_before
+
+    def test_factors_no_gain_twice(self, monkeypatch):
+        # Every stage starts from the closed loop its gain carries: across
+        # the whole pipeline no matrix is factored twice except A itself
+        # (K = 0: the Riccati seed of a Hurwitz A, and a proximal trial
+        # that shrinks every block to zero), and lqr_centralized factors A
+        # once.
+        factored = []
+        schur = h2._real_schur
+
+        def recording(a):
+            factored.append(a.tobytes())
+            return schur(a)
+
+        monkeypatch.setattr(h2, "_real_schur", recording)
+        for seed, attack in ((2, None), (2, {"attacked_top": 1}), (4, {"attacked_top": 2})):
+            factored.clear()
+            res = run_pipeline(fast_scenario(attack, seed))
+            a = res.plant.A.tobytes()
+            assert len(factored) > 20
+            assert [n for key, n in collections.Counter(factored).items()
+                    if n > 1 and key != a] == []
+
+            factored.clear()
+            lqr_centralized(res.plant)  # A is Hurwitz by construction
+            assert factored.count(a) == 1
 
     def test_deterministic(self):
         a = run_pipeline(fast_scenario({"attacked_top": 1}))

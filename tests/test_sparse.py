@@ -1,7 +1,6 @@
 """Sparse feedback synthesis: shrinkage pieces, the proximal-gradient
 solve for one beta, and the beta sweep."""
 import math
-import traceback
 
 import numpy as np
 import pytest
@@ -15,6 +14,7 @@ from sparselink import (
     GainMatrix,
     InvalidAssumption,
     LostStabilizability,
+    LtiPlant,
     MaxIterations,
     NotStabilizing,
     SparsityPattern,
@@ -34,6 +34,7 @@ from sparselink import (
 )
 from sparselink import descent, h2, sparse
 from sparselink.sparse import _sparse_gain_details
+from sparselink.structured import synthesize_projected
 
 
 class TestBlockFrobenius:
@@ -279,29 +280,39 @@ class TestSparsitySweep:
             assert float(j) == entry.cost_polished
 
 
-def test_sweep_factors_no_held_gain_again(monkeypatch):
-    # Each pass starts from J(K_c)'s loop or the previous pass's end point,
-    # each polish from the sparse gain's loop: none of them factors a matrix
-    # the sweep already factored. (lqr_centralized may factor its stabilizing
-    # seed twice; that is not a hand-off.)
+def test_carried_loop_serves_its_own_plant_only(monkeypatch):
+    # A gain carries the closed loop of the plant it was solved on. A solve
+    # from it on another plant with the same A - B K (here R doubled) must
+    # factor afresh, and give bit for bit what a loop-free copy gives.
     plant = generate_plant(3, 2)
-    j_c = closed_loop_cost(plant, lqr_centralized(plant))
-    seen, repeats, total = set(), [], []
+    other = LtiPlant(plant.A, plant.B, plant.W, plant.Q, 2.0 * plant.R, plant.partition)
+    kc = lqr_centralized(plant)
+    beta = 0.02 * closed_loop_cost(plant, kc)
+    weights = np.ones((3, 3))
+    carried = sparse_gain(plant, beta, weights, kc)
+    pattern = SparsityPattern.from_gain(carried, sparse.ZERO_THRESHOLD)
+    polished = synthesize_projected(plant, pattern, carried).gain
+    factored = []
     schur = h2._real_schur
 
     def recording(a):
-        key = a.tobytes()
-        stack = [f.name for f in traceback.extract_stack()]
-        if key in seen and "lqr_centralized" not in stack:
-            repeats.append(stack[-4:])
-        seen.add(key)
-        total.append(1)
+        factored.append(a.tobytes())
         return schur(a)
 
     monkeypatch.setattr(h2, "_real_schur", recording)
-    entries = sparsity_sweep(plant, tuple(j_c * b for b in (1e-3, 1e-2, 0.1, 0.3))).entries
-    assert len(entries) == 4 and len(total) > 12
-    assert repeats == []
+    for gain, solve in ((carried, lambda p, g: sparse_gain(p, beta, weights, g)),
+                        (polished, lambda p, g: synthesize_structured_info(p, pattern, init=g))):
+        start = (plant.A - plant.B @ gain.K).tobytes()
+        factored.clear()
+        solve(plant, gain)
+        assert start not in factored  # the carried loop served
+        results = []
+        for g in (gain, GainMatrix(gain.K.copy(), gain.partition)):
+            factored.clear()
+            results.append(solve(other, g))
+            assert factored[0] == start
+        first, second = (getattr(r, "gain", r).K for r in results)
+        assert first.tobytes() == second.tobytes()
 
 
 @settings(max_examples=40, deadline=None)

@@ -292,7 +292,8 @@ class TestSynthesizeStructured:
 
     def test_on_pattern_init_checked_once(self, monkeypatch):
         # an init on the pattern is its own first projection and the
-        # polish's start: one factorization serves the check and both
+        # polish's start: one factorization serves the check and both, and
+        # none when the init carries its closed loop from the last synthesis
         plant = two_node_plant(9)
         pattern = SparsityPattern.diagonal(plant.partition)
         first = synthesize_structured_info(plant, pattern)
@@ -305,9 +306,16 @@ class TestSynthesizeStructured:
             return schur(a)
 
         monkeypatch.setattr(h2, "_real_schur", counting)
-        again = synthesize_structured_info(plant, pattern, init=first.gain)
+        again = synthesize_structured_info(
+            plant, pattern, init=GainMatrix(first.gain.K.copy(), plant.partition)
+        )
         assert sum(factored) == 1
         assert again.iterations == 0
+        factored.clear()
+        carried = synthesize_structured_info(plant, pattern, init=first.gain)
+        assert factored == []
+        assert carried.gain.K.tobytes() == again.gain.K.tobytes()
+        assert carried.cost == again.cost
 
     def test_warm_start_accepted(self):
         plant = two_node_plant(9)
