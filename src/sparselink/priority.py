@@ -28,8 +28,10 @@ sizes, less than scipy's checking wrapper adds). That takes one or two
 Newton steps per block where the gradient polish it replaces took about a
 dozen.
 When the Hessian is not positive definite, the start is not stabilizing,
-or the descent does not converge, the loss comes from the warm-started
-structured synthesis (structured.synthesize_projected) instead.
+or the descent does not converge, the loss comes from the structured
+synthesis of the reduced pattern from K* (synthesize_structured_info with
+init: a polish from K*'s projection, or a cold start when that projection
+is not stabilizing) instead.
 """
 from __future__ import annotations
 
@@ -51,7 +53,7 @@ from .descent import CONVERGED
 from .h2 import _closed_loop
 from .plant import GainMatrix, LtiPlant, SparsityPattern
 from .sparse import SweepResult
-from .structured import _polish, synthesize_projected, synthesize_structured_info
+from .structured import _polish, synthesize_structured_info
 
 
 @dataclass(frozen=True)
@@ -227,7 +229,8 @@ def removal_loss(
     cost = model.reduced_cost(block)
     if cost is None:
         try:
-            cost = synthesize_projected(plant, base_pattern.without_block(i, j), base_gain).cost
+            reduced = base_pattern.without_block(i, j)
+            cost = synthesize_structured_info(plant, reduced, init=base_gain).cost
         except PatternNotStabilizable:
             return math.inf
     return cost - base_cost

@@ -4,8 +4,8 @@ before / immediately-after-attack / after-reroute cost report.
 
 j_attack is computed with the pre-attack gain after zeroing the attacked
 blocks only (no resynthesis), so it can be +inf when the mutilated gain no
-longer stabilizes. j_reroute comes from a fresh structured synthesis on the
-post-attack pattern.
+longer stabilizes. j_reroute comes from a structured synthesis on the
+post-attack pattern, started from the pre-attack gain.
 """
 from __future__ import annotations
 
@@ -45,7 +45,7 @@ from .serialize import (
     table_to_doc,
 )
 from .sparse import SweepResult, sparsity_sweep, sweep_csv
-from .structured import SynthesisInfo, synthesize_projected, synthesize_structured_info
+from .structured import SynthesisInfo, synthesize_structured_info
 
 
 @dataclass(frozen=True)
@@ -264,14 +264,7 @@ def run_pipeline(scenario: Scenario) -> PipelineResult:
     j_reroute = None
     if outcome.feasible:
         pattern_after = pattern_from(outcome, plant.partition)
-        after = synthesize_projected(plant, pattern_after, before.gain)
-        if after.cost < before.cost - 1e-9:
-            # The post-attack gain is feasible for the richer pre-attack
-            # pattern too, so it exposes a better pre-attack optimum;
-            # re-polish from it to keep j_before <= j_reroute honest.
-            refined = synthesize_structured_info(plant, pattern_before, init=after.gain)
-            if refined.cost < before.cost:
-                before = refined
+        after = synthesize_structured_info(plant, pattern_after, init=before.gain)
         j_reroute = after.cost
 
     attacked_blocks = [

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +35,7 @@ from .descent import ARMIJO_C1, ARMIJO_SHRINK, MAX_BACKTRACKS, descend, require_
 from .errors import DimensionMismatch, InvalidAssumption, MaxIterations, NotStabilizing
 from .h2 import _carry, _ClosedLoop, _closed_loop, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
-from .structured import synthesize_projected, synthesize_structured_info
+from .structured import synthesize_structured_info
 
 MAX_REWEIGHT = 3  # reweighting passes per beta
 EPSILON_REWEIGHT = 1e-3  # eps of the reweighting rule
@@ -203,13 +203,12 @@ def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
     """Warm-started sweep over the beta schedule (None: default_beta_schedule)
     with per-beta reweighting.
 
-    Every recorded pattern gets a structured polish so the reported costs
-    are comparable across entries; an entry whose pattern equals the
-    previous entry's takes that entry's polish. A final backward pass
-    re-polishes any entry whose cost exceeds that of a (nested) sparser
-    successor, which removes local-minimum artifacts from the warm-start
-    path. Passes and polishes start from the closed loops their gains carry
-    (module docstring).
+    Every recorded pattern gets a structured polish from its sparse gain
+    (synthesize_structured_info with init, which starts cold when that gain's
+    projection is not stabilizing), so the reported costs are comparable
+    across entries; an entry whose pattern equals the previous entry's
+    takes that entry's polish. Passes and polishes start from the closed
+    loops their gains carry (module docstring).
     """
     k_c = lqr_centralized(plant)
     cl_c = _ClosedLoop(plant, k_c.K)
@@ -228,7 +227,7 @@ def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
         if entries and pattern.same_as(entries[-1].pattern):
             cost, polished = entries[-1].cost_polished, entries[-1].polished_gain
         else:
-            info = synthesize_projected(plant, pattern, gain)
+            info = synthesize_structured_info(plant, pattern, init=gain)
             cost, polished = info.cost, info.gain
         entries.append(
             SweepEntry(
@@ -241,12 +240,6 @@ def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
             )
         )
 
-    for idx in range(len(entries) - 2, -1, -1):
-        cur, nxt = entries[idx], entries[idx + 1]
-        if nxt.pattern.is_subset(cur.pattern) and cur.cost_polished > nxt.cost_polished:
-            refined = synthesize_structured_info(plant, cur.pattern, init=nxt.polished_gain)
-            if refined.cost < cur.cost_polished:
-                entries[idx] = replace(cur, cost_polished=refined.cost, polished_gain=refined.gain)
     return SweepResult(tuple(entries))
 
 

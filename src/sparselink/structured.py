@@ -9,14 +9,19 @@ is minimized over unstructured K for fixed multipliers, then Lam is updated
 by Lam + g (K o Ic) and the penalty grows geometrically until the structural
 violation ||K o Ic||_F drops below _EPS_STOP. A final hard projection onto
 the pattern plus a projected-gradient polish removes the residual violation
-exactly while restoring stationarity on the free entries.
+exactly while restoring stationarity on the free entries. That multiplier
+loop runs from K_c, for cold starts only: a warm start projects its init
+onto the pattern and polishes from there when the projection is
+stabilizing, so only an init whose projection is not stabilizing falls
+back to the cold start.
 
 Every closed loop the method factors serves all its later uses: an inner
 solve starts from the evaluation its predecessor ended on, and the polish
-from the stability check of the projection it starts at. A warm start takes
-the closed loop its init carries (h2._closed_loop), and the returned gain
-carries the loop the polish ended on when that loop's gain is it bit for
-bit (h2._carry), so the next solve from it factors nothing.
+from the stability check of the projection it starts at. An init already
+on the pattern is its own projection and brings the closed loop it carries
+(h2._closed_loop), and the returned gain carries the loop the polish ended
+on when that loop's gain is it bit for bit (h2._carry), so the next solve
+from it factors nothing.
 
 A pattern with no input entry (B^T o I = 0) cannot move trace(A - B K) off
 trace(A); when that is not below -n STABILITY_TOL, no gain on the pattern
@@ -118,19 +123,6 @@ def _inner_solve(plant, cl, lam, gamma, comp, grad_tol):
     return res, end if end.k is res.x else _ClosedLoop(plant, res.x)
 
 
-def synthesize_projected(
-    plant: LtiPlant,
-    pattern: SparsityPattern,
-    gain: GainMatrix,
-) -> SynthesisInfo:
-    """synthesize_structured_info warm-started from gain projected onto the
-    pattern, or cold when that projection is not stabilizing."""
-    try:
-        return synthesize_structured_info(plant, pattern, init=gain.project(pattern))
-    except NotStabilizing:
-        return synthesize_structured_info(plant, pattern)
-
-
 def synthesize_structured_info(
     plant: LtiPlant,
     pattern: SparsityPattern,
@@ -138,7 +130,14 @@ def synthesize_structured_info(
     init: GainMatrix | None = None,
 ) -> SynthesisInfo:
     """Structured H2-optimal gain on the pattern (exact zeros off-pattern)
-    with its cost and convergence diagnostics."""
+    with its cost and convergence diagnostics.
+
+    Without init the synthesis is cold: the multiplier loop from K_c, then
+    the polish. With init it polishes from init's projection onto the
+    pattern when that projection is stabilizing (iterations 0), starts cold
+    when only init is stabilizing, and raises NotStabilizing when neither
+    is.
+    """
     comp = pattern.complement_identity()
     ident = pattern.structural_identity()
     # Without an input on the pattern, trace(A - B K) = trace(A) for every
@@ -146,44 +145,15 @@ def synthesize_structured_info(
     if not np.any(plant.B.T * ident) and np.trace(plant.A) >= -plant.n * STABILITY_TOL:
         raise PatternNotStabilizable("trace(A - B K) cannot go negative on the pattern")
 
-    # An init on the pattern is its own first projection (k * ident equals
-    # it bit for bit): one closed loop serves both.
-    init_on_pattern = False
-    if init is None:
-        cl = _ClosedLoop(plant, lqr_centralized(plant).K)
+    start = None if init is None else _closed_loop(plant, init.project(pattern))
+    if start is not None and start.stable:
+        outer, tightened = 0, True
     else:
-        cl = _closed_loop(plant, init)
-        if not cl.stable:
-            raise NotStabilizing("initial gain must be stabilizing")
-        init_on_pattern = not np.any(cl.k * comp)
+        if init is not None and not _closed_loop(plant, init).stable:
+            raise NotStabilizing("neither the initial gain nor its projection is stabilizing")
+        start, outer, tightened = _multiplier_loop(plant, comp, ident)
 
-    lam = np.zeros_like(cl.k)
-    gamma = _GAMMA0
-    best_projection = None
-    tightened = False
-
-    outer = 0
-    for outer in range(_MAX_OUTER):
-        k = cl.k
-        violation = float(np.linalg.norm(k * comp))
-        projection = cl if outer == 0 and init_on_pattern else _ClosedLoop(plant, k * ident)
-        if projection.stable:
-            best_projection = projection
-            if violation < _EPS_STOP:
-                tightened = True
-                break
-        # Loose-to-tight inner tolerance keeps early outer iterations cheap.
-        inner_tol = max(_INNER_TOL, 1e-2 / gamma)
-        _, cl = _inner_solve(plant, cl, lam, gamma, comp, inner_tol)
-        lam = lam + gamma * (cl.k * comp)
-        gamma = _ALPHA * gamma
-
-    if best_projection is None:
-        raise PatternNotStabilizable(
-            f"no stabilizing projected iterate within {_MAX_OUTER} outer iterations"
-        )
-
-    res, end = _polish(plant, best_projection.k, ident, start=best_projection)
+    res, end = _polish(plant, start.k, ident, start=start)
     final = res.x * ident  # exact zeros off-pattern regardless of float dust
     gnorm = float(np.linalg.norm(res.gradient * ident))
     stationary = gnorm <= 1e-5 * (1.0 + float(np.linalg.norm(final)))
@@ -199,6 +169,39 @@ def synthesize_structured_info(
         iterations=outer,
         converged=tightened and stationary,
     )
+
+
+def _multiplier_loop(plant, comp, ident):
+    """The multiplier loop from K_c (module docstring). Returns the closed
+    loop of the last stabilizing projection, the number of outer iterations,
+    and whether the violation fell below _EPS_STOP there."""
+    cl = _ClosedLoop(plant, lqr_centralized(plant).K)
+    lam = np.zeros_like(cl.k)
+    gamma = _GAMMA0
+    best_projection = None
+    tightened = False
+
+    outer = 0
+    for outer in range(_MAX_OUTER):
+        k = cl.k
+        violation = float(np.linalg.norm(k * comp))
+        projection = _ClosedLoop(plant, k * ident)
+        if projection.stable:
+            best_projection = projection
+            if violation < _EPS_STOP:
+                tightened = True
+                break
+        # Loose-to-tight inner tolerance keeps early outer iterations cheap.
+        inner_tol = max(_INNER_TOL, 1e-2 / gamma)
+        _, cl = _inner_solve(plant, cl, lam, gamma, comp, inner_tol)
+        lam = lam + gamma * (cl.k * comp)
+        gamma = _ALPHA * gamma
+
+    if best_projection is None:
+        raise PatternNotStabilizable(
+            f"no stabilizing projected iterate within {_MAX_OUTER} outer iterations"
+        )
+    return best_projection, outer, tightened
 
 
 def _polish(plant, k_projected, ident, *, start=None, precondition=None):

@@ -31,7 +31,6 @@ from sparselink import (
     table_from_gain,
 )
 from sparselink import descent, h2, priority
-from sparselink.structured import synthesize_projected
 
 
 class TestPriorityTable:
@@ -308,7 +307,7 @@ def reference_loss(plant, pattern, block, *, base_cost, base_gain):
     """removal_loss by a warm-started structured synthesis of the reduced
     pattern, with no Newton model."""
     try:
-        info = synthesize_projected(plant, pattern.without_block(*block), base_gain)
+        info = synthesize_structured_info(plant, pattern.without_block(*block), init=base_gain)
     except PatternNotStabilizable:
         return math.inf
     return info.cost - base_cost
@@ -368,10 +367,10 @@ class TestNewtonRemovalLoss:
         n_reference = len(factored)
         factored.clear()
 
-        def no_fallback(*args):
+        def no_fallback(*args, **kwargs):
             raise AssertionError("removal loss fell back to the structured synthesis")
 
-        monkeypatch.setattr(priority, "synthesize_projected", no_fallback)
+        monkeypatch.setattr(priority, "synthesize_structured_info", no_fallback)
         _, losses = ranked_with(plant, sweep, removal_loss)
         assert losses.keys() == ref_losses.keys() and len(losses) >= 10
         assert 2 * len(factored) < n_reference
@@ -389,11 +388,22 @@ class TestNewtonRemovalLoss:
         assert loss < ref - 1e-3
         assert loss + base.cost_polished == pytest.approx(cold, rel=1e-9)
 
-    @pytest.mark.parametrize("failure", ["indefinite_hessian", "unstable_start", "no_convergence"])
+    @pytest.mark.parametrize(
+        "failure", ["indefinite_hessian", "singular_block", "unstable_start", "no_convergence"]
+    )
     def test_fallback_gives_reference_loss(self, monkeypatch, failure):
         if failure == "indefinite_hessian":
             monkeypatch.setattr(h2._ClosedLoop, "hessian",
                                 lambda self, free: -np.eye(int(np.count_nonzero(free))))
+        elif failure == "singular_block":
+            potrf = priority.dpotrf
+
+            def singular(a, **kwargs):
+                # H is factored with overwrite_a, H^-1_bb without it
+                c, info = potrf(a, **kwargs)
+                return (c, info) if "overwrite_a" in kwargs else (c, 1)
+
+            monkeypatch.setattr(priority, "dpotrf", singular)
         else:
             polish = priority._polish
 
@@ -408,11 +418,11 @@ class TestNewtonRemovalLoss:
             monkeypatch.setattr(priority, "_polish", failing)
         fallbacks = []
 
-        def counting(*args):
+        def counting(*args, **kwargs):
             fallbacks.append(args)
-            return synthesize_projected(*args)
+            return synthesize_structured_info(*args, **kwargs)
 
-        monkeypatch.setattr(priority, "synthesize_projected", counting)
+        monkeypatch.setattr(priority, "synthesize_structured_info", counting)
         plant = generate_plant(3, 4)
         sweep = sparsity_sweep(plant, LOSS_SCHEDULE)
         base = sweep.entries[0]

@@ -573,6 +573,52 @@ class TestCli:
         assert code == 3
         assert "not stabilizable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("init", ["synth_output", "lqr", "not_stabilizing"])
+    def test_synth_init(self, tmp_path, capsys, init):
+        # --init warm-starts the synthesis: it polishes from the init's
+        # projection onto the pattern when that is stabilizing, starts cold
+        # when only the init is, and rejects an init when neither is.
+        from sparselink import (
+            GainMatrix,
+            SparsityPattern,
+            gain_to_doc,
+            pattern_to_doc,
+            synthesize_structured_info,
+        )
+
+        plant = generate_plant(2, 2)
+        pattern = SparsityPattern.diagonal(plant.partition)
+        write_json(tmp_path / "plant.json", plant_to_doc(plant))
+        write_json(tmp_path / "pattern.json", pattern_to_doc(pattern))
+        synth = ["synth", "--plant", str(tmp_path / "plant.json"),
+                 "--pattern", str(tmp_path / "pattern.json")]
+        if init == "synth_output":
+            assert main(synth + ["--out", str(tmp_path)]) == 0
+            init_doc = json.loads((tmp_path / "gain.json").read_text())
+        elif init == "lqr":
+            init_doc = {"K": lqr_centralized(plant).K.tolist()}
+        else:
+            # A + 50 B B^T is not Hurwitz, and -50 B^T is on the diagonal
+            # pattern, so it is its own projection
+            init_doc = {"K": (-50.0 * plant.B.T).tolist()}
+        write_json(tmp_path / "init.json", init_doc)
+        code = main(synth + ["--init", str(tmp_path / "init.json")])
+        captured = capsys.readouterr()
+        if init == "not_stabilizing":
+            assert code == 4
+            assert "input error" in captured.err
+            return
+        assert code == 0
+        doc = json.loads(captured.out)
+        if init == "synth_output":
+            assert doc["K"] == init_doc["K"]
+            assert doc["iterations"] == 0
+        else:
+            k_init = GainMatrix(np.array(init_doc["K"]), plant.partition)
+            assert np.any(k_init.K * pattern.complement_identity())
+            info = synthesize_structured_info(plant, pattern, init=k_init)
+            assert doc == json.loads(dumps_canonical(gain_to_doc(info, pattern)))
+
     @pytest.mark.parametrize(
         "error, command, solver",
         [

@@ -34,7 +34,6 @@ from sparselink import (
 )
 from sparselink import descent, h2, sparse
 from sparselink.sparse import _sparse_gain_details
-from sparselink.structured import synthesize_projected
 
 
 class TestBlockFrobenius:
@@ -291,7 +290,7 @@ def test_carried_loop_serves_its_own_plant_only(monkeypatch):
     weights = np.ones((3, 3))
     carried = sparse_gain(plant, beta, weights, kc)
     pattern = SparsityPattern.from_gain(carried, sparse.ZERO_THRESHOLD)
-    polished = synthesize_projected(plant, pattern, carried).gain
+    polished = synthesize_structured_info(plant, pattern, init=carried).gain
     factored = []
     schur = h2._real_schur
 

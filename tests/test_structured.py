@@ -246,6 +246,33 @@ class TestSynthesizeStructured:
         assert calls[0][2] == structured._GAMMA0
         assert np.all(calls[0][1] == 0.0)
 
+    @pytest.mark.parametrize(
+        "k_init, projection_stabilizing",
+        [([[0.5, 0.3], [0.2, 0.5]], True), ([[-2.0, 2.0], [-2.0, 2.0]], False)],
+        ids=["projection_stabilizing", "only_init_stabilizing"],
+    )
+    def test_init_is_projected_then_polished(self, k_init, projection_stabilizing):
+        # A stabilizing init off the diagonal pattern: the synthesis polishes
+        # from its projection when that is stabilizing, and starts cold when
+        # only the init is.
+        part = BlockPartition((1, 1), (1, 1))
+        a = np.array([[-1.0, 0.5], [0.3, -1.0]])
+        plant = LtiPlant(a, np.eye(2), np.eye(2), np.eye(2), np.eye(2), part)
+        pattern = SparsityPattern.diagonal(part)
+        init = GainMatrix(np.array(k_init), part)
+        assert np.any(init.K * pattern.complement_identity())
+        assert is_stabilizing(plant, init)
+        assert is_stabilizing(plant, init.project(pattern)) == projection_stabilizing
+        warm = synthesize_structured_info(plant, pattern, init=init)
+        if projection_stabilizing:
+            expected = synthesize_structured_info(plant, pattern, init=init.project(pattern))
+            assert warm.iterations == 0
+        else:
+            expected = synthesize_structured_info(plant, pattern)
+        assert warm.gain.K.tobytes() == expected.gain.K.tobytes()
+        assert warm.iterations == expected.iterations
+        assert warm.cost == expected.cost
+
     def test_nonstabilizing_init_rejected(self):
         plant = cross_coupled_plant()
         bad = GainMatrix(np.zeros((2, 2)), plant.partition)
