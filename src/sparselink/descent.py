@@ -30,11 +30,11 @@ LOST_STABILITY = "lost_stability"
 
 _STEP_MIN = 1e-18
 _STEP_MAX = 1e6
-# Armijo sufficient-decrease constant, backtracking factor, and the default
-# number of backtracking trials per iteration.
+# Armijo sufficient-decrease constant, backtracking factor, and the number
+# of backtracking trials per iteration of every line search.
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
-MAX_BACKTRACKS = 60
+MAX_BACKTRACKS = 80
 
 
 @dataclass
@@ -53,7 +53,6 @@ def descend(
     grad_tol: float,
     max_iter: int,
     mask: np.ndarray | None = None,
-    max_backtracks: int = MAX_BACKTRACKS,
     start=None,
     precondition=None,
 ) -> DescentResult:
@@ -94,7 +93,7 @@ def descend(
         tau = min(max(step, _STEP_MIN), _STEP_MAX)
         accepted = None
         saw_finite_reject = False
-        for _ in range(max_backtracks):
+        for _ in range(MAX_BACKTRACKS):
             x_trial = x + tau * d
             ev_trial = make_eval(x_trial)
             f_trial = ev_trial.value

@@ -9,12 +9,13 @@ table is the hand-off artifact consumed by the online rerouting step.
 
 A removal loss J*(pattern minus block) - J*(pattern) re-optimizes the gain
 with one block forced to zero. All these re-optimizations start from the
-same base optimum K*, so the first removal loss from K* builds the exact
-Hessian H of J on the free entries of K* (h2._ClosedLoop.hessian, one
-Lyapunov solve per free entry, on the closed loop K* carries) and factors
-it once, and K* carries that model to every later loss from it on the same
-plant and pattern. Each loss then starts at the Optimal Brain Surgeon point
-(Hassibi & Stork, NIPS 1993)
+same base optimum K*, the first sweep entry's polish (SweepEntry.polished,
+passed whole as removal_loss's base), so the first removal loss from K*
+builds the exact Hessian H of J on the free entries of K*
+(h2._ClosedLoop.hessian, one Lyapunov solve per free entry, on the closed
+loop K* carries) and factors it once, and K* carries that model to every
+later loss from it on the same plant and pattern. Each loss then starts at
+the Optimal Brain Surgeon point (Hassibi & Stork, NIPS 1993)
 
     K* - H^-1[:, b] (H^-1_bb)^-1 K*_b,
 
@@ -53,7 +54,7 @@ from .descent import CONVERGED
 from .h2 import _closed_loop
 from .plant import GainMatrix, LtiPlant, SparsityPattern
 from .sparse import SweepResult
-from .structured import _polish, synthesize_structured_info
+from .structured import SynthesisInfo, _polish, synthesize_structured_info
 
 
 @dataclass(frozen=True)
@@ -201,17 +202,16 @@ def removal_loss(
     base_pattern: SparsityPattern,
     block: tuple[int, int],
     *,
-    base_cost: float | None = None,
-    base_gain: GainMatrix | None = None,
+    base: SynthesisInfo | None = None,
 ) -> float:
     """Performance loss J*(pattern minus block) - J*(pattern).
 
-    Returns +inf when the reduced pattern cannot be stabilized. A known
-    base synthesis (cost and gain) may be passed in to avoid recomputing
-    it and to warm-start the reduced problem. The reduced problem is solved
-    by Newton steps from the base optimum, with the structured synthesis as
-    the fallback; base_gain carries the Newton model to the next call from
-    it (module docstring).
+    Returns +inf when the reduced pattern cannot be stabilized. base, the
+    structured synthesis on base_pattern when known (a sweep entry's
+    polished), spares a cold synthesis of it and warm-starts the reduced
+    problem. The reduced problem is solved by Newton steps from the base
+    optimum, with the structured synthesis as the fallback; base.gain
+    carries the Newton model to the next call from it (module docstring).
     """
     i, j = block
     n_nodes = base_pattern.partition.n_nodes
@@ -219,21 +219,20 @@ def removal_loss(
         raise IndexOutOfRange(f"block ({i},{j}) outside the {n_nodes}x{n_nodes} grid")
     if not base_pattern.mask[i, j]:
         raise InvalidAssumption(f"block ({i},{j}) is not free in the base pattern")
-    if base_cost is None or base_gain is None:
-        base_info = synthesize_structured_info(plant, base_pattern)
-        base_cost, base_gain = base_info.cost, base_info.gain
-    model = base_gain.__dict__.get("_removal_newton")
+    if base is None:
+        base = synthesize_structured_info(plant, base_pattern)
+    model = base.gain.__dict__.get("_removal_newton")
     if model is None or not model.serves(plant, base_pattern):
-        model = _RemovalNewton(plant, base_pattern, base_gain)
-        object.__setattr__(base_gain, "_removal_newton", model)
+        model = _RemovalNewton(plant, base_pattern, base.gain)
+        object.__setattr__(base.gain, "_removal_newton", model)
     cost = model.reduced_cost(block)
     if cost is None:
         try:
             reduced = base_pattern.without_block(i, j)
-            cost = synthesize_structured_info(plant, reduced, init=base_gain).cost
+            cost = synthesize_structured_info(plant, reduced, init=base.gain).cost
         except PatternNotStabilizable:
             return math.inf
-    return cost - base_cost
+    return cost - base.cost
 
 
 def rank_links(plant: LtiPlant, sweep: SweepResult) -> PriorityTable:
@@ -269,13 +268,7 @@ def rank_links(plant: LtiPlant, sweep: SweepResult) -> PriorityTable:
     tied = [blk for members in groups.values() if len(members) > 1 for blk in members]
     losses: dict[tuple[int, int], float] = {}
     for blk in tied:
-        losses[blk] = removal_loss(
-            plant,
-            base.pattern,
-            blk,
-            base_cost=base.cost_polished,
-            base_gain=base.polished_gain,
-        )
+        losses[blk] = removal_loss(plant, base.pattern, blk, base=base.polished)
 
     ordered = sorted(
         blocks,

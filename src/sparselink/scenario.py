@@ -2,10 +2,12 @@
 sweep -> rank -> attack -> reroute -> resynthesize pipeline, and the
 before / immediately-after-attack / after-reroute cost report.
 
-j_attack is computed with the pre-attack gain after zeroing the attacked
-blocks only (no resynthesis), so it can be +inf when the mutilated gain no
-longer stabilizes. j_reroute comes from a structured synthesis on the
-post-attack pattern, started from the pre-attack gain.
+The pre-attack gain and j_before are the first sweep entry's structured
+synthesis (SweepEntry.polished), taken as the sweep made it. j_attack is
+computed with the pre-attack gain after zeroing the attacked blocks only
+(no resynthesis), so it can be +inf when the mutilated gain no longer
+stabilizes. j_reroute comes from the pipeline's one structured synthesis,
+on the post-attack pattern, started from the pre-attack gain.
 """
 from __future__ import annotations
 
@@ -189,8 +191,11 @@ def scenario_from_doc(doc: dict, *, name: str = "scenario", base_dir=None, seed=
         plant_doc = read_json(path)
     else:
         raise InvalidAssumption(f"unknown plant source kind: {kind!r}")
+    name = doc.get("name", name)
+    if not isinstance(name, str):
+        raise InvalidAssumption(f"scenario name must be a string, got {name!r}")
     return Scenario(
-        name=str(doc.get("name", name)),
+        name=name,
         generator=generator,
         plant_doc=plant_doc,
         beta_schedule=sparsity.get("beta_schedule"),
@@ -252,9 +257,8 @@ def run_pipeline(scenario: Scenario) -> PipelineResult:
 
     # The deployed pre-attack gain is the polished first sweep entry (the
     # densest footprint, which also defines the table's block universe).
-    entry0 = sweep.entries[0]
-    pattern_before = entry0.pattern
-    before = synthesize_structured_info(plant, pattern_before, init=entry0.polished_gain)
+    pattern_before = sweep.entries[0].pattern
+    before = sweep.entries[0].polished
 
     attack = attack_from_doc(scenario.attack, table.r1)
     outcome = select_reroute(table, attack)

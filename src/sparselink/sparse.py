@@ -14,14 +14,17 @@ every accepted objective, so it decreases strictly.
 
 A sweep warm-starts each beta from the previous solution, extracts the block
 pattern of the result, and polishes every pattern with the structured
-synthesizer to obtain comparable costs. No pass or polish factors its
-start again: each gain carries the closed loop of its K (h2._carry) --
-K_c the J(K_c) evaluation, a sparse gain the loop its solve ended on, a
-polished gain the loop its polish ended on -- and a solve from a gain takes
-that loop (h2._closed_loop). A sparse gain already on its pattern is its
-own projection (GainMatrix.project), so its polish starts from its loop. An
-entry whose pattern equals the previous entry's takes that entry's polish
-instead of polishing again.
+synthesizer to obtain comparable costs. Each entry keeps that synthesis
+whole (SweepEntry.polished, a SynthesisInfo): the first entry's is the base
+of the removal losses (priority.rank_links) and the deployed pre-attack
+gain (scenario.run_pipeline), which synthesize it no more. No pass or
+polish factors its start again: each gain carries the closed loop of its K
+(h2._carry) -- K_c the J(K_c) evaluation, a sparse gain the loop its solve
+ended on, a polished gain the loop its polish ended on -- and a solve from
+a gain takes that loop (h2._closed_loop). A sparse gain already on its
+pattern is its own projection (GainMatrix.project), so its polish starts
+from its loop. An entry whose pattern equals the previous entry's takes
+that entry's polish instead of polishing again.
 """
 from __future__ import annotations
 
@@ -35,7 +38,7 @@ from .descent import ARMIJO_C1, ARMIJO_SHRINK, MAX_BACKTRACKS, descend, require_
 from .errors import DimensionMismatch, InvalidAssumption, MaxIterations, NotStabilizing
 from .h2 import _carry, _ClosedLoop, _closed_loop, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
-from .structured import synthesize_structured_info
+from .structured import SynthesisInfo, synthesize_structured_info
 
 MAX_REWEIGHT = 3  # reweighting passes per beta
 EPSILON_REWEIGHT = 1e-3  # eps of the reweighting rule
@@ -50,9 +53,19 @@ class SweepEntry:
     beta: float
     gain: GainMatrix
     pattern: SparsityPattern
-    nnz_blocks: int
-    cost_polished: float
-    polished_gain: GainMatrix
+    polished: SynthesisInfo  # the structured synthesis on pattern
+
+    @property
+    def nnz_blocks(self) -> int:
+        return self.pattern.n_free
+
+    @property
+    def cost_polished(self) -> float:
+        return self.polished.cost
+
+    @property
+    def polished_gain(self) -> GainMatrix:
+        return self.polished.gain
 
 
 @dataclass(frozen=True, eq=False)
@@ -116,8 +129,8 @@ def sparse_gain(
 
 
 def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
-    if beta < 0.0:
-        raise ValueError("beta must be non-negative")
+    if not 0.0 <= beta < math.inf:
+        raise ValueError("beta must be finite and non-negative")
     weights = np.asarray(weights, dtype=float)
     n_nodes = plant.partition.n_nodes
     if weights.shape != (n_nodes, n_nodes):
@@ -186,14 +199,14 @@ def default_beta_schedule(j_centralized: float, count: int = 30) -> tuple[float,
 
 def _checked_schedule(schedule) -> tuple[float, ...]:
     """The beta schedule as floats; InvalidAssumption unless it is a list of
-    non-negative numbers in strictly increasing order."""
+    finite non-negative numbers in strictly increasing order."""
     if not isinstance(schedule, (list, tuple, np.ndarray)) or not all(
         isinstance(b, numbers.Real) and not isinstance(b, bool) for b in schedule
     ):
         raise InvalidAssumption(f"beta schedule must be a list of numbers, got {schedule!r}")
     sched = tuple(float(b) for b in schedule)
-    if not all(b >= 0.0 for b in sched):
-        raise InvalidAssumption("beta schedule must be non-negative")
+    if not all(0.0 <= b < math.inf for b in sched):
+        raise InvalidAssumption("beta schedule must be finite and non-negative")
     if any(b2 <= b1 for b1, b2 in zip(sched, sched[1:])):
         raise InvalidAssumption("beta schedule must be strictly increasing")
     return sched
@@ -225,20 +238,10 @@ def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
             gain = sparse_gain(plant, beta, g, gain)
         pattern = SparsityPattern.from_gain(gain, ZERO_THRESHOLD)
         if entries and pattern.same_as(entries[-1].pattern):
-            cost, polished = entries[-1].cost_polished, entries[-1].polished_gain
+            polished = entries[-1].polished
         else:
-            info = synthesize_structured_info(plant, pattern, init=gain)
-            cost, polished = info.cost, info.gain
-        entries.append(
-            SweepEntry(
-                beta=float(beta),
-                gain=gain,
-                pattern=pattern,
-                nnz_blocks=pattern.n_free,
-                cost_polished=cost,
-                polished_gain=polished,
-            )
-        )
+            polished = synthesize_structured_info(plant, pattern, init=gain)
+        entries.append(SweepEntry(float(beta), gain, pattern, polished))
 
     return SweepResult(tuple(entries))
 

@@ -53,7 +53,6 @@ _INNER_TOL = 1e-6
 _INNER_MAX_ITER = 3000
 _POLISH_TOL = 1e-6
 _POLISH_MAX_ITER = 20000
-_MAX_BACKTRACKS = 80
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,25 +101,11 @@ def _inner_solve(plant, cl, lam, gamma, comp, grad_tol):
     """Descent of L_g over unstructured K at a fixed multiplier and penalty
     from the closed loop cl; returns the descent result and the closed loop
     of its end point."""
-    end = cl
-
-    def make_eval(kk):
-        nonlocal end
-        end = _ClosedLoop(plant, kk)
-        return _AugLagEval(end, lam, gamma, comp)
-
-    res = descend(
-        make_eval,
-        cl.k,
-        grad_tol=grad_tol,
-        max_iter=_INNER_MAX_ITER,
-        max_backtracks=_MAX_BACKTRACKS,
-        start=_AugLagEval(cl, lam, gamma, comp),
+    res, end = _descend_tracked(
+        plant, cl, cl.k, lambda c: _AugLagEval(c, lam, gamma, comp),
+        grad_tol=grad_tol, max_iter=_INNER_MAX_ITER,
     )
-    if res.iterations == 0:
-        return res, cl  # res.x is a copy of cl.k
-    # The accepted trial is the last evaluation unless the line search failed.
-    return res, end if end.k is res.x else _ClosedLoop(plant, res.x)
+    return res, end if end is not None else _ClosedLoop(plant, res.x)
 
 
 def synthesize_structured_info(
@@ -209,23 +194,25 @@ def _polish(plant, k_projected, ident, *, start=None, precondition=None):
     preconditioned descent with precondition (descent.descend). Returns the
     descent result and the closed loop of its end point, or None when the
     descent does not hold that loop."""
+    return _descend_tracked(
+        plant, start, k_projected, lambda c: c, mask=ident, grad_tol=_POLISH_TOL,
+        max_iter=_POLISH_MAX_ITER, precondition=precondition,
+    )
+
+
+def _descend_tracked(plant, start, x0, objective, **limits):
+    """descend of objective(closed loop of K) from x0, whose closed loop is
+    start when given. Returns the descent result and the closed loop of its
+    end point, or None when the descent does not hold that loop."""
     end = start
 
     def make_eval(kk):
         nonlocal end
         end = _ClosedLoop(plant, kk)
-        return end
+        return objective(end)
 
-    res = descend(
-        make_eval,
-        k_projected,
-        mask=ident,
-        grad_tol=_POLISH_TOL,
-        max_iter=_POLISH_MAX_ITER,
-        max_backtracks=_MAX_BACKTRACKS,
-        start=start,
-        precondition=precondition,
-    )
-    # With no iteration res.x is a copy of the start; otherwise the accepted
-    # trial is the last evaluation unless the line search failed.
-    return res, end if res.iterations == 0 or end.k is res.x else None
+    res = descend(make_eval, x0, start=None if start is None else objective(start), **limits)
+    if res.iterations == 0 and start is not None:
+        return res, start  # res.x is a copy of x0
+    # The accepted trial is the last evaluation unless the line search failed.
+    return res, end if end.k is res.x else None

@@ -23,6 +23,7 @@ from sparselink import (
     SparsityPattern,
     SweepEntry,
     SweepResult,
+    SynthesisInfo,
     generate_plant,
     rank_links,
     removal_loss,
@@ -177,20 +178,15 @@ class TestRemovalLoss:
         full = SparsityPattern.full(plant.partition)
         info = synthesize_structured_info(plant, full)
         a = removal_loss(plant, full, (1, 0))
-        b = removal_loss(plant, full, (1, 0), base_cost=info.cost, base_gain=info.gain)
+        b = removal_loss(plant, full, (1, 0), base=info)
         assert a == pytest.approx(b, abs=1e-8 * (1.0 + abs(a)))
 
 
-def entry(beta, gain, mask, partition, cost=0.0, polished=None):
+def entry(beta, gain, mask, partition, polished=None):
     pattern = SparsityPattern(np.asarray(mask, dtype=bool), partition)
-    return SweepEntry(
-        beta=beta,
-        gain=gain,
-        pattern=pattern,
-        nnz_blocks=pattern.n_free,
-        cost_polished=cost,
-        polished_gain=polished if polished is not None else gain,
-    )
+    if polished is None:
+        polished = SynthesisInfo(gain=gain, cost=0.0, iterations=0, converged=True)
+    return SweepEntry(beta=beta, gain=gain, pattern=pattern, polished=polished)
 
 
 class TestRankLinks:
@@ -238,13 +234,13 @@ class TestRankLinks:
         masks = [[[1, 1], [1, 1]], [[0, 0], [0, 0]]]
         sweep = SweepResult(
             (
-                entry(1.0, info.gain, masks[0], part, cost=info.cost, polished=info.gain),
+                entry(1.0, info.gain, masks[0], part, polished=info),
                 entry(2.0, info.gain, masks[1], part),
             )
         )
         table = rank_links(plant, sweep)
         losses = {
-            blk: removal_loss(plant, full, blk, base_cost=info.cost, base_gain=info.gain)
+            blk: removal_loss(plant, full, blk, base=info)
             for blk in full.free_blocks()
         }
         expected = sorted(losses, key=lambda blk: (losses[blk], blk[0], blk[1]))
@@ -278,7 +274,7 @@ class TestRankLinks:
         info = synthesize_structured_info(plant, full)
         sweep = SweepResult(
             (
-                entry(1.0, info.gain, [[1, 1], [1, 1]], part, cost=info.cost, polished=info.gain),
+                entry(1.0, info.gain, [[1, 1], [1, 1]], part, polished=info),
                 entry(2.0, info.gain, [[0, 0], [0, 0]], part),
             )
         )
@@ -303,14 +299,14 @@ class TestRankLinks:
 LOSS_SCHEDULE = (0.001, 0.01)
 
 
-def reference_loss(plant, pattern, block, *, base_cost, base_gain):
+def reference_loss(plant, pattern, block, *, base):
     """removal_loss by a warm-started structured synthesis of the reduced
     pattern, with no Newton model."""
     try:
-        info = synthesize_structured_info(plant, pattern.without_block(*block), init=base_gain)
+        info = synthesize_structured_info(plant, pattern.without_block(*block), init=base.gain)
     except PatternNotStabilizable:
         return math.inf
-    return info.cost - base_cost
+    return info.cost - base.cost
 
 
 def ranked_with(plant, sweep, loss):
@@ -381,9 +377,8 @@ class TestNewtonRemovalLoss:
         # lower one, which a cold synthesis of the reduced pattern finds too.
         plant = generate_plant(2, 98)
         base = sparsity_sweep(plant, LOSS_SCHEDULE).entries[0]
-        kwargs = dict(base_cost=base.cost_polished, base_gain=base.polished_gain)
-        loss = removal_loss(plant, base.pattern, (0, 0), **kwargs)
-        ref = reference_loss(plant, base.pattern, (0, 0), **kwargs)
+        loss = removal_loss(plant, base.pattern, (0, 0), base=base.polished)
+        ref = reference_loss(plant, base.pattern, (0, 0), base=base.polished)
         cold = synthesize_structured_info(plant, base.pattern.without_block(0, 0)).cost
         assert loss < ref - 1e-3
         assert loss + base.cost_polished == pytest.approx(cold, rel=1e-9)
@@ -429,7 +424,5 @@ class TestNewtonRemovalLoss:
         order, losses = ranked_with(plant, sweep, removal_loss)
         assert len(fallbacks) == len(losses) >= 2
         for blk, loss in losses.items():
-            assert loss == reference_loss(plant, base.pattern, blk,
-                                          base_cost=base.cost_polished,
-                                          base_gain=base.polished_gain)
+            assert loss == reference_loss(plant, base.pattern, blk, base=base.polished)
         assert order == ranked_with(plant, sweep, reference_loss)[0]

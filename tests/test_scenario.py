@@ -182,6 +182,12 @@ class TestScenarioDoc:
         with pytest.raises(InvalidAssumption):
             scenario_from_doc("not a dict")
 
+    @pytest.mark.parametrize("bad", [["x"], 5, None])
+    def test_name_must_be_a_string(self, bad):
+        gen = {"generator": {"n_nodes": 2, "seed": 0}}
+        with pytest.raises(InvalidAssumption, match="name"):
+            scenario_from_doc({"name": bad, "plant": gen})
+
     def test_exactly_one_plant_source(self):
         plant_doc = plant_to_doc(generate_plant(2, 0))
         with pytest.raises(InvalidAssumption):
@@ -296,6 +302,21 @@ class TestPipeline:
             factored.clear()
             lqr_centralized(res.plant)  # A is Hurwitz by construction
             assert factored.count(a) == 1
+
+    def test_one_synthesis_after_the_sweep(self, monkeypatch):
+        # The pre-attack gain is entry 0's polish as the sweep made it, so
+        # the pipeline's only synthesis is on the post-attack pattern.
+        patterns = []
+        synth = scenario_module.synthesize_structured_info
+
+        def recording(plant, pattern, **kwargs):
+            patterns.append(pattern)
+            return synth(plant, pattern, **kwargs)
+
+        monkeypatch.setattr(scenario_module, "synthesize_structured_info", recording)
+        res = run_pipeline(fast_scenario({"attacked_top": 1}))
+        assert len(patterns) == 1 and patterns[0] is res.pattern_after
+        assert res.before is res.sweep.entries[0].polished
 
     def test_deterministic(self):
         a = run_pipeline(fast_scenario({"attacked_top": 1}))
@@ -728,6 +749,7 @@ class TestCli:
             {"sparsity": {"beta_schedule": [0.05, 0.5], "max_reweight": 1}},
             {"synthesis": {"gamma0": 1.0}},
             {"sparsity": {"beta_schedule": [True, 2]}},
+            {"sparsity": {"beta_schedule": [0.05, math.inf]}},
         ],
     )
     def test_bad_or_removed_solver_setting_exit_four(self, tmp_path, capsys, sections):

@@ -131,6 +131,12 @@ class TestSparseGain:
         with pytest.raises(ValueError):
             sparse_gain(plant, -1.0, np.ones((2, 2)), lqr_centralized(plant))
 
+    @pytest.mark.parametrize("beta", [math.inf, math.nan])
+    def test_nonfinite_beta_rejected(self, beta):
+        plant = generate_plant(2, 0)
+        with pytest.raises(ValueError, match="finite"):
+            sparse_gain(plant, beta, np.ones((2, 2)), lqr_centralized(plant))
+
     def test_nonstabilizing_init_rejected(self):
         plant = single_node_plant(np.random.default_rng(3), 3, 2, margin=-0.5)
         bad = GainMatrix(np.zeros((2, 3)), plant.partition)
@@ -221,6 +227,11 @@ class TestBetaSchedule:
         for schedule in ((1.0, 0.5), (-1.0, 0.5), (1.0, 1.0), 5, ["x"], "0.5"):
             with pytest.raises(InvalidAssumption):
                 sparsity_sweep(plant, schedule)
+
+    @pytest.mark.parametrize("schedule", [(0.05, math.inf), (math.nan, 0.5)])
+    def test_nonfinite_schedule_rejected(self, schedule):
+        with pytest.raises(InvalidAssumption, match="finite"):
+            sparsity_sweep(generate_plant(2, 0), schedule)
 
 
 @pytest.mark.usefixtures("one_reweight")
