@@ -30,13 +30,13 @@ from .errors import (
     UnknownFormat,
 )
 from .render import render_pattern
+from .reroute import select_reroute
 from .scenario import (
     generate_plant,
     load_scenario,
     report_csv,
     report_to_doc,
     run_pipeline,
-    select_reroute,
     write_artifacts,
 )
 from .serialize import (

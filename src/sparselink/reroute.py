@@ -3,10 +3,12 @@
 Given the offline priority table and a set of attacked priorities, decide
 which attacked links' data is rerouted through sacrificed lower-priority
 links' channels and which is dropped, and emit the post-attack table and
-sparsity pattern. Three procedures cover the cases: uniform block sizes,
-a single attacked link with mixed sizes, and multiple attacked links with
-mixed sizes. Capacity is counted in information units (block element
-counts), exactly as the table stores it.
+sparsity pattern. Every outcome comes from one serving rule (_serve); the
+three procedures (uniform block sizes, a single attacked link with mixed
+sizes, multiple attacked links with mixed sizes) differ only in the
+precondition and feasibility screen in front of it, and select_reroute
+chooses among them. Capacity is counted in information units (block
+element counts), exactly as the table stores it.
 """
 from __future__ import annotations
 
@@ -61,127 +63,25 @@ def _validated_attack(table: PriorityTable, attacked) -> frozenset[int]:
     return prios
 
 
-def _identity_outcome(table: PriorityTable) -> RerouteOutcome:
-    empty = frozenset()
-    return RerouteOutcome(table, empty, empty, empty, empty, True)
-
-
 def _infeasible_outcome(table: PriorityTable, attacked) -> RerouteOutcome:
     empty = frozenset()
     return RerouteOutcome(table, frozenset(attacked), empty, empty, empty, False)
 
 
-def reroute_uniform(table: PriorityTable, attacked) -> RerouteOutcome:
-    """Countermeasure when every block carries the same number of units.
-
-    Attacked priorities are processed in descending order; the j-th highest
-    is paired with the j-th lowest non-attacked link. The pair reroutes
-    (sacrificing the host) only when the attacked priority exceeds the
-    host's, otherwise the attacked link's data is dropped. More attacked
-    links than half the table is infeasible.
-    """
-    sizes = set(table.sizes())
-    if len(sizes) > 1:
-        raise InvalidAssumption(f"block sizes are not uniform: {sorted(sizes)}")
-    attacked = _validated_attack(table, attacked)
-    r1, r3 = table.r1, len(attacked)
-    if r3 == 0:
-        return _identity_outcome(table)
-    if r3 > r1 / 2:
-        return _infeasible_outcome(table, attacked)
-
-    descending = sorted(attacked, reverse=True)
-    hosts = sorted(q for q in range(1, r1 + 1) if q not in attacked)
-    sacrificed, rerouted, dropped = set(), set(), set()
-    for j, a in enumerate(descending):
-        host = hosts[j]
-        if a > host:
-            sacrificed.add(host)
-            rerouted.add(a)
-        else:
-            dropped.add(a)
-    final = table.with_zeroed_rows(sacrificed | dropped)
-    return RerouteOutcome(
-        final,
-        attacked,
-        frozenset(sacrificed),
-        frozenset(rerouted),
-        frozenset(dropped),
-        True,
-    )
-
-
-def reroute_single(table: PriorityTable, r_attack: int) -> RerouteOutcome:
-    """Single attacked link on a table with arbitrary block sizes.
-
-    The attacked block's units are split across sacrificed hosts taken in
-    ascending priority until its size is covered; a host sacrifices its
-    whole row even when that over-provisions. The lowest-priority link, or
-    an attacked block larger than all capacity below it, is dropped.
-    """
-    r_attack = int(r_attack)
-    if not 1 <= r_attack <= table.r1:
-        raise IndexOutOfRange(f"attacked priority {r_attack} outside 1..{table.r1}")
-    attacked = frozenset([r_attack])
-    if r_attack == 1:
-        final = table.with_zeroed_rows(attacked)
-        return RerouteOutcome(final, attacked, frozenset(), frozenset(), attacked, True)
-
+def _serve(table: PriorityTable, attacked: frozenset[int]) -> RerouteOutcome:
+    """The serving rule of every procedure. Attacked priorities are taken
+    highest first; each takes, in ascending priority, the non-attacked links
+    below it that no earlier attacked link has taken, until its size is
+    covered (a host gives up its whole row, even when that over-provisions).
+    An attacked link whose capacity left below it is too small is dropped."""
     sizes = table.sizes()
-    need = sizes[r_attack - 1]
-    capacity = sum(sizes[q - 1] for q in range(1, r_attack))
-    if capacity < need:
-        final = table.with_zeroed_rows(attacked)
-        return RerouteOutcome(final, attacked, frozenset(), frozenset(), attacked, True)
-
-    sacrificed = set()
-    remaining = need
-    for q in range(1, r_attack):
-        sacrificed.add(q)
-        remaining -= sizes[q - 1]
-        if remaining <= 0:
-            break
-    final = table.with_zeroed_rows(sacrificed)
-    return RerouteOutcome(
-        final, attacked, frozenset(sacrificed), attacked, frozenset(), True
-    )
-
-
-def reroute_multi(table: PriorityTable, attacked) -> RerouteOutcome:
-    """Multiple attacked links on a table with arbitrary block sizes.
-
-    Feasibility is screened on total attacked units b1 versus the capacity
-    b2 available strictly below the highest attacked priority. Attacked
-    priorities are then served in descending order by the single-link inner
-    loop, with hosts never reused and never themselves attacked; an attacked
-    block whose remaining lower-priority capacity is too small is dropped.
-    """
-    attacked = _validated_attack(table, attacked)
-    r1, r3 = table.r1, len(attacked)
-    if r3 == 0:
-        return _identity_outcome(table)
-
-    sizes = table.sizes()
-    top_attacked = max(attacked)
-    b1 = sum(sizes[q - 1] for q in attacked)
-    b2 = sum(sizes[q - 1] for q in range(1, top_attacked) if q not in attacked)
-
-    if b1 > b2 and r3 >= r1 / 2:
-        return _infeasible_outcome(table, attacked)
-
     sacrificed, rerouted, dropped = set(), set(), set()
     for a in sorted(attacked, reverse=True):
-        hosts = [
-            q
-            for q in range(1, a)
-            if q not in attacked and q not in sacrificed
-        ]
-        capacity = sum(sizes[q - 1] for q in hosts)
-        need = sizes[a - 1]
-        if capacity < need:
+        hosts = [q for q in range(1, a) if q not in attacked and q not in sacrificed]
+        remaining = sizes[a - 1]
+        if sum(sizes[q - 1] for q in hosts) < remaining:
             dropped.add(a)
             continue
-        remaining = need
         for q in hosts:
             sacrificed.add(q)
             remaining -= sizes[q - 1]
@@ -197,6 +97,57 @@ def reroute_multi(table: PriorityTable, attacked) -> RerouteOutcome:
         frozenset(dropped),
         True,
     )
+
+
+def reroute_uniform(table: PriorityTable, attacked) -> RerouteOutcome:
+    """Countermeasure when every block carries the same number of units.
+
+    One host covers one attacked link, so the j-th highest attacked priority
+    rides the j-th lowest non-attacked link when that link ranks strictly
+    lower, and is dropped otherwise. More attacked links than half the table
+    is infeasible.
+    """
+    sizes = set(table.sizes())
+    if len(sizes) > 1:
+        raise InvalidAssumption(f"block sizes are not uniform: {sorted(sizes)}")
+    attacked = _validated_attack(table, attacked)
+    if len(attacked) > table.r1 / 2:
+        return _infeasible_outcome(table, attacked)
+    return _serve(table, attacked)
+
+
+def reroute_single(table: PriorityTable, r_attack: int) -> RerouteOutcome:
+    """Single attacked link on a table with arbitrary block sizes; always
+    feasible. The lowest-priority link, or an attacked block larger than all
+    capacity below it, is dropped."""
+    return _serve(table, _validated_attack(table, [r_attack]))
+
+
+def reroute_multi(table: PriorityTable, attacked) -> RerouteOutcome:
+    """Multiple attacked links on a table with arbitrary block sizes.
+
+    Infeasible when the total attacked units b1 exceed the capacity b2 of the
+    non-attacked links strictly below the highest attacked priority and at
+    least half the table is attacked; otherwise served with hosts never
+    reused and never themselves attacked.
+    """
+    attacked = _validated_attack(table, attacked)
+    sizes = table.sizes()
+    b1 = sum(sizes[q - 1] for q in attacked)
+    b2 = sum(sizes[q - 1] for q in range(1, max(attacked, default=0)) if q not in attacked)
+    if b1 > b2 and len(attacked) >= table.r1 / 2:
+        return _infeasible_outcome(table, attacked)
+    return _serve(table, attacked)
+
+
+def select_reroute(table: PriorityTable, attack: AttackScenario) -> RerouteOutcome:
+    """Uniform block sizes use reroute_uniform; one attacked block on a
+    mixed-size table uses reroute_single; anything else reroute_multi."""
+    if len(set(table.sizes())) <= 1:
+        return reroute_uniform(table, attack.priorities)
+    if len(attack.priorities) == 1:
+        return reroute_single(table, next(iter(attack.priorities)))
+    return reroute_multi(table, attack.priorities)
 
 
 def pattern_from(outcome: RerouteOutcome, partition: BlockPartition) -> SparsityPattern:

@@ -26,14 +26,7 @@ from .h2 import closed_loop_cost
 from .plant import BlockPartition, LtiPlant, SparsityPattern
 from .priority import PriorityTable, rank_links
 from .render import render_pattern
-from .reroute import (
-    AttackScenario,
-    RerouteOutcome,
-    pattern_from,
-    reroute_multi,
-    reroute_single,
-    reroute_uniform,
-)
+from .reroute import AttackScenario, RerouteOutcome, pattern_from, select_reroute
 from .serialize import (
     _integer,
     attack_from_doc,
@@ -237,17 +230,6 @@ class PipelineResult:
     before: SynthesisInfo
     after: SynthesisInfo | None
     report: CostReport
-
-
-def select_reroute(table: PriorityTable, attack: AttackScenario) -> RerouteOutcome:
-    """Uniform block sizes use the pairing countermeasure; one attacked
-    block on a mixed-size table uses the single-link loop; anything else
-    the multi-link loop."""
-    if len(set(table.sizes())) <= 1:
-        return reroute_uniform(table, attack.priorities)
-    if len(attack.priorities) == 1:
-        return reroute_single(table, next(iter(attack.priorities)))
-    return reroute_multi(table, attack.priorities)
 
 
 def run_pipeline(scenario: Scenario) -> PipelineResult:

@@ -9,8 +9,9 @@ Barzilai-Borwein estimate, halved until the composite objective passes an
 Armijo test. J is +inf off the stabilizing set, so every accepted iterate
 is stabilizing. A solve stops at a fixed point of the proximal map
 K -> shrink(K - s grad J, s beta G) for the step s = _STEP, measured by the
-gradient-mapping residual. The recorded objective trace holds the start and
-every accepted objective, so it decreases strictly.
+gradient-mapping residual. Every accepted step decreases the composite
+objective strictly; a line search that finds no such step raises
+LineSearchFailure.
 
 A sweep warm-starts each beta from the previous solution, extracts the block
 pattern of the result, and polishes every pattern with the structured
@@ -35,7 +36,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import ARMIJO_C1, ARMIJO_SHRINK, MAX_BACKTRACKS, descend, require_converged
-from .errors import DimensionMismatch, InvalidAssumption, MaxIterations, NotStabilizing
+from .errors import (
+    DimensionMismatch,
+    InvalidAssumption,
+    LineSearchFailure,
+    MaxIterations,
+    NotStabilizing,
+)
 from .h2 import _carry, _ClosedLoop, _closed_loop, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import SynthesisInfo, synthesize_structured_info
@@ -107,14 +114,6 @@ def _penalized_objective(cl, beta, weights, partition) -> float:
     return j + beta * float(np.sum(weights * partition.block_norms(cl.k)))
 
 
-@dataclass(frozen=True, eq=False)
-class _SparseGainDetails:
-    k: np.ndarray
-    objective_trace: tuple[float, ...]
-    iterations: int
-    cl: _ClosedLoop | None = None  # the closed loop of k, when the solve holds it
-
-
 def sparse_gain(
     plant: LtiPlant,
     beta: float,
@@ -123,12 +122,6 @@ def sparse_gain(
 ) -> GainMatrix:
     """Stabilizing fixed point of the proximal-gradient map at one (beta, G),
     reached from init by SpaRSA steps (see the module docstring)."""
-    details = _sparse_gain_details(plant, beta, weights, init)
-    gain = GainMatrix(details.k, plant.partition)
-    return gain if details.cl is None else _carry(gain, details.cl)
-
-
-def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
     if not 0.0 <= beta < math.inf:
         raise ValueError("beta must be finite and non-negative")
     weights = np.asarray(weights, dtype=float)
@@ -140,6 +133,7 @@ def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
     if not cl.stable:
         raise NotStabilizing("initial gain must be stabilizing")
 
+    partition = plant.partition
     if beta == 0.0:
         res = descend(
             lambda kk: _ClosedLoop(plant, kk),
@@ -149,11 +143,9 @@ def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
             start=cl,
         )
         require_converged(res, "unpenalized descent")
-        return _SparseGainDetails(res.x, (res.value,), res.iterations)
+        return GainMatrix(res.x, partition)
 
-    partition = plant.partition
     obj = _penalized_objective(cl, beta, weights, partition)
-    trace: list[float] = [obj]
     eta = _STEP
     prev_k = None
     prev_grad = None
@@ -162,7 +154,7 @@ def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
         shrunk = block_soft_threshold(k - _STEP * grad, _STEP * beta * weights, partition)
         residual = float(np.linalg.norm(k - shrunk)) / _STEP
         if residual <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(k))):
-            return _SparseGainDetails(k, tuple(trace), it, cl)
+            return _carry(GainMatrix(k, partition), cl)
         if it == _MAX_ITER:
             raise MaxIterations(f"proximal gradient did not converge within {_MAX_ITER} iterations")
         if prev_k is not None:
@@ -183,12 +175,11 @@ def _sparse_gain_details(plant, beta, weights, init) -> _SparseGainDetails:
             cand_obj = _penalized_objective(cand_cl, beta, weights, partition)
             if cand_obj <= obj - ARMIJO_C1 / (2.0 * eta) * step_sq:
                 k, cl, obj = cand, cand_cl, cand_obj
-                trace.append(obj)
                 accepted = True
                 break
             eta *= ARMIJO_SHRINK
         if not accepted:
-            raise MaxIterations(f"proximal gradient stalled after {it} iterations")
+            raise LineSearchFailure(f"proximal gradient stalled after {it} iterations")
 
 
 def default_beta_schedule(j_centralized: float, count: int = 30) -> tuple[float, ...]:

@@ -37,7 +37,7 @@ import numpy as np
 
 from . import descent
 from .descent import descend
-from .errors import MaxIterations, NotStabilizing, PatternNotStabilizable
+from .errors import NotStabilizing, PatternNotStabilizable
 from .h2 import _carry, _ClosedLoop, _closed_loop, lqr_centralized
 from .plant import STABILITY_TOL, GainMatrix, LtiPlant, SparsityPattern
 
@@ -142,8 +142,8 @@ def synthesize_structured_info(
     final = res.x * ident  # exact zeros off-pattern regardless of float dust
     gnorm = float(np.linalg.norm(res.gradient * ident))
     stationary = gnorm <= 1e-5 * (1.0 + float(np.linalg.norm(final)))
-    if res.status != descent.CONVERGED and not stationary:
-        raise MaxIterations("structured polish did not reach stationarity")
+    if not stationary:
+        descent.require_converged(res, "structured polish")
     gain = GainMatrix(final, plant.partition)
     # x * 1 is x and x * 0 is a zero of x's sign, so equal values are equal bits
     if end is not None and np.array_equal(final, end.k):

@@ -13,6 +13,7 @@ from sparselink import (
     DimensionMismatch,
     GainMatrix,
     InvalidAssumption,
+    LineSearchFailure,
     LostStabilizability,
     LtiPlant,
     MaxIterations,
@@ -33,7 +34,6 @@ from sparselink import (
     synthesize_structured_info,
 )
 from sparselink import descent, h2, sparse
-from sparselink.sparse import _sparse_gain_details
 
 
 class TestBlockFrobenius:
@@ -161,13 +161,30 @@ class TestSparseGain:
         pattern = SparsityPattern.from_gain(k, sparse.ZERO_THRESHOLD)
         assert is_stabilizing(plant, k.project(pattern))
 
-    def test_objective_trace_monotone(self):
+    def test_objective_trace_monotone(self, monkeypatch):
+        # the solve asks for the gradient once at its start and once at
+        # each accepted iterate, in order; the penalized objective is
+        # evaluated at the start and at every trial
         plant = generate_plant(2, 5)
         kc = lqr_centralized(plant)
         beta = 0.05 * closed_loop_cost(plant, kc)
         weights = np.ones((2, 2))
-        details = _sparse_gain_details(plant, beta, weights, kc)
-        trace = details.objective_trace
+        objectives, accepted = {}, []
+        penalized = sparse._penalized_objective
+        gradient = h2._ClosedLoop.gradient
+
+        def recording_objective(cl, *args):
+            objectives[cl.k.tobytes()] = value = penalized(cl, *args)
+            return value
+
+        def recording_gradient(cl):
+            accepted.append(cl.k.tobytes())
+            return gradient(cl)
+
+        monkeypatch.setattr(sparse, "_penalized_objective", recording_objective)
+        monkeypatch.setattr(h2._ClosedLoop, "gradient", recording_gradient)
+        sparse_gain(plant, beta, weights, kc)
+        trace = [objectives[k] for k in accepted]
         assert len(trace) >= 2
         for prev, cur in zip(trace, trace[1:]):
             assert cur <= prev + 1e-10 * (1.0 + abs(prev))
@@ -178,6 +195,14 @@ class TestSparseGain:
         kc = lqr_centralized(plant)
         beta = 0.02 * closed_loop_cost(plant, kc)
         with pytest.raises(MaxIterations):
+            sparse_gain(plant, beta, np.ones((3, 3)), kc)
+
+    def test_stalled_line_search_is_typed(self, monkeypatch):
+        monkeypatch.setattr(sparse, "MAX_BACKTRACKS", 0)
+        plant = generate_plant(3, 2)
+        kc = lqr_centralized(plant)
+        beta = 0.02 * closed_loop_cost(plant, kc)
+        with pytest.raises(LineSearchFailure):
             sparse_gain(plant, beta, np.ones((3, 3)), kc)
 
     @pytest.mark.parametrize("seed", [0, 2, 4])

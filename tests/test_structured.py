@@ -8,7 +8,10 @@ from conftest import fd_gradient, perturbed_gain, single_node_plant
 from sparselink import (
     BlockPartition,
     GainMatrix,
+    LineSearchFailure,
+    LostStabilizability,
     LtiPlant,
+    MaxIterations,
     NotStabilizing,
     PatternNotStabilizable,
     SparsityPattern,
@@ -343,6 +346,28 @@ class TestSynthesizeStructured:
         assert factored == []
         assert carried.gain.K.tobytes() == again.gain.K.tobytes()
         assert carried.cost == again.cost
+
+    @pytest.mark.parametrize(
+        "status, error",
+        [
+            (descent.MAX_ITER, MaxIterations),
+            (descent.STALLED, LineSearchFailure),
+            (descent.LOST_STABILITY, LostStabilizability),
+        ],
+    )
+    def test_polish_give_up_raises_its_status_error(self, monkeypatch, status, error):
+        # 1.5 K_c on the full pattern is stabilizing and not stationary; a
+        # polish that gives up there raises the error of how it gave up
+        plant = two_node_plant(9)
+        init = GainMatrix(1.5 * lqr_centralized(plant).K, plant.partition)
+
+        def giving_up(make_eval, x0, *, start=None, **limits):
+            ev = make_eval(x0) if start is None else start
+            return descent.DescentResult(np.array(x0), ev.value, ev.gradient(), 0, status)
+
+        monkeypatch.setattr(structured, "descend", giving_up)
+        with pytest.raises(error):
+            synthesize_structured_info(plant, SparsityPattern.full(plant.partition), init=init)
 
     def test_warm_start_accepted(self):
         plant = two_node_plant(9)
