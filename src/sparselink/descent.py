@@ -1,18 +1,25 @@
-"""Monotone descent with Armijo backtracking.
+"""Monotone descent with backtracking, the one line search of the package.
 
-Shared by the augmented-Lagrangian inner solver, the structured polish,
-the unpenalized (beta = 0) sparse-synthesis solve and the removal-loss
-re-optimizations of priority.rank_links. Objectives may return +inf for
-infeasible (non-stabilizing) trial points; such trials are rejected by the
-line search and no arithmetic is ever performed on the sentinel. Accepted
-values decrease strictly.
+Its users are the augmented-Lagrangian inner solves and the polish of
+structured, sparse.sparse_gain and the removal losses of
+priority.rank_links. Objectives may return +inf for infeasible
+(non-stabilizing) trial points; such trials are rejected and no arithmetic
+is ever performed on the sentinel. Accepted values decrease strictly.
 
-By default the direction is the negative (masked) gradient and step sizes
-are seeded by a Barzilai-Borwein estimate. A caller holding a Newton model
-passes a preconditioner instead: the direction is then -M g for a fixed
-positive definite M (priority.rank_links uses the inverse Hessian of J at
-the base optimum, downdated for the removed block), and every iteration
-tries the unit step first.
+The objective is F = f + h: the caller evaluates F and the gradient g of
+the smooth f, and h enters only through its proximal map prox(v, s). No
+prox is h = 0; the polish passes the projection v * ident onto its
+pattern, sparse_gain the block soft-threshold of its penalty. A trial at
+step tau is prox(x - tau g, tau), accepted when F(trial) <= F -
+(ARMIJO_C1 / tau) ||trial - x||^2 (for h = 0 the Armijo test); step sizes
+are seeded by a Barzilai-Borwein estimate. A trial that does not move x
+ends the descent as stalled.
+
+A caller holding a Newton model passes a preconditioner instead: the trial
+is x + tau d along d = -M g for a fixed positive definite M
+(priority.rank_links uses the downdated inverse Hessian of J at the base
+optimum), accepted on the Armijo test, and every iteration tries the unit
+step first.
 """
 from __future__ import annotations
 
@@ -30,6 +37,7 @@ LOST_STABILITY = "lost_stability"
 
 _STEP_MIN = 1e-18
 _STEP_MAX = 1e6
+_RESIDUAL_STEP = 0.01  # S of the gradient-mapping residual
 # Armijo sufficient-decrease constant, backtracking factor, and the number
 # of backtracking trials per iteration of every line search.
 ARMIJO_C1 = 1e-4
@@ -52,23 +60,27 @@ def descend(
     *,
     grad_tol: float,
     max_iter: int,
-    mask: np.ndarray | None = None,
+    prox=None,
     start=None,
     precondition=None,
 ) -> DescentResult:
-    """Minimize a smooth objective from a feasible start.
+    """Minimize F = f + h from a feasible start (see the module docstring).
 
-    make_eval(x) must return an object with a float attribute `value`
-    (+inf allowed for infeasible points) and a `gradient()` method that is
-    only called at finite-value points. start, when given, is the caller's
-    make_eval(x0), so x0 is not evaluated again. With a mask, descent is
-    restricted to the masked entries and convergence is measured on the
-    masked gradient: ||grad * mask||_F <= grad_tol * (1 + ||x||_F).
+    make_eval(x) must return an object with a float attribute `value`, F(x)
+    (+inf allowed for infeasible points), and a `gradient()` method, the
+    gradient of f, that is only called at finite-value points. start, when
+    given, is the caller's make_eval(x0), so x0 is not evaluated again.
+    prox(v, s), when given, is the proximal map of s h. Every iterate up to
+    the max_iter-th is tested for convergence, at a fixed point of the
+    proximal map: ||x - prox(x - S g, S)||_F / S <= grad_tol (1 + ||x||_F)
+    for S = _RESIDUAL_STEP (for a projection, the projected gradient norm).
     precondition(g), when given, returns the direction -M g for a positive
-    definite M that is zero off the mask; each iteration then tries the
-    unit step first (see the module docstring), and a direction along
-    which J does not decrease ends the descent as stalled.
+    definite M whose steps stay in the range of prox (see the module
+    docstring); a direction along which F does not decrease ends the
+    descent as stalled.
     """
+    if prox is None:
+        prox = _identity
     x = np.array(x0, dtype=float)
     ev = make_eval(x) if start is None else start
     f = ev.value
@@ -77,12 +89,13 @@ def descend(
     g = ev.gradient()
     step = 1.0 / (1.0 + float(np.linalg.norm(g)))
 
-    for it in range(max_iter):
-        d = -g if mask is None else -(g * mask)
-        slope = -float(np.sum(d * d))
-        gnorm = math.sqrt(-slope)
-        if gnorm <= grad_tol * (1.0 + float(np.linalg.norm(x))):
+    for it in range(max_iter + 1):
+        shrunk = prox(x - _RESIDUAL_STEP * g, _RESIDUAL_STEP)
+        residual = float(np.linalg.norm(x - shrunk)) / _RESIDUAL_STEP
+        if residual <= grad_tol * (1.0 + float(np.linalg.norm(x))):
             return DescentResult(x, f, g, it, CONVERGED)
+        if it == max_iter:
+            return DescentResult(x, f, g, it, MAX_ITER)
         if precondition is not None:
             d = precondition(g)
             slope = float(np.sum(g * d))
@@ -92,35 +105,40 @@ def descend(
 
         tau = min(max(step, _STEP_MIN), _STEP_MAX)
         accepted = None
-        saw_finite_reject = False
+        failure = LOST_STABILITY
         for _ in range(MAX_BACKTRACKS):
-            x_trial = x + tau * d
+            x_trial = prox(x - tau * g, tau) if precondition is None else x + tau * d
+            moved_sq = float(np.sum((x_trial - x) ** 2))
+            if moved_sq == 0.0:
+                failure = STALLED
+                break
+            decrease = moved_sq / tau if precondition is None else -tau * slope
             ev_trial = make_eval(x_trial)
             f_trial = ev_trial.value
-            if math.isfinite(f_trial) and f_trial <= f + ARMIJO_C1 * tau * slope:
-                accepted = (x_trial, ev_trial, f_trial, tau)
-                break
             if math.isfinite(f_trial):
-                saw_finite_reject = True
+                if f_trial <= f - ARMIJO_C1 * decrease:
+                    accepted = (x_trial, ev_trial, f_trial, tau)
+                    break
+                failure = STALLED
             tau *= ARMIJO_SHRINK
             if tau < _STEP_MIN:
                 break
         if accepted is None:
-            status = STALLED if saw_finite_reject else LOST_STABILITY
-            return DescentResult(x, f, g, it, status)
+            return DescentResult(x, f, g, it, failure)
 
         x_new, ev_new, f_new, tau = accepted
         g_new = ev_new.gradient()
-        # Barzilai-Borwein estimate for the next trial step, on the masked
-        # subspace when a mask is active.
+        # Barzilai-Borwein estimate for the next trial step.
         s = x_new - x
-        y = (g_new - g) if mask is None else (g_new - g) * mask
+        y = g_new - g
         sy = float(np.sum(s * y))
         ss = float(np.sum(s * s))
         step = ss / sy if sy > 0.0 else tau * 2.0
         x, f, g = x_new, f_new, g_new
 
-    return DescentResult(x, f, g, max_iter, MAX_ITER)
+
+def _identity(v, s):
+    return v
 
 
 _STATUS_ERRORS = {

@@ -2,16 +2,17 @@
 
 Minimizes J(K) + beta * sum_ij G_ij ||K_ij||_F, with weights from the
 reweighting rule G_ij = 1/(||K_ij|| + eps), by monotone proximal gradient:
-the SpaRSA scheme of Wright, Nowak & Figueiredo (IEEE TSP 57(7), 2009).
-Each step soft-thresholds a gradient step on J block by block, so blocks
-below their threshold become exact zeros. The step length is a
-Barzilai-Borwein estimate, halved until the composite objective passes an
-Armijo test. J is +inf off the stabilizing set, so every accepted iterate
-is stabilizing. A solve stops at a fixed point of the proximal map
-K -> shrink(K - s grad J, s beta G) for the step s = _STEP, measured by the
-gradient-mapping residual. Every accepted step decreases the composite
-objective strictly; a line search that finds no such step raises
-LineSearchFailure.
+the SpaRSA scheme of Wright, Nowak & Figueiredo (IEEE TSP 57(7), 2009),
+run as a descent.descend whose prox is the block soft-threshold
+K -> shrink(K, s beta G). Each step thresholds a gradient step on J block
+by block, so blocks below their threshold become exact zeros. The step
+rules are descend's: a Barzilai-Borwein step, halved until the composite
+objective passes its sufficient-decrease test, and a stop at a fixed point
+of the proximal map, measured by the gradient-mapping residual. J is +inf
+off the stabilizing set, so every accepted iterate is stabilizing. Every
+accepted step decreases the composite objective strictly; a solve that
+does not converge raises the typed error of its descent status
+(descent.require_converged).
 
 A sweep warm-starts each beta from the previous solution, extracts the block
 pattern of the result, and polishes every pattern with the structured
@@ -35,14 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import ARMIJO_C1, ARMIJO_SHRINK, MAX_BACKTRACKS, descend, require_converged
-from .errors import (
-    DimensionMismatch,
-    InvalidAssumption,
-    LineSearchFailure,
-    MaxIterations,
-    NotStabilizing,
-)
+from .descent import descend, require_converged
+from .errors import DimensionMismatch, InvalidAssumption, NotStabilizing
 from .h2 import _carry, _ClosedLoop, _closed_loop, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import SynthesisInfo, synthesize_structured_info
@@ -50,7 +45,6 @@ from .structured import SynthesisInfo, synthesize_structured_info
 MAX_REWEIGHT = 3  # reweighting passes per beta
 EPSILON_REWEIGHT = 1e-3  # eps of the reweighting rule
 ZERO_THRESHOLD = 1e-6  # block norm at or below which a block is absent
-_STEP = 0.01  # step of the fixed-point test and first trial step
 _RESIDUAL_TOL = 1e-4  # fixed-point residual tolerance, relative to 1 + ||K||_F
 _MAX_ITER = 400  # proximal-gradient iterations per solve
 
@@ -106,12 +100,19 @@ def block_soft_threshold(v: np.ndarray, thresholds: np.ndarray, partition: Block
     return np.where(partition.expand(keep), partition.expand(factor) * v, 0.0)
 
 
-def _penalized_objective(cl, beta, weights, partition) -> float:
-    """J(K) + beta * sum_ij G_ij ||K_ij||_F at the closed loop of K."""
-    j = cl.value
-    if not math.isfinite(j):
-        return math.inf
-    return j + beta * float(np.sum(weights * partition.block_norms(cl.k)))
+class _Penalized:
+    """The evaluation of the solve at the closed loop cl of K: value is
+    J(K) + beta * sum_ij G_ij ||K_ij||_F, gradient() is grad J (the penalty
+    enters descend through its prox)."""
+
+    def __init__(self, cl, beta, weights):
+        self.cl = cl
+        j = cl.value
+        norms = cl.plant.partition.block_norms(cl.k)
+        self.value = j + beta * float(np.sum(weights * norms)) if math.isfinite(j) else math.inf
+
+    def gradient(self):
+        return self.cl.gradient()
 
 
 def sparse_gain(
@@ -121,7 +122,8 @@ def sparse_gain(
     init: GainMatrix,
 ) -> GainMatrix:
     """Stabilizing fixed point of the proximal-gradient map at one (beta, G),
-    reached from init by SpaRSA steps (see the module docstring)."""
+    reached from init by SpaRSA steps (see the module docstring). Every beta,
+    0 included, stops at the residual tolerance _RESIDUAL_TOL."""
     if not 0.0 <= beta < math.inf:
         raise ValueError("beta must be finite and non-negative")
     weights = np.asarray(weights, dtype=float)
@@ -129,57 +131,28 @@ def sparse_gain(
     if weights.shape != (n_nodes, n_nodes):
         raise DimensionMismatch(f"weights shape {weights.shape}, expected ({n_nodes},{n_nodes})")
     cl = _closed_loop(plant, init)
-    k = cl.k
     if not cl.stable:
         raise NotStabilizing("initial gain must be stabilizing")
 
     partition = plant.partition
-    if beta == 0.0:
-        res = descend(
-            lambda kk: _ClosedLoop(plant, kk),
-            k,
-            grad_tol=1e-6,
-            max_iter=5000,
-            start=cl,
-        )
-        require_converged(res, "unpenalized descent")
-        return GainMatrix(res.x, partition)
+    end = cl
 
-    obj = _penalized_objective(cl, beta, weights, partition)
-    eta = _STEP
-    prev_k = None
-    prev_grad = None
-    for it in range(_MAX_ITER + 1):
-        grad = cl.gradient()
-        shrunk = block_soft_threshold(k - _STEP * grad, _STEP * beta * weights, partition)
-        residual = float(np.linalg.norm(k - shrunk)) / _STEP
-        if residual <= _RESIDUAL_TOL * (1.0 + float(np.linalg.norm(k))):
-            return _carry(GainMatrix(k, partition), cl)
-        if it == _MAX_ITER:
-            raise MaxIterations(f"proximal gradient did not converge within {_MAX_ITER} iterations")
-        if prev_k is not None:
-            s = k - prev_k
-            y = grad - prev_grad
-            sy = float(np.sum(s * y))
-            if sy > 0.0:
-                eta = float(np.sum(s * s)) / sy
-        eta = min(max(eta, 1e-12), 1e6)
-        prev_k, prev_grad = k, grad
-        accepted = False
-        for _ in range(MAX_BACKTRACKS):
-            cand = block_soft_threshold(k - eta * grad, eta * beta * weights, partition)
-            step_sq = float(np.sum((cand - k) ** 2))
-            if step_sq == 0.0:
-                break
-            cand_cl = _ClosedLoop(plant, cand)
-            cand_obj = _penalized_objective(cand_cl, beta, weights, partition)
-            if cand_obj <= obj - ARMIJO_C1 / (2.0 * eta) * step_sq:
-                k, cl, obj = cand, cand_cl, cand_obj
-                accepted = True
-                break
-            eta *= ARMIJO_SHRINK
-        if not accepted:
-            raise LineSearchFailure(f"proximal gradient stalled after {it} iterations")
+    def penalized(k):
+        nonlocal end
+        end = _ClosedLoop(plant, k)
+        return _Penalized(end, beta, weights)
+
+    res = descend(
+        penalized,
+        cl.k,
+        grad_tol=_RESIDUAL_TOL,
+        max_iter=_MAX_ITER,
+        prox=lambda v, s: block_soft_threshold(v, s * beta * weights, partition),
+        start=_Penalized(cl, beta, weights),
+    )
+    require_converged(res, "proximal gradient")
+    # a converged descent evaluated its end point last, or nothing at all
+    return _carry(GainMatrix(res.x, partition), end)
 
 
 def default_beta_schedule(j_centralized: float, count: int = 30) -> tuple[float, ...]:

@@ -195,8 +195,8 @@ def _polish(plant, k_projected, ident, *, start=None, precondition=None):
     descent result and the closed loop of its end point, or None when the
     descent does not hold that loop."""
     return _descend_tracked(
-        plant, start, k_projected, lambda c: c, mask=ident, grad_tol=_POLISH_TOL,
-        max_iter=_POLISH_MAX_ITER, precondition=precondition,
+        plant, start, k_projected, lambda c: c, prox=lambda v, s: v * ident,
+        grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER, precondition=precondition,
     )
 
 

@@ -1,15 +1,21 @@
-"""Shared descent engine: Armijo acceptance, masking, infeasible rejection."""
+"""Shared descent engine: sufficient-decrease acceptance, proximal steps,
+infeasible rejection."""
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparselink import (
+    BlockPartition,
     LineSearchFailure,
     LostStabilizability,
     MaxIterations,
     NotStabilizing,
+    block_soft_threshold,
 )
+from sparselink import descent
 from sparselink.descent import (
     CONVERGED,
     LOST_STABILITY,
@@ -49,7 +55,7 @@ def test_mask_restricts_updates():
     mask = np.array([[1.0, 0.0], [0.0, 1.0]])
     x0 = np.full((2, 2), 7.0)
     res = descend(lambda x: _Quadratic(x, target), x0,
-                  grad_tol=1e-10, max_iter=500, mask=mask)
+                  grad_tol=1e-10, max_iter=500, prox=lambda v, s: np.where(mask, v, x0))
     assert res.status == CONVERGED
     # masked-out entries never move
     assert res.x[0, 1] == 7.0 and res.x[1, 0] == 7.0
@@ -57,7 +63,8 @@ def test_mask_restricts_updates():
     assert abs(res.x[1, 1] - 0.5) <= 1e-8
 
 
-def test_exact_inverse_hessian_converges_in_one_iteration():
+@pytest.mark.parametrize("max_iter", [1, 50])
+def test_exact_inverse_hessian_converges_in_one_iteration(max_iter):
     # 0.5 x^T A x - b^T x: the unit step along -A^-1 g lands on A^-1 b
     a = np.array([[4.0, 1.0, 0.5], [1.0, 3.0, -0.2], [0.5, -0.2, 2.0]])
     b = np.array([[1.0], [-2.0], [0.5]])
@@ -70,7 +77,7 @@ def test_exact_inverse_hessian_converges_in_one_iteration():
         def gradient(self):
             return self._g
 
-    res = descend(_Spd, np.full((3, 1), 5.0), grad_tol=1e-12, max_iter=50,
+    res = descend(_Spd, np.full((3, 1), 5.0), grad_tol=1e-12, max_iter=max_iter,
                   precondition=lambda g: -np.linalg.solve(a, g))
     assert res.status == CONVERGED
     assert res.iterations == 1
@@ -130,11 +137,13 @@ def test_infeasible_start_raises():
 
 
 def test_max_iter_status():
+    # the second step (Barzilai-Borwein, exact on this quadratic) lands on
+    # the target, and the last iterate allowed is tested, so stop after one
     target = np.ones((2, 2))
     res = descend(lambda x: _Quadratic(x, target), np.zeros((2, 2)),
-                  grad_tol=1e-30, max_iter=2)
+                  grad_tol=1e-30, max_iter=1)
     assert res.status == MAX_ITER
-    assert res.iterations == 2
+    assert res.iterations == 1
 
 
 def test_monotone_accepted_values():
@@ -188,6 +197,45 @@ def test_stalled_status():
 
     res = descend(lambda x: _Cliff(x), start, grad_tol=1e-14, max_iter=50)
     assert res.status == STALLED
+
+
+@settings(max_examples=60, deadline=None)
+@given(sizes=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=3),
+       seed=st.integers(0, 10_000), penalty=st.floats(0.0, 3.0))
+def test_proximal_descent_reaches_a_fixed_point(sizes, seed, penalty):
+    # F = f + h: f a random convex quadratic 0.5 <x, A x> - <b, x>, h a random
+    # weighted group penalty whose prox is the block soft-threshold
+    partition = BlockPartition(tuple(r for r, _ in sizes), tuple(c for _, c in sizes))
+    rng = np.random.default_rng(seed)
+    shape = (partition.m, partition.n)
+    root = rng.standard_normal((partition.m * partition.n,) * 2)
+    a = root @ root.T / root.shape[0] + 0.1 * np.eye(root.shape[0])
+    b = rng.standard_normal(shape)
+    weights = penalty * rng.random((partition.n_nodes,) * 2)
+    accepted = []
+
+    class _Composite:
+        def __init__(self, x):
+            ax = (a @ x.ravel()).reshape(shape)
+            self._g = ax - b
+            self.value = (0.5 * float(np.sum(x * ax)) - float(np.sum(b * x))
+                          + float(np.sum(weights * partition.block_norms(x))))
+
+        def gradient(self):
+            accepted.append(self.value)
+            return self._g
+
+    def prox(v, s):
+        return block_soft_threshold(v, s * weights, partition)
+
+    grad_tol = 1e-4
+    res = descend(_Composite, rng.standard_normal(shape), grad_tol=grad_tol, max_iter=2000,
+                  prox=prox)
+    assert res.status == CONVERGED
+    assert all(later < earlier for earlier, later in zip(accepted, accepted[1:]))
+    step = descent._RESIDUAL_STEP
+    residual = np.linalg.norm(res.x - prox(res.x - step * res.gradient, step)) / step
+    assert residual <= grad_tol * (1.0 + np.linalg.norm(res.x))
 
 
 @pytest.mark.parametrize(

@@ -163,25 +163,25 @@ class TestSparseGain:
 
     def test_objective_trace_monotone(self, monkeypatch):
         # the solve asks for the gradient once at its start and once at
-        # each accepted iterate, in order; the penalized objective is
+        # each accepted iterate, in order; the composite objective is
         # evaluated at the start and at every trial
         plant = generate_plant(2, 5)
         kc = lqr_centralized(plant)
         beta = 0.05 * closed_loop_cost(plant, kc)
         weights = np.ones((2, 2))
         objectives, accepted = {}, []
-        penalized = sparse._penalized_objective
         gradient = h2._ClosedLoop.gradient
 
-        def recording_objective(cl, *args):
-            objectives[cl.k.tobytes()] = value = penalized(cl, *args)
-            return value
+        class Recording(sparse._Penalized):
+            def __init__(self, cl, *args):
+                super().__init__(cl, *args)
+                objectives[cl.k.tobytes()] = self.value
 
         def recording_gradient(cl):
             accepted.append(cl.k.tobytes())
             return gradient(cl)
 
-        monkeypatch.setattr(sparse, "_penalized_objective", recording_objective)
+        monkeypatch.setattr(sparse, "_Penalized", Recording)
         monkeypatch.setattr(h2._ClosedLoop, "gradient", recording_gradient)
         sparse_gain(plant, beta, weights, kc)
         trace = [objectives[k] for k in accepted]
@@ -198,7 +198,8 @@ class TestSparseGain:
             sparse_gain(plant, beta, np.ones((3, 3)), kc)
 
     def test_stalled_line_search_is_typed(self, monkeypatch):
-        monkeypatch.setattr(sparse, "MAX_BACKTRACKS", 0)
+        # no finite trial can pass a sufficient-decrease test this strict
+        monkeypatch.setattr(descent, "ARMIJO_C1", 1e300)
         plant = generate_plant(3, 2)
         kc = lqr_centralized(plant)
         beta = 0.02 * closed_loop_cost(plant, kc)
@@ -206,7 +207,7 @@ class TestSparseGain:
             sparse_gain(plant, beta, np.ones((3, 3)), kc)
 
     @pytest.mark.parametrize("seed", [0, 2, 4])
-    @pytest.mark.parametrize("beta_rel", [1e-3, 0.05, 1.0])
+    @pytest.mark.parametrize("beta_rel", [0.0, 1e-3, 0.05, 1.0])
     def test_result_is_fixed_point(self, seed, beta_rel):
         plant = generate_plant(3, seed)
         kc = lqr_centralized(plant)
