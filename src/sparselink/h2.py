@@ -27,8 +27,9 @@ a line-search rejection and never do arithmetic with it.
 
 A GainMatrix can carry the closed loop of its K (_carry). A solve handed
 the gain on the same plant takes that loop instead of factoring A - B K
-again (_closed_loop), and the solvers attach the loop they end on to the
-gain they return, so a gain passed from stage to stage is factored once.
+again (_closed_loop), and the solvers hand the last loop they evaluated
+to the gain they return, so a gain passed from stage to stage is factored
+once. Only _holds decides whether a loop belongs to a K: byte for byte.
 """
 from __future__ import annotations
 
@@ -169,19 +170,29 @@ class _ClosedLoop:
         return h
 
 
+def _holds(cl: _ClosedLoop, k: np.ndarray) -> bool:
+    """The one match rule: cl is the closed loop of K = k when its K equals
+    k byte for byte (a zero of the other sign makes another K)."""
+    return cl.k.tobytes() == k.tobytes()
+
+
+def _loop_of(plant: LtiPlant, k: np.ndarray, cl: _ClosedLoop | None) -> _ClosedLoop:
+    """cl when it is of plant and holds k, else a new factorization."""
+    return cl if cl is not None and cl.plant is plant and _holds(cl, k) else _ClosedLoop(plant, k)
+
+
 def _carry(gain: GainMatrix, cl: _ClosedLoop) -> GainMatrix:
-    """gain with cl, the closed loop of its K bit for bit, attached: a later
-    solve from gain on cl.plant takes cl instead of factoring again
-    (_closed_loop). K is read-only, so the loop stays valid."""
-    object.__setattr__(gain, "_loop", cl)
+    """gain, with cl attached when it holds gain.K: a later solve from gain
+    on cl.plant takes cl instead of factoring again (_closed_loop). K is
+    read-only, so the loop stays valid."""
+    if _holds(cl, gain.K):
+        object.__setattr__(gain, "_loop", cl)
     return gain
 
 
 def _closed_loop(plant: LtiPlant, gain: GainMatrix) -> _ClosedLoop:
-    """The closed loop gain carries when it is of plant, else a new
-    factorization."""
-    cl = gain.__dict__.get("_loop")
-    return cl if cl is not None and cl.plant is plant else _ClosedLoop(plant, gain.K)
+    """The closed loop gain carries (_loop_of), else a new factorization."""
+    return _loop_of(plant, gain.K, gain.__dict__.get("_loop"))
 
 
 def _gain_loop(plant: LtiPlant, gain) -> _ClosedLoop:

@@ -5,7 +5,8 @@ priority numbers (q = 1 is the least important link, q = r1 the most).
 Ties among blocks vanishing at the same schedule step, and the ordering of
 blocks that never vanish, are resolved by the leave-one-out performance
 loss, then lexicographically by block index for determinism. The resulting
-table is the hand-off artifact consumed by the online rerouting step.
+table is the hand-off artifact consumed by the online rerouting step; its
+values are the blocks of the deployed gain, the first entry's polish.
 
 A removal loss J*(pattern minus block) - J*(pattern) re-optimizes the gain
 with one block forced to zero. All these re-optimizations start from the
@@ -202,16 +203,16 @@ def removal_loss(
     base_pattern: SparsityPattern,
     block: tuple[int, int],
     *,
-    base: SynthesisInfo | None = None,
+    base: SynthesisInfo,
 ) -> float:
     """Performance loss J*(pattern minus block) - J*(pattern).
 
-    Returns +inf when the reduced pattern cannot be stabilized. base, the
-    structured synthesis on base_pattern when known (a sweep entry's
-    polished), spares a cold synthesis of it and warm-starts the reduced
-    problem. The reduced problem is solved by Newton steps from the base
-    optimum, with the structured synthesis as the fallback; base.gain
-    carries the Newton model to the next call from it (module docstring).
+    Returns +inf when the reduced pattern cannot be stabilized. base is the
+    structured synthesis on base_pattern (a sweep entry's polished), whose
+    gain warm-starts the reduced problem. The reduced problem is solved by
+    Newton steps from the base optimum, with the structured synthesis as
+    the fallback; base.gain carries the Newton model to the next call from
+    it (module docstring).
     """
     i, j = block
     n_nodes = base_pattern.partition.n_nodes
@@ -219,8 +220,6 @@ def removal_loss(
         raise IndexOutOfRange(f"block ({i},{j}) outside the {n_nodes}x{n_nodes} grid")
     if not base_pattern.mask[i, j]:
         raise InvalidAssumption(f"block ({i},{j}) is not free in the base pattern")
-    if base is None:
-        base = synthesize_structured_info(plant, base_pattern)
     model = base.gain.__dict__.get("_removal_newton")
     if model is None or not model.serves(plant, base_pattern):
         model = _RemovalNewton(plant, base_pattern, base.gain)
@@ -275,4 +274,4 @@ def rank_links(plant: LtiPlant, sweep: SweepResult) -> PriorityTable:
         key=lambda blk: (vanish[blk], losses.get(blk, 0.0), blk[0], blk[1]),
     )
     priorities = {blk: rank + 1 for rank, blk in enumerate(ordered)}
-    return table_from_gain(base.gain, priorities)
+    return table_from_gain(base.polished.gain, priorities)

@@ -35,6 +35,8 @@ _CELL = 28
 
 
 def _table_extent(table: PriorityTable) -> tuple[int, int]:
+    if not table.rows:
+        raise DimensionMismatch("an empty table has no blocks to render")
     rows = max(row.i for row in table.rows) + 1
     cols = max(row.j for row in table.rows) + 1
     return rows, cols
@@ -63,7 +65,7 @@ def classify_blocks(
     grid = np.full(shape, CHAR_ZERO, dtype="<U1")
     attacked = frozenset() if attacked is None else frozenset(attacked)
     for row in source.rows:
-        if not (row.i < shape[0] and row.j < shape[1]):
+        if not (0 <= row.i < shape[0] and 0 <= row.j < shape[1]):
             raise DimensionMismatch(
                 f"table block ({row.i},{row.j}) outside the {shape} grid"
             )

@@ -162,10 +162,13 @@ def table_from_doc(doc) -> PriorityTable:
     rows = []
     for entry in doc:
         try:
+            i, j = _integer(entry["i"], "i"), _integer(entry["j"], "j")
+            if i < 0 or j < 0:
+                raise InvalidAssumption(f"block index ({i},{j}) is negative")
             rows.append(
                 PriorityRow(
-                    i=_integer(entry["i"], "i"),
-                    j=_integer(entry["j"], "j"),
+                    i=i,
+                    j=j,
                     q=_integer(entry["q"], "q"),
                     size=_integer(entry["s"], "s"),
                     values=tuple(_json_array(entry["values"], "values", float, 1).tolist()),

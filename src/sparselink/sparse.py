@@ -16,17 +16,18 @@ does not converge raises the typed error of its descent status
 
 A sweep warm-starts each beta from the previous solution, extracts the block
 pattern of the result, and polishes every pattern with the structured
-synthesizer to obtain comparable costs. Each entry keeps that synthesis
-whole (SweepEntry.polished, a SynthesisInfo): the first entry's is the base
-of the removal losses (priority.rank_links) and the deployed pre-attack
-gain (scenario.run_pipeline), which synthesize it no more. No pass or
-polish factors its start again: each gain carries the closed loop of its K
-(h2._carry) -- K_c the J(K_c) evaluation, a sparse gain the loop its solve
-ended on, a polished gain the loop its polish ended on -- and a solve from
-a gain takes that loop (h2._closed_loop). A sparse gain already on its
-pattern is its own projection (GainMatrix.project), so its polish starts
-from its loop. An entry whose pattern equals the previous entry's takes
-that entry's polish instead of polishing again.
+synthesizer to obtain comparable costs. An entry is (beta, pattern,
+polished), polished a SynthesisInfo; the sparse gains stay in the sweep.
+The first entry's polish is the deployed pre-attack gain
+(scenario.run_pipeline), the base of the removal losses and the source of
+the table values (priority.rank_links). No pass or polish factors its start
+again: each gain carries the closed loop of its K (h2._carry) -- K_c the
+J(K_c) evaluation, a sparse or polished gain the last loop its solve
+evaluated -- and a solve from a gain takes that loop (h2._closed_loop). A
+sparse gain already on its pattern is its own projection
+(GainMatrix.project), so its polish starts from its loop. An entry whose
+pattern equals the previous entry's takes that entry's polish instead of
+polishing again.
 """
 from __future__ import annotations
 
@@ -52,7 +53,6 @@ _MAX_ITER = 400  # proximal-gradient iterations per solve
 @dataclass(frozen=True, eq=False)
 class SweepEntry:
     beta: float
-    gain: GainMatrix
     pattern: SparsityPattern
     polished: SynthesisInfo  # the structured synthesis on pattern
 
@@ -135,12 +135,12 @@ def sparse_gain(
         raise NotStabilizing("initial gain must be stabilizing")
 
     partition = plant.partition
-    end = cl
+    last = cl
 
     def penalized(k):
-        nonlocal end
-        end = _ClosedLoop(plant, k)
-        return _Penalized(end, beta, weights)
+        nonlocal last
+        last = _ClosedLoop(plant, k)
+        return _Penalized(last, beta, weights)
 
     res = descend(
         penalized,
@@ -151,14 +151,13 @@ def sparse_gain(
         start=_Penalized(cl, beta, weights),
     )
     require_converged(res, "proximal gradient")
-    # a converged descent evaluated its end point last, or nothing at all
-    return _carry(GainMatrix(res.x, partition), end)
+    return _carry(GainMatrix(res.x, partition), last)
 
 
-def default_beta_schedule(j_centralized: float, count: int = 30) -> tuple[float, ...]:
-    """Logarithmic schedule from 1e-4 * J(K_c) to 1e2 * J(K_c)."""
+def default_beta_schedule(j_centralized: float) -> tuple[float, ...]:
+    """Logarithmic schedule of 30 points from 1e-4 * J(K_c) to 1e2 * J(K_c)."""
     lo, hi = 1e-4 * j_centralized, 1e2 * j_centralized
-    return tuple(np.logspace(math.log10(lo), math.log10(hi), count))
+    return tuple(np.logspace(math.log10(lo), math.log10(hi), 30))
 
 
 def _checked_schedule(schedule) -> tuple[float, ...]:
@@ -205,7 +204,7 @@ def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
             polished = entries[-1].polished
         else:
             polished = synthesize_structured_info(plant, pattern, init=gain)
-        entries.append(SweepEntry(float(beta), gain, pattern, polished))
+        entries.append(SweepEntry(float(beta), pattern, polished))
 
     return SweepResult(tuple(entries))
 

@@ -19,9 +19,10 @@ Every closed loop the method factors serves all its later uses: an inner
 solve starts from the evaluation its predecessor ended on, and the polish
 from the stability check of the projection it starts at. An init already
 on the pattern is its own projection and brings the closed loop it carries
-(h2._closed_loop), and the returned gain carries the loop the polish ended
-on when that loop's gain is it bit for bit (h2._carry), so the next solve
-from it factors nothing.
+(h2._closed_loop), and the returned gain is handed the last loop the polish
+evaluated (h2._carry), so the next solve from it factors nothing. A polish
+that does not converge raises the typed error of its status, so
+SynthesisInfo.converged says only that the multiplier loop tightened.
 
 A pattern with no input entry (B^T o I = 0) cannot move trace(A - B K) off
 trace(A); when that is not below -n STABILITY_TOL, no gain on the pattern
@@ -35,10 +36,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import descent
-from .descent import descend
+from .descent import descend, require_converged
 from .errors import NotStabilizing, PatternNotStabilizable
-from .h2 import _carry, _ClosedLoop, _closed_loop, lqr_centralized
+from .h2 import _carry, _ClosedLoop, _closed_loop, _loop_of, lqr_centralized
 from .plant import STABILITY_TOL, GainMatrix, LtiPlant, SparsityPattern
 
 # The penalty starts at _GAMMA0 and grows by _ALPHA per multiplier update, at
@@ -60,7 +60,7 @@ class SynthesisInfo:
     gain: GainMatrix
     cost: float
     iterations: int
-    converged: bool
+    converged: bool  # the violation fell below _EPS_STOP (always, warm)
 
 
 class _AugLagEval:
@@ -101,11 +101,11 @@ def _inner_solve(plant, cl, lam, gamma, comp, grad_tol):
     """Descent of L_g over unstructured K at a fixed multiplier and penalty
     from the closed loop cl; returns the descent result and the closed loop
     of its end point."""
-    res, end = _descend_tracked(
+    res, last = _descend_tracked(
         plant, cl, cl.k, lambda c: _AugLagEval(c, lam, gamma, comp),
         grad_tol=grad_tol, max_iter=_INNER_MAX_ITER,
     )
-    return res, end if end is not None else _ClosedLoop(plant, res.x)
+    return res, _loop_of(plant, res.x, last)
 
 
 def synthesize_structured_info(
@@ -138,22 +138,10 @@ def synthesize_structured_info(
             raise NotStabilizing("neither the initial gain nor its projection is stabilizing")
         start, outer, tightened = _multiplier_loop(plant, comp, ident)
 
-    res, end = _polish(plant, start.k, ident, start=start)
-    final = res.x * ident  # exact zeros off-pattern regardless of float dust
-    gnorm = float(np.linalg.norm(res.gradient * ident))
-    stationary = gnorm <= 1e-5 * (1.0 + float(np.linalg.norm(final)))
-    if not stationary:
-        descent.require_converged(res, "structured polish")
-    gain = GainMatrix(final, plant.partition)
-    # x * 1 is x and x * 0 is a zero of x's sign, so equal values are equal bits
-    if end is not None and np.array_equal(final, end.k):
-        _carry(gain, end)
-    return SynthesisInfo(
-        gain=gain,
-        cost=res.value,
-        iterations=outer,
-        converged=tightened and stationary,
-    )
+    res, last = _polish(plant, start.k, ident, start=start)
+    require_converged(res, "structured polish")
+    gain = _carry(GainMatrix(res.x * ident, plant.partition), last)  # exact off-pattern zeros
+    return SynthesisInfo(gain=gain, cost=res.value, iterations=outer, converged=tightened)
 
 
 def _multiplier_loop(plant, comp, ident):
@@ -192,8 +180,7 @@ def _multiplier_loop(plant, comp, ident):
 def _polish(plant, k_projected, ident, *, start=None, precondition=None):
     """Projected-gradient descent of J on the free entries (ident), or
     preconditioned descent with precondition (descent.descend). Returns the
-    descent result and the closed loop of its end point, or None when the
-    descent does not hold that loop."""
+    descent result and the last closed loop it evaluated (_descend_tracked)."""
     return _descend_tracked(
         plant, start, k_projected, lambda c: c, prox=lambda v, s: v * ident,
         grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER, precondition=precondition,
@@ -202,17 +189,14 @@ def _polish(plant, k_projected, ident, *, start=None, precondition=None):
 
 def _descend_tracked(plant, start, x0, objective, **limits):
     """descend of objective(closed loop of K) from x0, whose closed loop is
-    start when given. Returns the descent result and the closed loop of its
-    end point, or None when the descent does not hold that loop."""
-    end = start
+    start when given. Returns the descent result and the last closed loop
+    it evaluated (start when it evaluated none), which h2 matches to a K."""
+    last = start
 
     def make_eval(kk):
-        nonlocal end
-        end = _ClosedLoop(plant, kk)
-        return objective(end)
+        nonlocal last
+        last = _ClosedLoop(plant, kk)
+        return objective(last)
 
     res = descend(make_eval, x0, start=None if start is None else objective(start), **limits)
-    if res.iterations == 0 and start is not None:
-        return res, start  # res.x is a copy of x0
-    # The accepted trial is the last evaluation unless the line search failed.
-    return res, end if end.k is res.x else None
+    return res, last

@@ -36,7 +36,8 @@ from sparselink import (
     lqr_centralized,
     solve_lyapunov,
 )
-from sparselink.h2 import _ClosedLoop, _lyapunov_factored, _real_schur
+from sparselink import h2
+from sparselink.h2 import _carry, _closed_loop, _ClosedLoop, _lyapunov_factored, _real_schur
 
 
 def scalar_plant(a=0.0, b=1.0, w=1.0, q=1.0, r=1.0):
@@ -225,6 +226,34 @@ class TestHessian:
     def test_not_stabilizing_raises(self):
         with pytest.raises(NotStabilizing):
             _ClosedLoop(scalar_plant(), np.array([[-1.0]])).hessian(np.ones((1, 1), bool))
+
+
+class TestLoopHandOff:
+    def test_loop_of_other_bits_is_refused(self, monkeypatch):
+        # K = 0 against a loop held for K with one -0.0: equal values, one
+        # bit apart. Neither _carry nor _closed_loop may take that loop.
+        plant = generate_plant(2, 0)
+        k = np.zeros((plant.m, plant.n))
+        signed = k.copy()
+        signed[0, 0] = -0.0
+        held = _ClosedLoop(plant, signed)
+        factored = []
+        schur = h2._real_schur
+
+        def recording(a):
+            factored.append(a)
+            return schur(a)
+
+        monkeypatch.setattr(h2, "_real_schur", recording)
+        gain = _carry(GainMatrix(k, plant.partition), held)
+        assert "_loop" not in gain.__dict__
+        object.__setattr__(gain, "_loop", held)  # held by hand: still refused
+        cl = _closed_loop(plant, gain)
+        assert cl is not held and cl.k.tobytes() == gain.K.tobytes()
+        assert len(factored) == 1
+        # the loop of the same bits is taken without a factorization
+        same = _carry(GainMatrix(signed, plant.partition), held)
+        assert _closed_loop(plant, same) is held and len(factored) == 1
 
 
 class TestRealSchur:

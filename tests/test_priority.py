@@ -143,14 +143,16 @@ class TestRemovalLoss:
         for seed in range(3):
             plant = generate_plant(2, seed)
             full = SparsityPattern.full(plant.partition)
-            loss = removal_loss(plant, full, (0, 1))
+            base = synthesize_structured_info(plant, full)
+            loss = removal_loss(plant, full, (0, 1), base=base)
             assert loss >= -1e-6
 
     def test_zero_block_costs_nothing(self):
         # decoupled subsystems: the optimum never uses cross blocks
         plant = decoupled_plant()
         full = SparsityPattern.full(plant.partition)
-        loss = removal_loss(plant, full, (0, 1))
+        base = synthesize_structured_info(plant, full)
+        loss = removal_loss(plant, full, (0, 1), base=base)
         assert -1e-6 <= loss <= 1e-6
 
     def test_infinite_when_pattern_dies(self, monkeypatch):
@@ -162,31 +164,26 @@ class TestRemovalLoss:
             np.diag([1.0, -1.0]), np.eye(2), np.eye(2), np.eye(2), np.eye(2), part
         )
         diag = SparsityPattern.diagonal(part)
-        loss = removal_loss(plant, diag, (0, 0))
+        base = synthesize_structured_info(plant, diag)
+        loss = removal_loss(plant, diag, (0, 0), base=base)
         assert loss == math.inf
 
     def test_index_and_freeness_checks(self):
         plant = generate_plant(2, 0)
         diag = SparsityPattern.diagonal(plant.partition)
+        base = synthesize_structured_info(plant, diag)
         with pytest.raises(IndexOutOfRange):
-            removal_loss(plant, diag, (5, 0))
+            removal_loss(plant, diag, (5, 0), base=base)
         with pytest.raises(InvalidAssumption):
-            removal_loss(plant, diag, (0, 1))
-
-    def test_supplied_base_matches_recomputed(self):
-        plant = generate_plant(2, 1)
-        full = SparsityPattern.full(plant.partition)
-        info = synthesize_structured_info(plant, full)
-        a = removal_loss(plant, full, (1, 0))
-        b = removal_loss(plant, full, (1, 0), base=info)
-        assert a == pytest.approx(b, abs=1e-8 * (1.0 + abs(a)))
+            removal_loss(plant, diag, (0, 1), base=base)
 
 
 def entry(beta, gain, mask, partition, polished=None):
+    """A sweep entry whose polish is polished, or a record of gain."""
     pattern = SparsityPattern(np.asarray(mask, dtype=bool), partition)
     if polished is None:
         polished = SynthesisInfo(gain=gain, cost=0.0, iterations=0, converged=True)
-    return SweepEntry(beta=beta, gain=gain, pattern=pattern, polished=polished)
+    return SweepEntry(beta=beta, pattern=pattern, polished=polished)
 
 
 class TestRankLinks:
@@ -248,22 +245,28 @@ class TestRankLinks:
         assert got == expected
 
     def test_table_values_come_from_first_entry(self):
+        # The table carries entry 0's polished gain, not the gain of any
+        # other entry (such as a sparse iterate on the same schedule).
         plant = generate_plant(2, 0)
         part = plant.partition
         rng = np.random.default_rng(21)
-        gain = GainMatrix(rng.standard_normal((part.m, part.n)), part)
+        sparse = GainMatrix(rng.standard_normal((part.m, part.n)), part)
+        polished = GainMatrix(rng.standard_normal((part.m, part.n)), part)
         masks = [
             [[1, 1], [1, 1]],
             [[1, 1], [0, 1]],
             [[1, 0], [0, 1]],
             [[1, 0], [0, 0]],
         ]
+        first = SynthesisInfo(gain=polished, cost=0.0, iterations=0, converged=True)
         sweep = SweepResult(
-            tuple(entry(float(s), gain, m, part) for s, m in enumerate(masks))
+            tuple(entry(float(s), sparse, m, part, polished=first if s == 0 else None)
+                  for s, m in enumerate(masks))
         )
         table = rank_links(plant, sweep)
         for row in table.rows:
-            blk = gain.block(row.i, row.j).ravel()
+            assert not np.array_equal(polished.block(row.i, row.j), sparse.block(row.i, row.j))
+            blk = polished.block(row.i, row.j).ravel()
             assert row.values[: row.size] == tuple(blk)
             assert all(v == 0.0 for v in row.values[row.size :])
 

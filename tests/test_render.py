@@ -1,10 +1,13 @@
 """Text and SVG rendering of block grids, and the text parser inverse."""
+import dataclasses
+
 import numpy as np
 import pytest
 
 from sparselink import (
     BlockPartition,
     DimensionMismatch,
+    PriorityTable,
     SparsityPattern,
     UnknownFormat,
     classify_blocks,
@@ -53,6 +56,17 @@ class TestClassify:
         small = BlockPartition((1, 1), (2, 2))
         with pytest.raises(DimensionMismatch):
             classify_blocks(ex1_table, partition=small)
+
+    def test_negative_index_outside_grid(self, ex1_table, ex1_partition):
+        rows = (dataclasses.replace(ex1_table.rows[0], i=-1),) + ex1_table.rows[1:]
+        with pytest.raises(DimensionMismatch):
+            classify_blocks(PriorityTable(rows), partition=ex1_partition)
+
+    def test_empty_table_has_no_extent(self, ex1_partition):
+        with pytest.raises(DimensionMismatch):
+            classify_blocks(PriorityTable(()))
+        grid = classify_blocks(PriorityTable(()), partition=ex1_partition)
+        assert render_text(grid) == "····\n····\n····\n····\n"
 
 
 class TestParse:

@@ -236,6 +236,16 @@ class TestPipelineProperties:
         if rep.feasible:
             assert rep.j_before <= rep.j_reroute + 1e-9
 
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_nodes=st.integers(2, 3), seed=st.integers(0, 10_000))
+    def test_table_carries_the_deployed_gain(self, n_nodes, seed):
+        res = run_pipeline(Scenario(
+            name="p", generator=GeneratorSpec(n_nodes, seed), beta_schedule=FAST_SCHEDULE,
+        ))
+        for row in res.table.rows:
+            assert row.values[: row.size] == tuple(res.before.gain.block(row.i, row.j).ravel())
+
 
 @pytest.mark.usefixtures("one_reweight")
 class TestPipeline:
@@ -809,6 +819,16 @@ class TestCli:
         )
         assert code == 0
         assert (tmp_path / "art" / "pattern.svg").read_text().count("<rect") == 16
+
+    @pytest.mark.parametrize("doc", [
+        [{"i": -1, "j": 0, "q": 1, "s": 1, "values": [1.0]}],  # would draw in the last grid row
+        [],  # no blocks, so no grid extent
+    ])
+    def test_render_bad_table_exit_four(self, tmp_path, capsys, doc):
+        write_json(tmp_path / "table.json", doc)
+        assert main(["render", "--table", str(tmp_path / "table.json")]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
 
     def test_render_source_exclusivity(self, tmp_path, capsys, ex1_partition):
         from sparselink import SparsityPattern, pattern_to_doc

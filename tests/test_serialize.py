@@ -135,6 +135,9 @@ class TestTableDoc:
             table_from_doc([dict(row, i=0.9)])
         with pytest.raises(InvalidAssumption):
             table_from_doc([dict(row, j="0")])
+        for index in ("i", "j"):
+            with pytest.raises(InvalidAssumption):
+                table_from_doc([dict(row, **{index: -1})])
         # values are JSON numbers: no strings, bools or nested lists
         for values in (["1.5"], [True], "12", [[1.0]]):
             with pytest.raises(InvalidAssumption):

@@ -245,9 +245,6 @@ class TestBetaSchedule:
         ratios = np.diff(np.log(np.asarray(sched)))
         assert np.allclose(ratios, ratios[0], rtol=1e-9)
 
-    def test_count_override(self):
-        assert len(default_beta_schedule(1.0, count=7)) == 7
-
     def test_schedule_validation(self):
         plant = generate_plant(2, 0)
         for schedule in ((1.0, 0.5), (-1.0, 0.5), (1.0, 1.0), 5, ["x"], "0.5"):

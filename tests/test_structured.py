@@ -369,6 +369,29 @@ class TestSynthesizeStructured:
         with pytest.raises(error):
             synthesize_structured_info(plant, SparsityPattern.full(plant.partition), init=init)
 
+    def test_polish_near_stationary_still_raises(self, monkeypatch):
+        # descend's tolerance is the only convergence test of a polish: a
+        # start whose projected gradient lies between _POLISH_TOL and ten
+        # times it is not stationary, and a polish allowed no step there
+        # raises instead of passing as converged.
+        plant = two_node_plant(9)
+        pattern = SparsityPattern.diagonal(plant.partition)
+        info = synthesize_structured_info(plant, pattern)
+        ident = pattern.structural_identity()
+        direction = ident * np.random.default_rng(17).standard_normal(ident.shape)
+
+        def relative_gradient(k):
+            return np.linalg.norm(cost_gradient(plant, k) * ident) / (1.0 + np.linalg.norm(k))
+
+        t = 1e-4
+        for _ in range(6):  # the gradient grows about linearly in t
+            t *= 3e-6 / relative_gradient(info.gain.K + t * direction)
+        k = info.gain.K + t * direction
+        assert structured._POLISH_TOL < relative_gradient(k) < 1e-5
+        monkeypatch.setattr(structured, "_POLISH_MAX_ITER", 0)
+        with pytest.raises(MaxIterations):
+            synthesize_structured_info(plant, pattern, init=GainMatrix(k, plant.partition))
+
     def test_warm_start_accepted(self):
         plant = two_node_plant(9)
         pattern = SparsityPattern.diagonal(plant.partition)
