@@ -99,14 +99,6 @@ def _emit(text: str, out: str | None, name: str) -> None:
         (path / name).write_text(text, encoding="utf-8")
 
 
-def _check_format(fmt: str, allowed: tuple[str, ...]) -> str:
-    if fmt not in allowed:
-        raise UnknownFormat(
-            f"format {fmt!r} not supported here (choose from {', '.join(allowed)})"
-        )
-    return fmt
-
-
 def _cmd_gen(args) -> int:
     plant = generate_plant(
         args.n_nodes,
@@ -121,9 +113,8 @@ def _cmd_gen(args) -> int:
 
 def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario, seed=args.seed)
-    fmt = _check_format(args.format, ("csv", "json"))
     sweep = sparsity_sweep(scenario.resolve_plant(), scenario.beta_schedule)
-    if fmt == "csv":
+    if args.format == "csv":
         text = sweep_csv(sweep)
         name = "sweep.csv"
     else:
@@ -181,11 +172,10 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario, seed=args.seed)
-    fmt = _check_format(args.format, ("csv", "json"))
     result = run_pipeline(scenario)
     if args.out is not None:
         write_artifacts(result, args.out)
-    if fmt == "csv":
+    if args.format == "csv":
         sys.stdout.write(report_csv([result.report]))
     else:
         sys.stdout.write(dumps_canonical(report_to_doc(result.report)))
@@ -193,7 +183,6 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    fmt = _check_format(args.format, ("text", "svg"))
     if (args.pattern is None) == (args.table is None):
         raise InvalidAssumption("render needs exactly one of --pattern or --table")
     if args.pattern is not None:
@@ -204,8 +193,8 @@ def _cmd_render(args) -> int:
         outcome = None
         if args.outcome is not None:
             outcome = outcome_from_doc(read_json(args.outcome))
-    name = "pattern.txt" if fmt == "text" else "pattern.svg"
-    _emit(render_pattern(source, fmt, outcome=outcome), args.out, name)
+    name = "pattern.txt" if args.format == "text" else "pattern.svg"
+    _emit(render_pattern(source, args.format, outcome=outcome), args.out, name)
     return 0
 
 
@@ -226,7 +215,7 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--scenario", required=True)
     sweep.add_argument("--seed", type=int, default=None)
     sweep.add_argument("--out", default=None)
-    sweep.add_argument("--format", default="csv")
+    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
     sweep.set_defaults(func=_cmd_sweep)
 
     rank = sub.add_parser("rank", help="sweep and rank links into a priority table")
@@ -252,14 +241,14 @@ def _build_parser() -> _Parser:
     run.add_argument("--scenario", required=True)
     run.add_argument("--seed", type=int, default=None)
     run.add_argument("--out", default=None)
-    run.add_argument("--format", default="csv")
+    run.add_argument("--format", choices=("csv", "json"), default="csv")
     run.set_defaults(func=_cmd_run)
 
     render = sub.add_parser("render", help="render a pattern or table grid")
     render.add_argument("--pattern", default=None)
     render.add_argument("--table", default=None)
     render.add_argument("--outcome", default=None)
-    render.add_argument("--format", default="text")
+    render.add_argument("--format", choices=("text", "svg"), default="text")
     render.add_argument("--out", default=None)
     render.set_defaults(func=_cmd_render)
 

@@ -276,7 +276,7 @@ def lqr_centralized(plant: LtiPlant) -> GainMatrix:
     p_prev = None
     for _ in range(_RICCATI_MAX_ITER):
         if not cl.stable:
-            raise NotHurwitz("Riccati iterate is not stabilizing")
+            raise RiccatiFailure("Riccati iterate is not stabilizing")
         p = cl.obs_gramian()
         k = np.linalg.solve(plant.R, plant.B.T @ p)
         if p_prev is not None and np.linalg.norm(p - p_prev, "fro") <= _RICCATI_TOL:

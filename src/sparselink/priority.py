@@ -53,7 +53,7 @@ from .errors import (
 )
 from .descent import CONVERGED
 from .h2 import _closed_loop
-from .plant import GainMatrix, LtiPlant, SparsityPattern
+from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .sparse import SweepResult
 from .structured import SynthesisInfo, _polish, synthesize_structured_info
 
@@ -72,7 +72,8 @@ class PriorityRow:
 
 @dataclass(frozen=True)
 class PriorityTable:
-    """Rows in ascending priority; row k (0-based) has q = k + 1."""
+    """Rows in ascending priority; row k (0-based) has q = k + 1. Each row
+    names its own block (i, j >= 0) and carries at least one unit."""
 
     rows: tuple[PriorityRow, ...]
 
@@ -83,6 +84,12 @@ class PriorityTable:
             raise DimensionMismatch("priorities must be a permutation of 1..r1")
         if any(r.q != k + 1 for k, r in enumerate(rows)):
             raise DimensionMismatch("rows must be stored in ascending priority")
+        if any(r.i < 0 or r.j < 0 for r in rows):
+            raise DimensionMismatch("block indices must be non-negative")
+        if len({(r.i, r.j) for r in rows}) != len(rows):
+            raise DimensionMismatch("a block is named in two rows")
+        if any(r.size < 1 for r in rows):
+            raise DimensionMismatch("row sizes must be at least 1")
         if rows:
             width = len(rows[0].values)
             if any(len(r.values) != width for r in rows):
@@ -107,6 +114,14 @@ class PriorityTable:
 
     def sizes(self) -> tuple[int, ...]:
         return tuple(r.size for r in self.rows)
+
+    def check_fits(self, partition: BlockPartition) -> None:
+        """DimensionMismatch unless every row is a block of the partition's
+        grid with that block's size."""
+        n_nodes, sizes = partition.n_nodes, partition.block_sizes()
+        for r in self.rows:
+            if not (r.i < n_nodes and r.j < n_nodes) or r.size != sizes[r.i, r.j]:
+                raise DimensionMismatch(f"row ({r.i},{r.j}) of size {r.size} is not a partition block")
 
     def is_zero_row(self, q: int) -> bool:
         return all(v == 0.0 for v in self.row(q).values)

@@ -51,7 +51,8 @@ def classify_blocks(
 ) -> np.ndarray:
     """Character grid over the block lattice. source is a SparsityPattern
     (plain free/zero view) or a PriorityTable (annotated by the outcome's
-    sets, or by an attacked priority set for the pre-reroute view)."""
+    sets, or by an attacked priority set for the pre-reroute view). A given
+    partition sets the grid, and the table must fit it (check_fits)."""
     if isinstance(source, SparsityPattern):
         grid = np.full(source.mask.shape, CHAR_ZERO, dtype="<U1")
         grid[source.mask] = CHAR_FREE
@@ -59,16 +60,13 @@ def classify_blocks(
     if not isinstance(source, PriorityTable):
         raise UnknownFormat(f"cannot render a {type(source).__name__}")
     if partition is not None:
+        source.check_fits(partition)
         shape = (partition.n_nodes, partition.n_nodes)
     else:
         shape = _table_extent(source)
     grid = np.full(shape, CHAR_ZERO, dtype="<U1")
     attacked = frozenset() if attacked is None else frozenset(attacked)
     for row in source.rows:
-        if not (0 <= row.i < shape[0] and 0 <= row.j < shape[1]):
-            raise DimensionMismatch(
-                f"table block ({row.i},{row.j}) outside the {shape} grid"
-            )
         if outcome is not None:
             if row.q in outcome.dropped:
                 char = CHAR_ATTACKED

@@ -16,12 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    IndexOutOfRange,
-    InfeasibleOutcome,
-    InvalidAssumption,
-)
+from .errors import IndexOutOfRange, InfeasibleOutcome, InvalidAssumption
 from .plant import BlockPartition, SparsityPattern
 from .priority import PriorityTable
 
@@ -44,7 +39,9 @@ class RerouteOutcome:
     Rows of the final table are zeroed exactly for sacrificed and dropped
     priorities; rerouted rows keep their values (their data now travels on
     the sacrificed links' channels). feasible=False means the countermeasure
-    cannot be implemented and the table is returned unchanged.
+    cannot be implemented and the table is returned unchanged. Only a
+    possible outcome constructs; __post_init__ raises InvalidAssumption
+    for any other.
     """
 
     table: PriorityTable
@@ -53,6 +50,22 @@ class RerouteOutcome:
     rerouted: frozenset[int]
     dropped: frozenset[int]
     feasible: bool
+
+    def __post_init__(self):
+        r1 = self.table.r1
+        named = self.attacked | self.sacrificed | self.rerouted | self.dropped
+        if any(not 1 <= q <= r1 for q in named):
+            raise InvalidAssumption(f"outcome names a priority outside 1..{r1}")
+        if self.attacked & self.sacrificed:
+            raise InvalidAssumption("an attacked link cannot be sacrificed")
+        if self.rerouted & self.dropped:
+            raise InvalidAssumption("a link cannot be both rerouted and dropped")
+        if self.feasible and self.rerouted | self.dropped != self.attacked:
+            raise InvalidAssumption("a feasible outcome reroutes or drops each attacked link")
+        if not self.feasible and self.sacrificed | self.rerouted | self.dropped:
+            raise InvalidAssumption("an infeasible outcome sacrifices, reroutes and drops nothing")
+        if not all(self.table.is_zero_row(q) for q in self.sacrificed | self.dropped):
+            raise InvalidAssumption("sacrificed and dropped rows must be zero")
 
 
 def _validated_attack(table: PriorityTable, attacked) -> frozenset[int]:
@@ -155,17 +168,10 @@ def pattern_from(outcome: RerouteOutcome, partition: BlockPartition) -> Sparsity
     blocks minus sacrificed minus dropped (rerouted links stay free)."""
     if not outcome.feasible:
         raise InfeasibleOutcome("outcome marked infeasible has no post-attack pattern")
-    sizes = partition.block_sizes()
-    n_nodes = partition.n_nodes
-    mask = np.zeros((n_nodes, n_nodes), dtype=bool)
+    outcome.table.check_fits(partition)
+    mask = np.zeros((partition.n_nodes, partition.n_nodes), dtype=bool)
     dead = outcome.sacrificed | outcome.dropped
     for row in outcome.table.rows:
-        if not (0 <= row.i < n_nodes and 0 <= row.j < n_nodes):
-            raise DimensionMismatch(f"row block ({row.i},{row.j}) outside partition grid")
-        if row.size != int(sizes[row.i, row.j]):
-            raise DimensionMismatch(
-                f"row size {row.size} mismatches partition block ({row.i},{row.j})"
-            )
         if row.q not in dead:
             mask[row.i, row.j] = True
     return SparsityPattern(mask, partition)

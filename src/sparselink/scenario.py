@@ -28,7 +28,9 @@ from .priority import PriorityTable, rank_links
 from .render import render_pattern
 from .reroute import AttackScenario, RerouteOutcome, pattern_from, select_reroute
 from .serialize import (
+    _fields,
     _integer,
+    _one_of,
     attack_from_doc,
     attack_spec,
     dumps_canonical,
@@ -69,6 +71,33 @@ class GeneratorSpec:
         if self.node_state < 1 or self.node_input < 1:
             raise InvalidAssumption("node dimensions must be positive")
 
+    def plant(self) -> LtiPlant:
+        """Random stable coupled plant: A = M - (max Re lambda(M) + delta) I
+        with M entrywise uniform on [0, 1]; per-node input block puts gain 10
+        on the leading states; W = 0.5 I, Q = I, R = 10 I."""
+        n = self.n_nodes * self.node_state
+        m = self.n_nodes * self.node_input
+        rng = np.random.default_rng(self.seed)
+        drift = rng.uniform(0.0, 1.0, size=(n, n))
+        shift = float(np.max(np.linalg.eigvals(drift).real)) + self.delta
+        a = drift - shift * np.eye(n)
+
+        b_node = np.zeros((self.node_state, self.node_input))
+        for k in range(min(self.node_input, self.node_state)):
+            b_node[k, k] = 10.0
+        b = np.zeros((n, m))
+        for node in range(self.n_nodes):
+            rows = slice(node * self.node_state, (node + 1) * self.node_state)
+            cols = slice(node * self.node_input, (node + 1) * self.node_input)
+            b[rows, cols] = b_node
+
+        partition = BlockPartition(
+            (self.node_input,) * self.n_nodes, (self.node_state,) * self.n_nodes
+        )
+        return LtiPlant(
+            a, b, 0.5 * np.eye(n), np.eye(n), 10.0 * np.eye(m), partition
+        )
+
 
 def generate_plant(
     n_nodes: int,
@@ -78,32 +107,8 @@ def generate_plant(
     node_state: int = 2,
     node_input: int = 1,
 ) -> LtiPlant:
-    """Random stable coupled plant: A = M - (max Re lambda(M) + delta) I
-    with M entrywise uniform on [0, 1]; per-node input block puts gain 10
-    on the leading states; W = 0.5 I, Q = I, R = 10 I."""
-    spec = GeneratorSpec(n_nodes, seed, delta, node_state, node_input)
-    n = spec.n_nodes * spec.node_state
-    m = spec.n_nodes * spec.node_input
-    rng = np.random.default_rng(spec.seed)
-    drift = rng.uniform(0.0, 1.0, size=(n, n))
-    shift = float(np.max(np.linalg.eigvals(drift).real)) + spec.delta
-    a = drift - shift * np.eye(n)
-
-    b_node = np.zeros((spec.node_state, spec.node_input))
-    for k in range(min(spec.node_input, spec.node_state)):
-        b_node[k, k] = 10.0
-    b = np.zeros((n, m))
-    for node in range(spec.n_nodes):
-        rows = slice(node * spec.node_state, (node + 1) * spec.node_state)
-        cols = slice(node * spec.node_input, (node + 1) * spec.node_input)
-        b[rows, cols] = b_node
-
-    partition = BlockPartition(
-        (spec.node_input,) * spec.n_nodes, (spec.node_state,) * spec.n_nodes
-    )
-    return LtiPlant(
-        a, b, 0.5 * np.eye(n), np.eye(n), 10.0 * np.eye(m), partition
-    )
+    """The plant of GeneratorSpec(n_nodes, seed, delta, node_state, node_input)."""
+    return GeneratorSpec(n_nodes, seed, delta, node_state, node_input).plant()
 
 
 @dataclass(frozen=True)
@@ -129,61 +134,31 @@ class Scenario:
 
     def resolve_plant(self) -> LtiPlant:
         if self.generator is not None:
-            g = self.generator
-            return generate_plant(
-                g.n_nodes,
-                g.seed,
-                g.delta,
-                node_state=g.node_state,
-                node_input=g.node_input,
-            )
+            return self.generator.plant()
         return plant_from_doc(self.plant_doc)
 
 
 def scenario_from_doc(doc: dict, *, name: str = "scenario", base_dir=None, seed=None) -> Scenario:
     """Build a Scenario from its JSON document. seed, when given, overrides
     the generator's seed (the CLI --seed flag)."""
-    if not isinstance(doc, dict):
-        raise InvalidAssumption("scenario document must be a JSON object")
-    unknown = set(doc) - {"name", "plant", "sparsity", "attack"}
-    if unknown:
-        raise InvalidAssumption(f"unknown scenario keys: {sorted(unknown)}")
+    _fields(doc, "scenario", ("plant",), ("name", "sparsity", "attack"))
     sparsity = {} if doc.get("sparsity") is None else doc["sparsity"]
-    if not isinstance(sparsity, dict) or set(sparsity) - {"beta_schedule"}:
-        raise InvalidAssumption(
-            f'scenario sparsity must be {{"beta_schedule": [...]}}, got {sparsity!r}'
-        )
-    plant_spec = doc.get("plant")
-    if not isinstance(plant_spec, dict) or len(plant_spec) != 1:
-        raise InvalidAssumption(
-            "scenario plant must be exactly one of"
-            ' {"generator": {...}}, {"inline": {...}}, {"file": "path"}'
-        )
-    (kind, value), = plant_spec.items()
+    _fields(sparsity, "scenario sparsity", (), ("beta_schedule",))
+    kind, value = _one_of(doc["plant"], "scenario plant", ("generator", "inline", "file"))
     generator = None
     plant_doc = None
     if kind == "generator":
-        if not isinstance(value, dict):
-            raise InvalidAssumption("generator spec must be a JSON object")
-        allowed = {f.name for f in dataclasses.fields(GeneratorSpec)}
-        unknown = set(value) - allowed
-        if unknown:
-            raise InvalidAssumption(f"unknown generator keys: {sorted(unknown)}")
-        value = dict(value)
-        if seed is not None:
-            value["seed"] = seed
-        if "seed" not in value:
-            raise InvalidAssumption("generator spec requires a seed")
-        generator = GeneratorSpec(**value)
+        required = ("n_nodes",) if seed is not None else ("n_nodes", "seed")
+        keys = [f.name for f in dataclasses.fields(GeneratorSpec)]
+        value = _fields(value, "generator spec", required, keys)
+        generator = GeneratorSpec(**(value if seed is None else dict(value, seed=seed)))
     elif kind == "inline":
         plant_doc = value
-    elif kind == "file":
+    else:
         path = Path(value)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
         plant_doc = read_json(path)
-    else:
-        raise InvalidAssumption(f"unknown plant source kind: {kind!r}")
     name = doc.get("name", name)
     if not isinstance(name, str):
         raise InvalidAssumption(f"scenario name must be a string, got {name!r}")

@@ -80,6 +80,32 @@ def _integers(doc, name: str) -> tuple[int, ...]:
     return tuple(_integer(v, name) for v in doc)
 
 
+def _fields(doc, name: str, required, optional=None) -> dict:
+    """doc, checked to be a JSON object holding every required key. When
+    optional is given, a key outside required and optional is rejected too;
+    without it, extra keys are ignored."""
+    if not isinstance(doc, dict):
+        raise InvalidAssumption(f"{name} must be a JSON object, got {doc!r}")
+    missing = set(required) - set(doc)
+    if missing:
+        raise InvalidAssumption(f"{name} missing fields: {sorted(missing)}")
+    if optional is not None:
+        unknown = set(doc) - set(required) - set(optional)
+        if unknown:
+            raise InvalidAssumption(f"unknown {name} keys: {sorted(unknown)}")
+    return doc
+
+
+def _one_of(doc, name: str, kinds) -> tuple:
+    """The one (key, value) of doc, a JSON object with exactly one key,
+    taken from kinds."""
+    _fields(doc, name, (), kinds)
+    if len(doc) != 1:
+        raise InvalidAssumption(f"{name} must have exactly one of {', '.join(kinds)}")
+    (key, value), = doc.items()
+    return key, value
+
+
 # ---------------------------------------------------------------------------
 # plant
 
@@ -96,11 +122,7 @@ def plant_to_doc(plant: LtiPlant) -> dict:
 
 
 def plant_from_doc(doc: dict) -> LtiPlant:
-    if not isinstance(doc, dict):
-        raise InvalidAssumption("plant document must be a JSON object")
-    missing = {"A", "B", "W", "Q", "R", "rowBlockSizes", "colBlockSizes"} - set(doc)
-    if missing:
-        raise InvalidAssumption(f"plant document missing fields: {sorted(missing)}")
+    _fields(doc, "plant document", ("A", "B", "W", "Q", "R", "rowBlockSizes", "colBlockSizes"))
     partition = BlockPartition(
         _integers(doc["rowBlockSizes"], "rowBlockSizes"),
         _integers(doc["colBlockSizes"], "colBlockSizes"),
@@ -128,11 +150,7 @@ def pattern_to_doc(pattern: SparsityPattern) -> dict:
 
 
 def pattern_from_doc(doc: dict) -> SparsityPattern:
-    if not isinstance(doc, dict):
-        raise InvalidAssumption("pattern document must be a JSON object")
-    missing = {"mask", "rowBlockSizes", "colBlockSizes"} - set(doc)
-    if missing:
-        raise InvalidAssumption(f"pattern document missing fields: {sorted(missing)}")
+    _fields(doc, "pattern document", ("mask", "rowBlockSizes", "colBlockSizes"))
     partition = BlockPartition(
         _integers(doc["rowBlockSizes"], "rowBlockSizes"),
         _integers(doc["colBlockSizes"], "colBlockSizes"),
@@ -157,31 +175,31 @@ def table_to_doc(table: PriorityTable) -> list:
 
 
 def table_from_doc(doc) -> PriorityTable:
+    """The table of a document; PriorityTable decides which rows are valid."""
     if not isinstance(doc, list):
         raise InvalidAssumption("table document must be a JSON array of rows")
     rows = []
-    for entry in doc:
-        try:
-            i, j = _integer(entry["i"], "i"), _integer(entry["j"], "j")
-            if i < 0 or j < 0:
-                raise InvalidAssumption(f"block index ({i},{j}) is negative")
+    try:
+        for entry in doc:
+            _fields(entry, "table row", ("i", "j", "q", "s", "values"))
             rows.append(
                 PriorityRow(
-                    i=i,
-                    j=j,
+                    i=_integer(entry["i"], "i"),
+                    j=_integer(entry["j"], "j"),
                     q=_integer(entry["q"], "q"),
                     size=_integer(entry["s"], "s"),
                     values=tuple(_json_array(entry["values"], "values", float, 1).tolist()),
                 )
             )
-        except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidAssumption(f"malformed table row: {entry!r}") from exc
-    rows.sort(key=lambda r: r.q)
-    return PriorityTable(tuple(rows))
+        rows.sort(key=lambda r: r.q)
+        return PriorityTable(tuple(rows))
+    except DimensionMismatch as exc:
+        raise InvalidAssumption(f"malformed table: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
-# reroute outcome; the attacked set is recoverable as rerouted | dropped
+# reroute outcome. The document does not carry the attacked set: a feasible
+# outcome's is rerouted | dropped, and an infeasible outcome's is lost.
 
 def outcome_to_doc(outcome: RerouteOutcome) -> dict:
     return {
@@ -194,18 +212,15 @@ def outcome_to_doc(outcome: RerouteOutcome) -> dict:
 
 
 def outcome_from_doc(doc: dict) -> RerouteOutcome:
-    if not isinstance(doc, dict):
-        raise InvalidAssumption("outcome document must be a JSON object")
-    try:
-        rerouted = frozenset(_integers(doc["rerouted"], "rerouted"))
-        dropped = frozenset(_integers(doc["dropped"], "dropped"))
-        sacrificed = frozenset(_integers(doc["sacrificed"], "sacrificed"))
-        feasible = doc["feasible"]
-        if not isinstance(feasible, bool):
-            raise InvalidAssumption(f"feasible must be true or false, got {feasible!r}")
-        table = table_from_doc(doc["n_final"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise InvalidAssumption("malformed outcome document") from exc
+    """The outcome of a document; RerouteOutcome decides which are possible."""
+    _fields(doc, "outcome document", ("feasible", "sacrificed", "rerouted", "dropped", "n_final"))
+    rerouted = frozenset(_integers(doc["rerouted"], "rerouted"))
+    dropped = frozenset(_integers(doc["dropped"], "dropped"))
+    sacrificed = frozenset(_integers(doc["sacrificed"], "sacrificed"))
+    feasible = doc["feasible"]
+    if not isinstance(feasible, bool):
+        raise InvalidAssumption(f"feasible must be true or false, got {feasible!r}")
+    table = table_from_doc(doc["n_final"])
     return RerouteOutcome(
         table=table,
         attacked=rerouted | dropped,
@@ -230,8 +245,7 @@ def gain_to_doc(info: SynthesisInfo, pattern: SparsityPattern) -> dict:
 
 
 def gain_from_doc(doc: dict, partition: BlockPartition) -> GainMatrix:
-    if not isinstance(doc, dict) or "K" not in doc:
-        raise InvalidAssumption("gain document must be an object with K")
+    _fields(doc, "gain document", ("K",))
     return GainMatrix(_matrix_from(doc["K"], "K", partition.m, partition.n), partition)
 
 
@@ -263,16 +277,8 @@ def attack_spec(doc) -> tuple[str, int | float | frozenset[int]] | None:
     {"top_fraction": f} (the k = round(f*r1) highest priorities)."""
     if doc is None:
         return None
-    if not isinstance(doc, dict) or len(doc) != 1:
-        raise InvalidAssumption(
-            "attack spec must be an object with exactly one of attacked_priorities,"
-            " attacked_block, attacked_top, top_fraction"
-        )
-    (key, value), = doc.items()
-    convert = _ATTACK_VALUES.get(key)
-    if convert is None:
-        raise InvalidAssumption(f"unknown attack spec key: {key}")
-    return key, convert(value, key)
+    key, value = _one_of(doc, "attack spec", _ATTACK_VALUES)
+    return key, _ATTACK_VALUES[key](value, key)
 
 
 def attack_from_doc(doc, r1: int) -> AttackScenario:

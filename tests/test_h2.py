@@ -29,6 +29,8 @@ from sparselink import (
     LtiPlant,
     NotHurwitz,
     NotStabilizing,
+    RiccatiFailure,
+    SingularSolve,
     closed_loop_cost,
     cost_gradient,
     generate_plant,
@@ -313,4 +315,34 @@ class TestLqrCentralized:
         for _ in range(10):
             delta = 1e-3 * rng.standard_normal(kc.K.shape)
             assert j_star <= closed_loop_cost(plant, kc.K + delta) + 1e-12
+
+
+class TestRiccatiFailures:
+    """Each way the Riccati iteration gives up is a solver failure
+    (RiccatiFailure, exit code 5), never an input error."""
+
+    def test_iterate_losing_stability(self, monkeypatch):
+        # Only the seed K = 0 of the Hurwitz plant keeps its stability.
+        class LosesStability(_ClosedLoop):
+            def __init__(self, plant, k):
+                super().__init__(plant, k)
+                self.stable = self.stable and not k.any()
+
+        monkeypatch.setattr(h2, "_ClosedLoop", LosesStability)
+        with pytest.raises(RiccatiFailure, match="not stabilizing"):
+            lqr_centralized(scalar_plant(a=-1.0))
+
+    def test_iteration_cap(self, monkeypatch):
+        monkeypatch.setattr(h2, "_RICCATI_MAX_ITER", 1)
+        with pytest.raises(RiccatiFailure, match="did not converge in 1 steps"):
+            lqr_centralized(scalar_plant(a=-1.0))
+
+    def test_seed_cannot_be_built(self, monkeypatch):
+        # K = 0 does not stabilize a = 1, and every shifted solve fails.
+        def singular(a_cl, q_hat):
+            raise SingularSolve("forced")
+
+        monkeypatch.setattr(h2, "solve_lyapunov", singular)
+        with pytest.raises(RiccatiFailure, match="initial stabilizing gain"):
+            lqr_centralized(scalar_plant(a=1.0))
 

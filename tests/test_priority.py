@@ -86,6 +86,23 @@ class TestPriorityTable:
         with pytest.raises(DimensionMismatch):
             PriorityTable((PriorityRow(0, 0, 1, 3, (1.0, 2.0)),))
 
+    @pytest.mark.parametrize("change", [
+        dict(i=-1),
+        dict(j=-1),
+        dict(i=3, j=0),  # the block of priority 2
+        dict(size=0, values=(0.0, 0.0)),
+    ])
+    def test_row_must_name_its_own_block_of_units(self, ex1_table, change):
+        rows = (dataclasses.replace(ex1_table.rows[0], **change),) + ex1_table.rows[1:]
+        with pytest.raises(DimensionMismatch):
+            PriorityTable(rows)
+
+    def test_fits_partition(self, ex1_table, ex1_partition):
+        ex1_table.check_fits(ex1_partition)
+        for wrong in (BlockPartition((1, 1, 1), (2, 2, 2)), BlockPartition((1,) * 4, (2, 2, 2, 3))):
+            with pytest.raises(DimensionMismatch):
+                ex1_table.check_fits(wrong)
+
     def test_zeroed_rows(self, ex1_table):
         zeroed = ex1_table.with_zeroed_rows({2, 5})
         assert zeroed.is_zero_row(2)

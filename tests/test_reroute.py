@@ -1,4 +1,6 @@
 """Rerouting countermeasures: golden cases, branch coverage, set algebra."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -199,6 +201,23 @@ class TestMulti:
         table = make_table((2, 2, 2))
         with pytest.raises(IndexOutOfRange):
             reroute_multi(table, {4})
+
+
+class TestOutcomeRules:
+    @pytest.mark.parametrize("change", [
+        dict(attacked=frozenset({2, 9}), rerouted=frozenset({2, 9})),  # priority outside 1..r1
+        dict(attacked=frozenset({1, 2}), rerouted=frozenset({1, 2})),  # attacked link sacrificed
+        # rerouted and dropped
+        dict(dropped=frozenset({2}), table=make_table((1, 1, 1, 1)).with_zeroed_rows({1, 2})),
+        dict(attacked=frozenset({2, 3})),  # attacked 3 neither rerouted nor dropped
+        dict(feasible=False),  # infeasible, yet sacrifices and reroutes
+        dict(table=make_table((1, 1, 1, 1))),  # sacrificed row 1 not zeroed
+    ])
+    def test_impossible_outcome_rejected(self, change):
+        out = reroute_uniform(make_table((1, 1, 1, 1)), {2})
+        assert (out.sacrificed, out.rerouted) == (frozenset({1}), frozenset({2}))
+        with pytest.raises(InvalidAssumption):
+            dataclasses.replace(out, **change)
 
 
 class TestPatternFrom:

@@ -862,3 +862,37 @@ class TestCli:
     def test_bare_invocation_usage(self, capsys):
         assert main([]) == 4
         assert "usage" in capsys.readouterr().err.lower()
+
+    @pytest.mark.parametrize("command", ["render", "reroute"])
+    @pytest.mark.parametrize("doc", [
+        [  # block (0, 0) named twice
+            {"i": 0, "j": 0, "q": 1, "s": 1, "values": [1.0, 0.0]},
+            {"i": 0, "j": 0, "q": 2, "s": 2, "values": [2.0, 3.0]},
+        ],
+        [  # a block of no units
+            {"i": 0, "j": 0, "q": 1, "s": 0, "values": [0.0]},
+            {"i": 1, "j": 1, "q": 2, "s": 1, "values": [2.0]},
+        ],
+    ])
+    def test_invalid_table_exit_four(self, tmp_path, capsys, command, doc):
+        write_json(tmp_path / "table.json", doc)
+        args = [command, "--table", str(tmp_path / "table.json")]
+        if command == "reroute":
+            args += ["--attack", '{"attacked_priorities": [2]}']
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
+
+    def test_render_impossible_outcome_exit_four(self, tmp_path, capsys):
+        from sparselink import outcome_to_doc, table_to_doc
+
+        table = make_table((1, 1, 1, 1))
+        # priority 9 on a 4-row table, and priority 2 both rerouted and dropped
+        doc = dict(outcome_to_doc(reroute_uniform(table, {2})), rerouted=[2, 9], dropped=[2])
+        write_json(tmp_path / "table.json", table_to_doc(table))
+        write_json(tmp_path / "outcome.json", doc)
+        args = ["render", "--table", str(tmp_path / "table.json"),
+                "--outcome", str(tmp_path / "outcome.json")]
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")

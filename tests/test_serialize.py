@@ -4,10 +4,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sparselink import (
+    AttackScenario,
     BlockPartition,
     DimensionMismatch,
+    GeneratorSpec,
     InvalidAssumption,
     SparsityPattern,
     attack_from_doc,
@@ -21,8 +25,11 @@ from sparselink import (
     pattern_to_doc,
     plant_from_doc,
     plant_to_doc,
+    rank_links,
     read_json,
     reroute_uniform,
+    select_reroute,
+    sparsity_sweep,
     synthesize_structured_info,
     table_from_doc,
     table_to_doc,
@@ -175,6 +182,43 @@ class TestOutcomeDoc:
             outcome_from_doc(dict(doc, feasible="false"))
         with pytest.raises(InvalidAssumption):
             outcome_from_doc(dict(doc, rerouted=[1.5]))
+
+
+@pytest.mark.usefixtures("one_reweight")
+class TestRankedDocProperties:
+    # The fixture patches a module constant once for all examples.
+    @settings(max_examples=20, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_nodes=st.integers(2, 3), seed=st.integers(0, 10_000), data=st.data())
+    def test_round_trip_and_impossible_edits(self, n_nodes, seed, data):
+        plant = GeneratorSpec(n_nodes, seed).plant()
+        table = rank_links(plant, sparsity_sweep(plant, (0.05, 0.5)))
+        attacked = data.draw(st.frozensets(st.integers(1, table.r1)), label="attacked")
+        outcome = select_reroute(table, AttackScenario(attacked))
+        table_doc = json.loads(dumps_canonical(table_to_doc(table)))
+        outcome_doc = json.loads(dumps_canonical(outcome_to_doc(outcome)))
+
+        assert table_from_doc(table_doc) == table
+        back = outcome_from_doc(outcome_doc)
+        # the document has no attacked field, so an infeasible outcome only
+        # round-trips as a document
+        assert back == outcome if outcome.feasible else outcome_to_doc(back) == outcome_doc
+
+        k = data.draw(st.integers(0, table.r1 - 1), label="row")
+        if table.r1 > 1:
+            other = data.draw(st.integers(0, table.r1 - 1).filter(lambda o: o != k), label="other")
+            copied = [dict(row) for row in table_doc]
+            copied[k].update(i=table_doc[other]["i"], j=table_doc[other]["j"])
+            with pytest.raises(InvalidAssumption):
+                table_from_doc(copied)
+        empty = [dict(row) for row in table_doc]
+        empty[k].update(s=0, values=[0.0] * table.r2)
+        with pytest.raises(InvalidAssumption):
+            table_from_doc(empty)
+        field = data.draw(st.sampled_from(["sacrificed", "rerouted", "dropped"]), label="field")
+        q = data.draw(st.sampled_from([0, table.r1 + 1]), label="q")
+        with pytest.raises(InvalidAssumption):
+            outcome_from_doc(dict(outcome_doc, **{field: outcome_doc[field] + [q]}))
 
 
 class TestGainDoc:
