@@ -1,10 +1,11 @@
 """Monotone descent with backtracking, the one line search of the package.
 
 Its users are the augmented-Lagrangian inner solves and the polish of
-structured, sparse.sparse_gain and the removal losses of
-priority.rank_links. Objectives may return +inf for infeasible
-(non-stabilizing) trial points; such trials are rejected and no arithmetic
-is ever performed on the sentinel. Accepted values decrease strictly.
+structured, which the removal losses of priority.rank_links also run when
+their Newton model does not settle a loss, and sparse.sparse_gain.
+Objectives may return +inf for infeasible (non-stabilizing) trial points;
+such trials are rejected and no arithmetic is ever performed on the
+sentinel. Accepted values decrease strictly.
 
 The objective is F = f + h: the caller evaluates F and the gradient g of
 the smooth f, and h enters only through its proximal map prox(v, s). No
@@ -14,12 +15,6 @@ step tau is prox(x - tau g, tau), accepted when F(trial) <= F -
 (ARMIJO_C1 / tau) ||trial - x||^2 (for h = 0 the Armijo test); step sizes
 are seeded by a Barzilai-Borwein estimate. A trial that does not move x
 ends the descent as stalled.
-
-A caller holding a Newton model passes a preconditioner instead: the trial
-is x + tau d along d = -M g for a fixed positive definite M
-(priority.rank_links uses the downdated inverse Hessian of J at the base
-optimum), accepted on the Armijo test, and every iteration tries the unit
-step first.
 """
 from __future__ import annotations
 
@@ -62,7 +57,6 @@ def descend(
     max_iter: int,
     prox=None,
     start=None,
-    precondition=None,
 ) -> DescentResult:
     """Minimize F = f + h from a feasible start (see the module docstring).
 
@@ -74,10 +68,6 @@ def descend(
     the max_iter-th is tested for convergence, at a fixed point of the
     proximal map: ||x - prox(x - S g, S)||_F / S <= grad_tol (1 + ||x||_F)
     for S = _RESIDUAL_STEP (for a projection, the projected gradient norm).
-    precondition(g), when given, returns the direction -M g for a positive
-    definite M whose steps stay in the range of prox (see the module
-    docstring); a direction along which F does not decrease ends the
-    descent as stalled.
     """
     if prox is None:
         prox = _identity
@@ -96,27 +86,20 @@ def descend(
             return DescentResult(x, f, g, it, CONVERGED)
         if it == max_iter:
             return DescentResult(x, f, g, it, MAX_ITER)
-        if precondition is not None:
-            d = precondition(g)
-            slope = float(np.sum(g * d))
-            if not slope < 0.0:  # not a descent direction: no step can pass Armijo
-                return DescentResult(x, f, g, it, STALLED)
-            step = 1.0
 
         tau = min(max(step, _STEP_MIN), _STEP_MAX)
         accepted = None
         failure = LOST_STABILITY
         for _ in range(MAX_BACKTRACKS):
-            x_trial = prox(x - tau * g, tau) if precondition is None else x + tau * d
+            x_trial = prox(x - tau * g, tau)
             moved_sq = float(np.sum((x_trial - x) ** 2))
             if moved_sq == 0.0:
                 failure = STALLED
                 break
-            decrease = moved_sq / tau if precondition is None else -tau * slope
             ev_trial = make_eval(x_trial)
             f_trial = ev_trial.value
             if math.isfinite(f_trial):
-                if f_trial <= f - ARMIJO_C1 * decrease:
+                if f_trial <= f - ARMIJO_C1 * (moved_sq / tau):
                     accepted = (x_trial, ev_trial, f_trial, tau)
                     break
                 failure = STALLED

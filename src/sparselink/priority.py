@@ -15,25 +15,26 @@ passed whole as removal_loss's base), so the first removal loss from K*
 builds the exact Hessian H of J on the free entries of K*
 (h2._ClosedLoop.hessian, one Lyapunov solve per free entry, on the closed
 loop K* carries) and factors it once, and K* carries that model to every
-later loss from it on the same plant and pattern. Each loss then starts at
-the Optimal Brain Surgeon point (Hassibi & Stork, NIPS 1993)
+later loss from it on the same plant and pattern. Each loss starts at the
+Optimal Brain Surgeon point (Hassibi & Stork, NIPS 1993)
 
-    K* - H^-1[:, b] (H^-1_bb)^-1 K*_b,
+    x0 = K* - H^-1[:, b] (H^-1_bb)^-1 K*_b,
 
 the minimizer of the quadratic model with block b exactly zero, and
-descends from there with the downdated inverse
-H^-1 - H^-1[:, b] (H^-1_bb)^-1 H^-1[b, :], the inverse Hessian on the
-reduced pattern, as a fixed preconditioner (descent.descend), applied by
-solves with the Cholesky factor of H and the block's columns (LAPACK potrf
-and potrs, called directly: each solve is a few microseconds on these
-sizes, less than scipy's checking wrapper adds). That takes one or two
-Newton steps per block where the gradient polish it replaces took about a
-dozen.
-When the Hessian is not positive definite, the start is not stabilizing,
-or the descent does not converge, the loss comes from the structured
-synthesis of the reduced pattern from K* (synthesize_structured_info with
-init: a polish from K*'s projection, or a cold start when that projection
-is not stabilizing) instead.
+factors the closed loop there once. With g the gradient there, one Newton
+step on the reduced pattern predicts the decrease 1/2 g^T H_r^-1 g, where
+H_r^-1 = H^-1 - H^-1[:, b] (H^-1_bb)^-1 H^-1[b, :] is applied by solves
+with the Cholesky factor of H and the block's columns (LAPACK potrf and
+potrs, called directly: each solve is a few microseconds on these sizes,
+less than scipy's checking wrapper adds). When that decrease is at most
+_MODEL_TOL J(x0) the loss takes the model value J(x0) - 1/2 g^T H_r^-1 g,
+within about that much of a converged descent's value; else a
+projected-gradient polish descends from x0 on its closed loop.
+When the Hessian is not positive definite, H^-1_bb is numerically
+singular, the start is not stabilizing, or the polish does not converge,
+the loss comes from the structured synthesis of the reduced pattern from
+K* (synthesize_structured_info with init: a polish from K*'s projection,
+or a cold start when that projection is not stabilizing) instead.
 """
 from __future__ import annotations
 
@@ -48,14 +49,15 @@ from .errors import (
     EmptySweep,
     IndexOutOfRange,
     InvalidAssumption,
-    NotStabilizing,
     PatternNotStabilizable,
 )
 from .descent import CONVERGED
-from .h2 import _closed_loop
+from .h2 import _ClosedLoop, _closed_loop
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .sparse import SweepResult
 from .structured import SynthesisInfo, _polish, synthesize_structured_info
+
+_MODEL_TOL = 1e-6  # the largest predicted decrease / J(x0) the model serves
 
 
 @dataclass(frozen=True)
@@ -175,8 +177,8 @@ class _RemovalNewton:
         return plant is self.plant and pattern.same_as(self.pattern)
 
     def reduced_cost(self, block: tuple[int, int]) -> float | None:
-        """J* on the pattern without block, or None when the Newton path
-        does not apply and the caller must fall back."""
+        """J* on the pattern without block, or None when the caller must
+        fall back (module docstring)."""
         if self._chol is None:
             return None
         k = self.k
@@ -191,25 +193,22 @@ class _RemovalNewton:
         if info != 0:  # rounding in a badly conditioned H
             return None
         k_free = k.ravel()[self._free]
-        start = np.zeros(k.size)
-        start[self._free] = k_free - h_inv_b @ dpotrs(bb, k_free[b])[0]
-        start[self._free[b]] = 0.0
-
-        def newton_direction(g):
-            h_inv_g = dpotrs(self._chol, g.ravel()[self._free])[0]
-            step = h_inv_g - h_inv_b @ dpotrs(bb, h_inv_g[b])[0]
-            d = np.zeros(g.size)
-            d[self._free] = -step
-            d[self._free[b]] = 0.0
-            return d.reshape(g.shape)
-
+        x0 = np.zeros(k.size)
+        x0[self._free] = k_free - h_inv_b @ dpotrs(bb, k_free[b])[0]
+        x0[self._free[b]] = 0.0
+        cl = _ClosedLoop(self.plant, x0.reshape(k.shape))
+        if not cl.stable:
+            return None
+        g = cl.gradient().ravel()[self._free]
+        h_inv_g = dpotrs(self._chol, g)[0]
+        step = h_inv_g - h_inv_b @ dpotrs(bb, h_inv_g[b])[0]  # H_r^-1 g
+        step[b] = 0.0
+        decrease, j = 0.5 * float(g @ step), cl.value
+        if 0.0 <= decrease <= _MODEL_TOL * j:  # below 0, rounding broke H_r^-1
+            return j - decrease
         keep = self._ident.copy()
         keep[block_slices] = 0.0
-        try:
-            res, _ = _polish(self.plant, start.reshape(k.shape), keep,
-                             precondition=newton_direction)
-        except NotStabilizing:
-            return None
+        res, _ = _polish(self.plant, cl.k, keep, start=cl)
         return res.value if res.status == CONVERGED else None
 
 
@@ -224,10 +223,10 @@ def removal_loss(
 
     Returns +inf when the reduced pattern cannot be stabilized. base is the
     structured synthesis on base_pattern (a sweep entry's polished), whose
-    gain warm-starts the reduced problem. The reduced problem is solved by
-    Newton steps from the base optimum, with the structured synthesis as
-    the fallback; base.gain carries the Newton model to the next call from
-    it (module docstring).
+    gain warm-starts the reduced problem and carries the Newton model of J
+    to the next call from it. Where that model serves, J*(pattern minus
+    block) is a model-corrected value within about _MODEL_TOL J of a
+    converged descent's value (module docstring).
     """
     i, j = block
     n_nodes = base_pattern.partition.n_nodes

@@ -42,6 +42,10 @@ def _table_extent(table: PriorityTable) -> tuple[int, int]:
     return rows, cols
 
 
+def _blocks(table: PriorityTable) -> list[tuple[int, int, int, int]]:
+    return [(row.i, row.j, row.q, row.size) for row in table.rows]
+
+
 def classify_blocks(
     source,
     *,
@@ -51,14 +55,17 @@ def classify_blocks(
 ) -> np.ndarray:
     """Character grid over the block lattice. source is a SparsityPattern
     (plain free/zero view) or a PriorityTable (annotated by the outcome's
-    sets, or by an attacked priority set for the pre-reroute view). A given
-    partition sets the grid, and the table must fit it (check_fits)."""
+    sets, whose table must have its rows up to values, or by an attacked
+    priority set for the pre-reroute view). A given partition sets the
+    grid, and the table must fit it (check_fits)."""
     if isinstance(source, SparsityPattern):
         grid = np.full(source.mask.shape, CHAR_ZERO, dtype="<U1")
         grid[source.mask] = CHAR_FREE
         return grid
     if not isinstance(source, PriorityTable):
         raise UnknownFormat(f"cannot render a {type(source).__name__}")
+    if outcome is not None and _blocks(outcome.table) != _blocks(source):
+        raise DimensionMismatch("the outcome's table does not have the rendered table's blocks")
     if partition is not None:
         source.check_fits(partition)
         shape = (partition.n_nodes, partition.n_nodes)

@@ -155,6 +155,8 @@ def scenario_from_doc(doc: dict, *, name: str = "scenario", base_dir=None, seed=
     elif kind == "inline":
         plant_doc = value
     else:
+        if not isinstance(value, str):
+            raise InvalidAssumption(f"scenario plant file must be a path string, got {value!r}")
         path = Path(value)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path

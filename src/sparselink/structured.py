@@ -177,13 +177,13 @@ def _multiplier_loop(plant, comp, ident):
     return best_projection, outer, tightened
 
 
-def _polish(plant, k_projected, ident, *, start=None, precondition=None):
-    """Projected-gradient descent of J on the free entries (ident), or
-    preconditioned descent with precondition (descent.descend). Returns the
-    descent result and the last closed loop it evaluated (_descend_tracked)."""
+def _polish(plant, k_projected, ident, *, start=None):
+    """Projected-gradient descent of J on the free entries (ident). Returns
+    the descent result and the last closed loop it evaluated
+    (_descend_tracked)."""
     return _descend_tracked(
         plant, start, k_projected, lambda c: c, prox=lambda v, s: v * ident,
-        grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER, precondition=precondition,
+        grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER,
     )
 
 

@@ -738,6 +738,7 @@ class TestCli:
             ({"n_nodes": 3, "seed": 0}, {"top_fraction": True}),
             ({"n_nodes": 3, "seed": True}, None),
             ({"n_nodes": 3, "seed": 0, "delta": True}, None),
+            ({"file": 5}, None),  # a whole plant section: a file that is no path
         ],
     )
     def test_malformed_value_exit_four(self, tmp_path, capsys, monkeypatch, generator, attack):
@@ -746,7 +747,8 @@ class TestCli:
             pytest.fail("sparsity_sweep ran on a malformed scenario")
 
         monkeypatch.setattr(scenario_module, "sparsity_sweep", no_sweep)
-        scenario = write_scenario(tmp_path, attack, plant={"generator": generator})
+        plant = generator if "file" in generator else {"generator": generator}
+        scenario = write_scenario(tmp_path, attack, plant=plant)
         assert main(["run", "--scenario", str(scenario)]) == 4
         assert "input error" in capsys.readouterr().err
 
@@ -879,6 +881,18 @@ class TestCli:
         args = [command, "--table", str(tmp_path / "table.json")]
         if command == "reroute":
             args += ["--attack", '{"attacked_priorities": [2]}']
+        assert main(args) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
+
+    def test_render_outcome_of_another_table_exit_four(self, tmp_path, capsys, ex1_table):
+        from sparselink import outcome_to_doc, table_to_doc
+
+        # an outcome of the 9-row example table, rendered on a 4-row table
+        write_json(tmp_path / "table.json", table_to_doc(make_table((1, 1, 1, 1))))
+        write_json(tmp_path / "outcome.json", outcome_to_doc(reroute_uniform(ex1_table, {3})))
+        args = ["render", "--table", str(tmp_path / "table.json"),
+                "--outcome", str(tmp_path / "outcome.json")]
         assert main(args) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("input error:")
