@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: gen, sweep, rank, reroute, synth, run, render. Exit codes:
-0 success, 2 infeasible countermeasure, 3 pattern not stabilizable,
-4 input error (bad files, flags, or dimensions), 5 solver failure (a
-numerical solver gave up: singular Lyapunov solve, Riccati iteration,
-line search, lost stability, or iteration cap).
+0 success, 2 infeasible countermeasure (InfeasibleOutcome), 3 pattern not
+stabilizable (PatternNotStabilizable), 4 input error (any InputError, or a
+file the OS or the JSON reader rejects), 5 solver failure (any
+SolverFailure: a numerical solver gave up). The categories are those of
+sparselink.errors.
 """
 from __future__ import annotations
 
@@ -14,20 +15,11 @@ import sys
 from pathlib import Path
 
 from .errors import (
-    DimensionMismatch,
-    EmptySweep,
-    IndexOutOfRange,
     InfeasibleOutcome,
+    InputError,
     InvalidAssumption,
-    LineSearchFailure,
-    LostStabilizability,
-    MaxIterations,
-    NotHurwitz,
-    NotStabilizing,
     PatternNotStabilizable,
-    RiccatiFailure,
-    SingularSolve,
-    UnknownFormat,
+    SolverFailure,
 )
 from .render import render_pattern
 from .reroute import select_reroute
@@ -55,30 +47,6 @@ from .serialize import (
 )
 from .sparse import sparsity_sweep, sweep_csv
 from .structured import synthesize_structured_info
-
-_INPUT_ERRORS = (
-    InvalidAssumption,
-    DimensionMismatch,
-    IndexOutOfRange,
-    UnknownFormat,
-    EmptySweep,
-    NotStabilizing,
-    NotHurwitz,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-    PermissionError,
-    json.JSONDecodeError,
-    UnicodeDecodeError,
-)
-
-_SOLVER_ERRORS = (
-    SingularSolve,
-    RiccatiFailure,
-    LineSearchFailure,
-    LostStabilizability,
-    MaxIterations,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -185,14 +153,13 @@ def _cmd_run(args) -> int:
 def _cmd_render(args) -> int:
     if (args.pattern is None) == (args.table is None):
         raise InvalidAssumption("render needs exactly one of --pattern or --table")
+    if args.outcome is not None and args.table is None:
+        raise InvalidAssumption("render --outcome needs --table")
     if args.pattern is not None:
         source = pattern_from_doc(read_json(args.pattern))
-        outcome = None
     else:
         source = table_from_doc(read_json(args.table))
-        outcome = None
-        if args.outcome is not None:
-            outcome = outcome_from_doc(read_json(args.outcome))
+    outcome = None if args.outcome is None else outcome_from_doc(read_json(args.outcome))
     name = "pattern.txt" if args.format == "text" else "pattern.svg"
     _emit(render_pattern(source, args.format, outcome=outcome), args.out, name)
     return 0
@@ -269,10 +236,11 @@ def main(argv=None) -> int:
     except PatternNotStabilizable as exc:
         print(f"not stabilizable: {exc}", file=sys.stderr)
         return 3
-    except _INPUT_ERRORS as exc:
+    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
+            PermissionError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
-    except _SOLVER_ERRORS as exc:
+    except SolverFailure as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 5
 

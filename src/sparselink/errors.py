@@ -1,7 +1,12 @@
 """Exception types raised across the package.
 
 Every error subclasses SparselinkError plus the closest builtin category,
-so callers can catch either the package base or the usual builtin.
+so callers can catch either the package base or the usual builtin. Each
+leaf class also falls in one category the command line maps to its exit
+code (cli.main): InputError (4, bad input: files, flags, documents,
+dimensions, or a start that breaks a precondition) or SolverFailure (5, a
+numerical solver gave up). InfeasibleOutcome (2) and PatternNotStabilizable
+(3) are their own categories.
 """
 
 
@@ -9,35 +14,43 @@ class SparselinkError(Exception):
     """Base class for all package errors."""
 
 
-class DimensionMismatch(SparselinkError, ValueError):
+class InputError(SparselinkError):
+    """The input breaks a rule or precondition (command-line exit code 4)."""
+
+
+class SolverFailure(SparselinkError):
+    """A numerical solver gave up (command-line exit code 5)."""
+
+
+class DimensionMismatch(InputError, ValueError):
     """Matrix or partition dimensions are inconsistent."""
 
 
-class NotHurwitz(SparselinkError, ValueError):
+class NotHurwitz(InputError, ValueError):
     """A matrix required to be Hurwitz has an eigenvalue with Re >= -tol."""
 
 
-class SingularSolve(SparselinkError, RuntimeError):
+class SingularSolve(SolverFailure, RuntimeError):
     """A linear solve was numerically singular."""
 
 
-class NotStabilizing(SparselinkError, ValueError):
+class NotStabilizing(InputError, ValueError):
     """A gain required to be stabilizing is not."""
 
 
-class RiccatiFailure(SparselinkError, RuntimeError):
+class RiccatiFailure(SolverFailure, RuntimeError):
     """The Riccati iteration failed to converge or to find a starting gain."""
 
 
-class LineSearchFailure(SparselinkError, RuntimeError):
+class LineSearchFailure(SolverFailure, RuntimeError):
     """Backtracking could not find an acceptable step."""
 
 
-class LostStabilizability(SparselinkError, RuntimeError):
+class LostStabilizability(SolverFailure, RuntimeError):
     """Every trial step of a line search left the stabilizing set."""
 
 
-class MaxIterations(SparselinkError, RuntimeError):
+class MaxIterations(SolverFailure, RuntimeError):
     """An iteration cap was reached before the convergence test passed."""
 
 
@@ -45,11 +58,11 @@ class PatternNotStabilizable(SparselinkError, RuntimeError):
     """No stabilizing gain exists (or was found) for a sparsity pattern."""
 
 
-class EmptySweep(SparselinkError, ValueError):
+class EmptySweep(InputError, ValueError):
     """A sweep with no entries was given where at least one is required."""
 
 
-class InvalidAssumption(SparselinkError, ValueError):
+class InvalidAssumption(InputError, ValueError):
     """An algorithm precondition (e.g. uniform block sizes) does not hold."""
 
 
@@ -57,9 +70,9 @@ class InfeasibleOutcome(SparselinkError, ValueError):
     """A rerouting outcome marked infeasible was used where a feasible one is required."""
 
 
-class IndexOutOfRange(SparselinkError, IndexError):
+class IndexOutOfRange(InputError, IndexError):
     """A priority or block index is outside the valid range."""
 
 
-class UnknownFormat(SparselinkError, ValueError):
+class UnknownFormat(InputError, ValueError):
     """An unsupported output or input format name was requested."""

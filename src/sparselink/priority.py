@@ -28,13 +28,16 @@ with the Cholesky factor of H and the block's columns (LAPACK potrf and
 potrs, called directly: each solve is a few microseconds on these sizes,
 less than scipy's checking wrapper adds). When that decrease is at most
 _MODEL_TOL J(x0) the loss takes the model value J(x0) - 1/2 g^T H_r^-1 g,
-within about that much of a converged descent's value; else a
-projected-gradient polish descends from x0 on its closed loop.
-When the Hessian is not positive definite, H^-1_bb is numerically
-singular, the start is not stabilizing, or the polish does not converge,
-the loss comes from the structured synthesis of the reduced pattern from
-K* (synthesize_structured_info with init: a polish from K*'s projection,
-or a cold start when that projection is not stabilizing) instead.
+within about that much of a converged descent's value. Every other loss
+is one structured synthesis of the reduced pattern
+(synthesize_structured_info with init). Its init is x0 with the closed
+loop factored there (h2._carry): x0 is on the reduced pattern, so it is
+its own projection, and the synthesis polishes from that loop. When the
+Hessian is not positive definite, H^-1_bb is numerically singular, or x0
+is not stabilizing, the init is K* instead (a polish from K*'s
+projection, or a cold start when that projection is not stabilizing). As
+everywhere, a polish that does not converge raises the typed error of its
+status.
 """
 from __future__ import annotations
 
@@ -51,11 +54,10 @@ from .errors import (
     InvalidAssumption,
     PatternNotStabilizable,
 )
-from .descent import CONVERGED
-from .h2 import _ClosedLoop, _closed_loop
+from .h2 import _carry, _ClosedLoop, _closed_loop
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .sparse import SweepResult
-from .structured import SynthesisInfo, _polish, synthesize_structured_info
+from .structured import SynthesisInfo, synthesize_structured_info
 
 _MODEL_TOL = 1e-6  # the largest predicted decrease / J(x0) the model serves
 
@@ -166,7 +168,7 @@ class _RemovalNewton:
         self.plant, self.pattern, self.k = plant, pattern, gain.K
         self._ident = pattern.structural_identity()
         self._free = np.flatnonzero(self._ident)  # row-major, the Hessian's order
-        self._chol = None  # stays None unless H is positive definite: every loss falls back
+        self._chol = None  # stays None unless H is positive definite: every loss starts at K*
         cl = _closed_loop(plant, gain)
         if cl.stable:
             chol, info = dpotrf(cl.hessian(self._ident != 0.0), overwrite_a=1, clean=0)
@@ -176,15 +178,15 @@ class _RemovalNewton:
     def serves(self, plant, pattern) -> bool:
         return plant is self.plant and pattern.same_as(self.pattern)
 
-    def reduced_cost(self, block: tuple[int, int]) -> float | None:
-        """J* on the pattern without block, or None when the caller must
-        fall back (module docstring)."""
+    def reduced_cost(self, block: tuple[int, int]) -> float | GainMatrix | None:
+        """J* on the pattern without block when the model serves; else the
+        init of the reduced synthesis, x0 carrying its closed loop, or None
+        when no stabilizing x0 is at hand (module docstring)."""
         if self._chol is None:
             return None
         k = self.k
-        block_slices = self.plant.partition.block(*block)
         in_block = np.zeros(k.shape, dtype=bool)
-        in_block[block_slices] = True
+        in_block[self.plant.partition.block(*block)] = True
         b = np.flatnonzero(in_block.ravel()[self._free])  # block entries in Hessian order
         unit = np.zeros((self._free.size, b.size))
         unit[b, np.arange(b.size)] = 1.0
@@ -206,10 +208,7 @@ class _RemovalNewton:
         decrease, j = 0.5 * float(g @ step), cl.value
         if 0.0 <= decrease <= _MODEL_TOL * j:  # below 0, rounding broke H_r^-1
             return j - decrease
-        keep = self._ident.copy()
-        keep[block_slices] = 0.0
-        res, _ = _polish(self.plant, cl.k, keep, start=cl)
-        return res.value if res.status == CONVERGED else None
+        return _carry(GainMatrix(cl.k, self.plant.partition), cl)
 
 
 def removal_loss(
@@ -226,7 +225,8 @@ def removal_loss(
     gain warm-starts the reduced problem and carries the Newton model of J
     to the next call from it. Where that model serves, J*(pattern minus
     block) is a model-corrected value within about _MODEL_TOL J of a
-    converged descent's value (module docstring).
+    converged descent's value; elsewhere a reduced polish that does not
+    converge raises the typed error of its status (module docstring).
     """
     i, j = block
     n_nodes = base_pattern.partition.n_nodes
@@ -238,13 +238,14 @@ def removal_loss(
     if model is None or not model.serves(plant, base_pattern):
         model = _RemovalNewton(plant, base_pattern, base.gain)
         object.__setattr__(base.gain, "_removal_newton", model)
-    cost = model.reduced_cost(block)
-    if cost is None:
-        try:
-            reduced = base_pattern.without_block(i, j)
-            cost = synthesize_structured_info(plant, reduced, init=base.gain).cost
-        except PatternNotStabilizable:
-            return math.inf
+    served = model.reduced_cost(block)
+    if isinstance(served, float):
+        return served - base.cost
+    init = base.gain if served is None else served
+    try:
+        cost = synthesize_structured_info(plant, base_pattern.without_block(i, j), init=init).cost
+    except PatternNotStabilizable:
+        return math.inf
     return cost - base.cost
 
 

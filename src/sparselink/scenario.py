@@ -14,6 +14,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import io
+import math
 import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -140,11 +141,14 @@ class Scenario:
 
 def scenario_from_doc(doc: dict, *, name: str = "scenario", base_dir=None, seed=None) -> Scenario:
     """Build a Scenario from its JSON document. seed, when given, overrides
-    the generator's seed (the CLI --seed flag)."""
+    the generator's seed (the CLI --seed flag); InvalidAssumption when the
+    plant comes from no generator."""
     _fields(doc, "scenario", ("plant",), ("name", "sparsity", "attack"))
     sparsity = {} if doc.get("sparsity") is None else doc["sparsity"]
     _fields(sparsity, "scenario sparsity", (), ("beta_schedule",))
     kind, value = _one_of(doc["plant"], "scenario plant", ("generator", "inline", "file"))
+    if seed is not None and kind != "generator":
+        raise InvalidAssumption(f"a seed applies only to a generator plant, not to the {kind} plant")
     generator = None
     plant_doc = None
     if kind == "generator":
@@ -279,7 +283,12 @@ def report_csv(reports) -> str:
 
 
 def report_to_doc(report: CostReport) -> dict:
-    return dataclasses.asdict(report)
+    """The report as a JSON object; a non-finite j_attack is null (JSON has
+    no Infinity), where report_csv writes inf."""
+    doc = dataclasses.asdict(report)
+    if not math.isfinite(doc["j_attack"]):
+        doc["j_attack"] = None
+    return doc
 
 
 def write_artifacts(result: PipelineResult, out_dir) -> list:

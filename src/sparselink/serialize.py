@@ -4,7 +4,9 @@ outcomes, attack specs, and synthesized gains.
 Documents are canonical: two-space indent, fixed key order, floats written
 with Python repr (the shortest decimal string that parses back to the same
 IEEE-754 double), trailing newline. Reading a written document reproduces
-the object bitwise, and re-serializing reproduces the byte stream.
+the object bitwise, and re-serializing reproduces the byte stream. They
+are RFC 8259 JSON: dumps_canonical raises ValueError on a non-finite float
+rather than write Infinity or NaN.
 """
 from __future__ import annotations
 
@@ -22,7 +24,7 @@ from .structured import SynthesisInfo
 
 
 def dumps_canonical(doc) -> str:
-    return json.dumps(doc, indent=2, allow_nan=True) + "\n"
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_json(path, doc) -> None:

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import descend, require_converged
-from .errors import DimensionMismatch, InvalidAssumption, NotStabilizing
+from .errors import DimensionMismatch, InvalidAssumption
 from .h2 import _carry, _ClosedLoop, _closed_loop, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import SynthesisInfo, synthesize_structured_info
@@ -83,9 +83,9 @@ def reweight(norms: np.ndarray, eps: float) -> np.ndarray:
     """Reweighting rule G_ij = 1 / (norms_ij + eps)."""
     norms = np.asarray(norms, dtype=float)
     if eps <= 0.0:
-        raise ValueError("eps must be positive")
+        raise InvalidAssumption("eps must be positive")
     if np.any(norms < 0.0):
-        raise ValueError("norms must be non-negative")
+        raise InvalidAssumption("norms must be non-negative")
     return 1.0 / (norms + eps)
 
 
@@ -123,17 +123,15 @@ def sparse_gain(
 ) -> GainMatrix:
     """Stabilizing fixed point of the proximal-gradient map at one (beta, G),
     reached from init by SpaRSA steps (see the module docstring). Every beta,
-    0 included, stops at the residual tolerance _RESIDUAL_TOL."""
+    0 included, stops at the residual tolerance _RESIDUAL_TOL. An init that
+    is not stabilizing raises NotStabilizing (descend's start check)."""
     if not 0.0 <= beta < math.inf:
-        raise ValueError("beta must be finite and non-negative")
+        raise InvalidAssumption("beta must be finite and non-negative")
     weights = np.asarray(weights, dtype=float)
     n_nodes = plant.partition.n_nodes
     if weights.shape != (n_nodes, n_nodes):
         raise DimensionMismatch(f"weights shape {weights.shape}, expected ({n_nodes},{n_nodes})")
     cl = _closed_loop(plant, init)
-    if not cl.stable:
-        raise NotStabilizing("initial gain must be stabilizing")
-
     partition = plant.partition
     last = cl
 

@@ -32,7 +32,7 @@ from sparselink import (
     synthesize_structured_info,
     table_from_gain,
 )
-from sparselink import descent, h2, priority
+from sparselink import h2, priority
 
 
 class TestPriorityTable:
@@ -429,9 +429,7 @@ class TestNewtonRemovalLoss:
         assert loss < ref - 1e-3
         assert loss + base.cost_polished == pytest.approx(cold, rel=1e-9)
 
-    @pytest.mark.parametrize(
-        "failure", ["indefinite_hessian", "singular_block", "unstable_start", "no_convergence"]
-    )
+    @pytest.mark.parametrize("failure", ["indefinite_hessian", "singular_block", "unstable_start"])
     def test_fallback_gives_reference_loss(self, monkeypatch, failure):
         if failure == "indefinite_hessian":
             monkeypatch.setattr(h2._ClosedLoop, "hessian",
@@ -454,28 +452,45 @@ class TestNewtonRemovalLoss:
                 return loop(plant, k - 1e3 * plant.B.T)
 
             monkeypatch.setattr(priority, "_ClosedLoop", unstable)
-        else:
-            polish = priority._polish
+        inits = []
 
-            def failing(*args, **kwargs):
-                res, end = polish(*args, **kwargs)
-                return dataclasses.replace(res, status=descent.MAX_ITER), end
-
-            # every loss is polished from its start, and no polish converges
-            monkeypatch.setattr(priority, "_MODEL_TOL", -1.0)
-            monkeypatch.setattr(priority, "_polish", failing)
-        fallbacks = []
-
-        def counting(*args, **kwargs):
-            fallbacks.append(args)
-            return synthesize_structured_info(*args, **kwargs)
+        def counting(*args, init, **kwargs):
+            inits.append(init)
+            return synthesize_structured_info(*args, init=init, **kwargs)
 
         monkeypatch.setattr(priority, "synthesize_structured_info", counting)
         plant = generate_plant(3, 4)
         sweep = sparsity_sweep(plant, LOSS_SCHEDULE)
         base = sweep.entries[0]
         order, losses = ranked_with(plant, sweep, removal_loss)
-        assert len(fallbacks) == len(losses) >= 2
+        # with no Newton start at hand, every loss starts at K*
+        assert len(inits) == len(losses) >= 2
+        assert all(init is base.polished.gain for init in inits)
         for blk, loss in losses.items():
             assert loss == reference_loss(plant, base.pattern, blk, base=base.polished)
         assert order == ranked_with(plant, sweep, reference_loss)[0]
+
+    def test_reduced_polish_that_gives_up_raises(self, monkeypatch):
+        # With the model tolerance below every predicted decrease, each loss
+        # is a synthesis of the reduced pattern from the Newton start x0; a
+        # polish allowed no step there gives up, and removal_loss raises
+        # the polish's typed error instead of retrying from K*.
+        from sparselink import MaxIterations, structured
+
+        plant = generate_plant(3, 4)
+        base = sparsity_sweep(plant, LOSS_SCHEDULE).entries[0]
+        inits = []
+
+        def recording(*args, init, **kwargs):
+            inits.append(init)
+            return synthesize_structured_info(*args, init=init, **kwargs)
+
+        monkeypatch.setattr(priority, "_MODEL_TOL", -1.0)
+        monkeypatch.setattr(priority, "synthesize_structured_info", recording)
+        monkeypatch.setattr(structured, "_POLISH_MAX_ITER", 0)
+        block = base.pattern.free_blocks()[0]
+        with pytest.raises(MaxIterations):
+            removal_loss(plant, base.pattern, block, base=base.polished)
+        [init] = inits
+        assert init is not base.polished.gain
+        assert not np.any(init.block(*block))

@@ -134,6 +134,11 @@ class TestScenarioDoc:
         doc = {"plant": {"generator": {"n_nodes": 3, "seed": 5}}}
         assert scenario_from_doc(doc, seed=11).generator.seed == 11
 
+    @pytest.mark.parametrize("plant", [{"inline": {}}, {"file": "plant.json"}])
+    def test_seed_needs_a_generator(self, plant):
+        with pytest.raises(InvalidAssumption, match="only to a generator plant"):
+            scenario_from_doc({"plant": plant}, seed=7)
+
     def test_seed_required(self):
         with pytest.raises(InvalidAssumption):
             scenario_from_doc({"plant": {"generator": {"n_nodes": 3}}})
@@ -360,9 +365,10 @@ class TestReportFormats:
         assert float(value) == ugly
 
     def test_doc_round_trip(self):
+        # an infinite j_attack is null in JSON, and inf in the CSV
         rep = CostReport("a", 1.25, math.inf, None, 3, 0, 3, False)
         back = json.loads(dumps_canonical(report_to_doc(rep)))
-        assert back == dataclasses.asdict(rep)
+        assert back == dict(dataclasses.asdict(rep), j_attack=None)
 
     def test_doc_round_trip_finite(self):
         rep = CostReport("b", 0.5, 0.75, 0.6, 1, 1, 0, True)
@@ -423,7 +429,9 @@ class TestArtifacts:
 
 
 def write_scenario(tmp_path, attack, name="case", **sections):
-    """A scenario file; sections replace or add top-level keys."""
+    """A scenario file; sections replace or add top-level keys. Written by
+    json.dumps, not write_json, so a section may hold the Infinity that
+    scenario loading must reject."""
     doc = {
         "plant": {"generator": {"n_nodes": 3, "seed": 0}},
         "sparsity": {"beta_schedule": list(FAST_SCHEDULE)},
@@ -431,7 +439,7 @@ def write_scenario(tmp_path, attack, name="case", **sections):
         **sections,
     }
     path = tmp_path / f"{name}.json"
-    write_json(path, doc)
+    path.write_text(json.dumps(doc), encoding="utf-8")
     return path
 
 
@@ -721,6 +729,21 @@ class TestCli:
         out = capsys.readouterr().out
         assert ",false" in out.splitlines()[1]
 
+    def test_infinite_attack_cost_is_json_null(self, tmp_path):
+        # A + 0.5 I is unstable, so zeroing every link leaves j_attack = inf
+        plant = generate_plant(2, 0)
+        doc = dict(plant_to_doc(plant), A=(plant.A + 0.5 * np.eye(plant.n)).tolist())
+        scenario = write_scenario(tmp_path, {"top_fraction": 1.0}, plant={"inline": doc})
+        out_dir = tmp_path / "out"
+        assert main(["run", "--scenario", str(scenario), "--out", str(out_dir)]) == 2
+
+        def no_constant(name):
+            raise AssertionError(f"report.json holds {name}")
+
+        report = json.loads((out_dir / "report.json").read_text(), parse_constant=no_constant)
+        assert report["j_attack"] is None
+        assert (out_dir / "report.csv").read_text().splitlines()[1].split(",")[2] == "inf"
+
     @pytest.mark.parametrize(
         "generator, attack",
         [
@@ -854,12 +877,22 @@ class TestCli:
         )
 
     def test_input_error_paths(self, tmp_path, capsys):
+        from sparselink import SparsityPattern, pattern_to_doc
+
         assert main(["run", "--scenario", str(tmp_path / "missing.json")]) == 4
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         assert main(["run", "--scenario", str(bad)]) == 4
         assert main(["gen", "--n-nodes", "2", "--seed", "0", "--bogus"]) == 4
         assert main(["teleport"]) == 4
+        # options that would have no effect: a --seed for a plant no
+        # generator makes, and an --outcome with no --table to draw it on
+        plant = generate_plant(2, 0)
+        inline = write_scenario(tmp_path, None, plant={"inline": plant_to_doc(plant)})
+        assert main(["run", "--scenario", str(inline), "--seed", "7"]) == 4
+        write_json(tmp_path / "pattern.json", pattern_to_doc(SparsityPattern.full(plant.partition)))
+        pattern = str(tmp_path / "pattern.json")
+        assert main(["render", "--pattern", pattern, "--outcome", pattern]) == 4
 
     def test_bare_invocation_usage(self, capsys):
         assert main([]) == 4

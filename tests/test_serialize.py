@@ -46,10 +46,11 @@ class TestCanonicalDump:
         text = dumps_canonical({"v": ugly})
         assert json.loads(text)["v"] == ugly
 
-    def test_infinity_round_trips(self):
-        text = dumps_canonical({"v": math.inf})
-        assert "Infinity" in text
-        assert json.loads(text)["v"] == math.inf
+    def test_non_finite_float_is_rejected(self):
+        # RFC 8259 JSON has no Infinity or NaN
+        for v in (math.inf, -math.inf, math.nan):
+            with pytest.raises(ValueError):
+                dumps_canonical({"v": v})
 
     def test_trailing_newline(self):
         assert dumps_canonical([]).endswith("\n")
