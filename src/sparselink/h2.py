@@ -25,11 +25,13 @@ LAPACK trsyl).
 Non-stabilizing gains map to J = +inf; optimizers must treat that value as
 a line-search rejection and never do arithmetic with it.
 
-A GainMatrix can carry the closed loop of its K (_carry). A solve handed
-the gain on the same plant takes that loop instead of factoring A - B K
-again (_closed_loop), and the solvers hand the last loop they evaluated
-to the gain they return, so a gain passed from stage to stage is factored
-once. Only _holds decides whether a loop belongs to a K: byte for byte.
+A GainMatrix can carry the closed loop of its K (_carry), which holds all
+that is derived from K, the removal losses' Hessian factors too. A solve
+handed the gain on the same plant takes that loop, and a loop factored for
+the gain stays on it (_closed_loop); the solvers hand the last loop they
+evaluated to the gain they return, so a gain passed from stage to stage is
+factored once. Only _holds decides whether a loop belongs to a K: byte for
+byte.
 """
 from __future__ import annotations
 
@@ -37,10 +39,11 @@ import functools
 import math
 
 import numpy as np
-from scipy.linalg.lapack import dgees, dtrsyl
+from scipy.linalg.lapack import dgees, dpotrf, dtrsyl
 
 from .errors import (
     DimensionMismatch,
+    MaxIterations,
     NotHurwitz,
     NotStabilizing,
     RiccatiFailure,
@@ -84,7 +87,7 @@ def _real_schur(a: np.ndarray) -> tuple[np.ndarray, np.ndarray, float]:
     if info < 0:
         raise ValueError(f"illegal value in {-info}-th argument of internal gees")
     if info > 0:
-        raise np.linalg.LinAlgError("Schur form not found. Possibly ill-conditioned.")
+        raise MaxIterations(f"Schur form not found: the QR iteration of dgees gave up (info={info})")
     return t, z, float(np.max(np.diag(t)))
 
 
@@ -108,7 +111,8 @@ class _ClosedLoop:
 
     value and gradient() are the evaluation form descent.descend takes; the
     Lyapunov solves run only when one of them is asked for. hessian() adds
-    one solve per column on the same factor.
+    one solve per column on the same factor; hessian_factor() holds it
+    factored.
     """
 
     def __init__(self, plant: LtiPlant, k: np.ndarray):
@@ -118,6 +122,7 @@ class _ClosedLoop:
         self.stable = abscissa < -STABILITY_TOL
         self._p = None
         self._l = None
+        self._factors = {}  # free mask bytes -> Cholesky factor of H, or None
 
     def obs_gramian(self) -> np.ndarray:
         if self._p is None:
@@ -169,6 +174,16 @@ class _ClosedLoop:
         h += h.T
         return h
 
+    def hessian_factor(self, free: np.ndarray) -> np.ndarray | None:
+        """Upper Cholesky factor (LAPACK potrf) of hessian(free), built once
+        per mask and held; None when K is not stabilizing or that Hessian is
+        not positive definite."""
+        key = free.tobytes()
+        if key not in self._factors:
+            chol, info = dpotrf(self.hessian(free), overwrite_a=1, clean=0) if self.stable else (None, 1)
+            self._factors[key] = chol if info == 0 else None
+        return self._factors[key]
+
 
 def _holds(cl: _ClosedLoop, k: np.ndarray) -> bool:
     """The one match rule: cl is the closed loop of K = k when its K equals
@@ -191,8 +206,11 @@ def _carry(gain: GainMatrix, cl: _ClosedLoop) -> GainMatrix:
 
 
 def _closed_loop(plant: LtiPlant, gain: GainMatrix) -> _ClosedLoop:
-    """The closed loop gain carries (_loop_of), else a new factorization."""
-    return _loop_of(plant, gain.K, gain.__dict__.get("_loop"))
+    """The closed loop gain carries (_loop_of), else a new factorization,
+    which gain carries from then on (_carry)."""
+    cl = _loop_of(plant, gain.K, gain.__dict__.get("_loop"))
+    _carry(gain, cl)
+    return cl
 
 
 def _gain_loop(plant: LtiPlant, gain) -> _ClosedLoop:
@@ -259,7 +277,7 @@ def _stabilizing_seed(plant: LtiPlant) -> _ClosedLoop:
         try:
             z = solve_lyapunov(shifted, bbt + reg * np.eye(n))
             k0 = np.linalg.solve(z, b_mat).T
-        except (SingularSolve, np.linalg.LinAlgError):
+        except (SingularSolve, MaxIterations, np.linalg.LinAlgError):
             continue
         cl = _ClosedLoop(plant, k0)
         if cl.stable:

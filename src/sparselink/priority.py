@@ -11,11 +11,11 @@ values are the blocks of the deployed gain, the first entry's polish.
 A removal loss J*(pattern minus block) - J*(pattern) re-optimizes the gain
 with one block forced to zero. All these re-optimizations start from the
 same base optimum K*, the first sweep entry's polish (SweepEntry.polished,
-passed whole as removal_loss's base), so the first removal loss from K*
-builds the exact Hessian H of J on the free entries of K*
-(h2._ClosedLoop.hessian, one Lyapunov solve per free entry, on the closed
-loop K* carries) and factors it once, and K* carries that model to every
-later loss from it on the same plant and pattern. Each loss starts at the
+passed whole as removal_loss's base), so they share one Newton model of J
+at K*: the exact Hessian H of J on the pattern's free entries
+(h2._ClosedLoop.hessian, one Lyapunov solve per free entry) and its
+Cholesky factor, which the closed loop K* carries builds once per pattern
+and holds (h2._ClosedLoop.hessian_factor). Each loss starts at the
 Optimal Brain Surgeon point (Hassibi & Stork, NIPS 1993)
 
     x0 = K* - H^-1[:, b] (H^-1_bb)^-1 K*_b,
@@ -160,55 +160,39 @@ def table_from_gain(gain: GainMatrix, priorities: dict[tuple[int, int], int]) ->
     return PriorityTable(tuple(rows))
 
 
-class _RemovalNewton:
-    """The Newton model of J at a base gain that the removal losses of its
-    pattern's blocks share (module docstring)."""
-
-    def __init__(self, plant: LtiPlant, pattern: SparsityPattern, gain: GainMatrix):
-        self.plant, self.pattern, self.k = plant, pattern, gain.K
-        self._ident = pattern.structural_identity()
-        self._free = np.flatnonzero(self._ident)  # row-major, the Hessian's order
-        self._chol = None  # stays None unless H is positive definite: every loss starts at K*
-        cl = _closed_loop(plant, gain)
-        if cl.stable:
-            chol, info = dpotrf(cl.hessian(self._ident != 0.0), overwrite_a=1, clean=0)
-            if info == 0:
-                self._chol = chol
-
-    def serves(self, plant, pattern) -> bool:
-        return plant is self.plant and pattern.same_as(self.pattern)
-
-    def reduced_cost(self, block: tuple[int, int]) -> float | GainMatrix | None:
-        """J* on the pattern without block when the model serves; else the
-        init of the reduced synthesis, x0 carrying its closed loop, or None
-        when no stabilizing x0 is at hand (module docstring)."""
-        if self._chol is None:
-            return None
-        k = self.k
-        in_block = np.zeros(k.shape, dtype=bool)
-        in_block[self.plant.partition.block(*block)] = True
-        b = np.flatnonzero(in_block.ravel()[self._free])  # block entries in Hessian order
-        unit = np.zeros((self._free.size, b.size))
-        unit[b, np.arange(b.size)] = 1.0
-        h_inv_b = dpotrs(self._chol, unit)[0]  # H^-1[:, b]
-        bb, info = dpotrf(h_inv_b[b], clean=0)
-        if info != 0:  # rounding in a badly conditioned H
-            return None
-        k_free = k.ravel()[self._free]
-        x0 = np.zeros(k.size)
-        x0[self._free] = k_free - h_inv_b @ dpotrs(bb, k_free[b])[0]
-        x0[self._free[b]] = 0.0
-        cl = _ClosedLoop(self.plant, x0.reshape(k.shape))
-        if not cl.stable:
-            return None
-        g = cl.gradient().ravel()[self._free]
-        h_inv_g = dpotrs(self._chol, g)[0]
-        step = h_inv_g - h_inv_b @ dpotrs(bb, h_inv_g[b])[0]  # H_r^-1 g
-        step[b] = 0.0
-        decrease, j = 0.5 * float(g @ step), cl.value
-        if 0.0 <= decrease <= _MODEL_TOL * j:  # below 0, rounding broke H_r^-1
-            return j - decrease
-        return _carry(GainMatrix(cl.k, self.plant.partition), cl)
+def _reduced_cost(base: _ClosedLoop, pattern: SparsityPattern, block: tuple[int, int]) -> float | GainMatrix | None:
+    """J* on the pattern without block when the Newton model that the base
+    loop holds serves; else the init of the reduced synthesis, x0 carrying
+    its closed loop, or None when no stabilizing x0 is at hand (module
+    docstring)."""
+    ident = pattern.structural_identity()
+    chol = base.hessian_factor(ident != 0.0)
+    if chol is None:
+        return None
+    plant, k = base.plant, base.k
+    free = np.flatnonzero(ident)  # row-major, the Hessian's order
+    in_block = np.zeros(k.shape, dtype=bool)
+    in_block[plant.partition.block(*block)] = True
+    b = np.flatnonzero(in_block.ravel()[free])  # block entries in Hessian order
+    h_inv_b = dpotrs(chol, np.eye(free.size)[:, b])[0]  # H^-1[:, b]
+    bb, info = dpotrf(h_inv_b[b], clean=0)
+    if info != 0:  # rounding in a badly conditioned H
+        return None
+    k_free = k.ravel()[free]
+    x0 = np.zeros(k.size)
+    x0[free] = k_free - h_inv_b @ dpotrs(bb, k_free[b])[0]
+    x0[free[b]] = 0.0
+    cl = _ClosedLoop(plant, x0.reshape(k.shape))
+    if not cl.stable:
+        return None
+    g = cl.gradient().ravel()[free]
+    h_inv_g = dpotrs(chol, g)[0]
+    step = h_inv_g - h_inv_b @ dpotrs(bb, h_inv_g[b])[0]  # H_r^-1 g
+    step[b] = 0.0
+    decrease, j = 0.5 * float(g @ step), cl.value
+    if 0.0 <= decrease <= _MODEL_TOL * j:  # below 0, rounding broke H_r^-1
+        return j - decrease
+    return _carry(GainMatrix(cl.k, plant.partition), cl)
 
 
 def removal_loss(
@@ -222,8 +206,8 @@ def removal_loss(
 
     Returns +inf when the reduced pattern cannot be stabilized. base is the
     structured synthesis on base_pattern (a sweep entry's polished), whose
-    gain warm-starts the reduced problem and carries the Newton model of J
-    to the next call from it. Where that model serves, J*(pattern minus
+    gain warm-starts the reduced problem and whose loop holds the Newton
+    model of J for later calls. Where that model serves, J*(pattern minus
     block) is a model-corrected value within about _MODEL_TOL J of a
     converged descent's value; elsewhere a reduced polish that does not
     converge raises the typed error of its status (module docstring).
@@ -234,11 +218,7 @@ def removal_loss(
         raise IndexOutOfRange(f"block ({i},{j}) outside the {n_nodes}x{n_nodes} grid")
     if not base_pattern.mask[i, j]:
         raise InvalidAssumption(f"block ({i},{j}) is not free in the base pattern")
-    model = base.gain.__dict__.get("_removal_newton")
-    if model is None or not model.serves(plant, base_pattern):
-        model = _RemovalNewton(plant, base_pattern, base.gain)
-        object.__setattr__(base.gain, "_removal_newton", model)
-    served = model.reduced_cost(block)
+    served = _reduced_cost(_closed_loop(plant, base.gain), base_pattern, block)
     if isinstance(served, float):
         return served - base.cost
     init = base.gain if served is None else served

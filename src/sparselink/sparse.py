@@ -22,12 +22,12 @@ The first entry's polish is the deployed pre-attack gain
 (scenario.run_pipeline), the base of the removal losses and the source of
 the table values (priority.rank_links). No pass or polish factors its start
 again: each gain carries the closed loop of its K (h2._carry) -- K_c the
-J(K_c) evaluation, a sparse or polished gain the last loop its solve
-evaluated -- and a solve from a gain takes that loop (h2._closed_loop). A
-sparse gain already on its pattern is its own projection
-(GainMatrix.project), so its polish starts from its loop. An entry whose
-pattern equals the previous entry's takes that entry's polish instead of
-polishing again.
+loop of its first evaluation, a sparse or polished gain the last loop its
+solve evaluated -- and a solve from a gain takes that loop
+(h2._closed_loop). A sparse gain already on its pattern is its own
+projection (GainMatrix.project), so its polish starts from its loop. An
+entry whose pattern equals the previous entry's takes that entry's polish
+instead of polishing again.
 """
 from __future__ import annotations
 
@@ -184,14 +184,12 @@ def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
     takes that entry's polish. Passes and polishes start from the closed
     loops their gains carry (module docstring).
     """
-    k_c = lqr_centralized(plant)
-    cl_c = _ClosedLoop(plant, k_c.K)
+    gain = lqr_centralized(plant)  # K_c
     if beta_schedule is None:
-        schedule = default_beta_schedule(cl_c.value)
+        schedule = default_beta_schedule(_closed_loop(plant, gain).value)
     else:
         schedule = _checked_schedule(beta_schedule)
 
-    gain = _carry(k_c, cl_c)
     entries: list[SweepEntry] = []
     for beta in schedule:
         for _ in range(MAX_REWEIGHT):

@@ -38,7 +38,7 @@ import numpy as np
 
 from .descent import descend, require_converged
 from .errors import NotStabilizing, PatternNotStabilizable
-from .h2 import _carry, _ClosedLoop, _closed_loop, _loop_of, lqr_centralized
+from .h2 import _carry, _ClosedLoop, _closed_loop, _gain_loop, _loop_of, lqr_centralized
 from .plant import STABILITY_TOL, GainMatrix, LtiPlant, SparsityPattern
 
 # The penalty starts at _GAMMA0 and grows by _ALPHA per multiplier update, at
@@ -89,8 +89,7 @@ class _AugLagEval:
 
 def augmented_lagrangian(plant: LtiPlant, gain, multiplier, gamma: float, pattern: SparsityPattern) -> float:
     """L_g value at a stabilizing gain; raises NotStabilizing otherwise."""
-    k = gain.K if isinstance(gain, GainMatrix) else np.asarray(gain, dtype=float)
-    ev = _AugLagEval(_ClosedLoop(plant, k), np.asarray(multiplier, dtype=float), gamma,
+    ev = _AugLagEval(_gain_loop(plant, gain), np.asarray(multiplier, dtype=float), gamma,
                      pattern.complement_identity())
     if not math.isfinite(ev.value):
         raise NotStabilizing("augmented Lagrangian undefined for a non-stabilizing gain")
@@ -102,7 +101,7 @@ def _inner_solve(plant, cl, lam, gamma, comp, grad_tol):
     from the closed loop cl; returns the descent result and the closed loop
     of its end point."""
     res, last = _descend_tracked(
-        plant, cl, cl.k, lambda c: _AugLagEval(c, lam, gamma, comp),
+        plant, cl, lambda c: _AugLagEval(c, lam, gamma, comp),
         grad_tol=grad_tol, max_iter=_INNER_MAX_ITER,
     )
     return res, _loop_of(plant, res.x, last)
@@ -138,7 +137,7 @@ def synthesize_structured_info(
             raise NotStabilizing("neither the initial gain nor its projection is stabilizing")
         start, outer, tightened = _multiplier_loop(plant, comp, ident)
 
-    res, last = _polish(plant, start.k, ident, start=start)
+    res, last = _polish(plant, start, ident)
     require_converged(res, "structured polish")
     gain = _carry(GainMatrix(res.x * ident, plant.partition), last)  # exact off-pattern zeros
     return SynthesisInfo(gain=gain, cost=res.value, iterations=outer, converged=tightened)
@@ -148,7 +147,7 @@ def _multiplier_loop(plant, comp, ident):
     """The multiplier loop from K_c (module docstring). Returns the closed
     loop of the last stabilizing projection, the number of outer iterations,
     and whether the violation fell below _EPS_STOP there."""
-    cl = _ClosedLoop(plant, lqr_centralized(plant).K)
+    cl = _closed_loop(plant, lqr_centralized(plant))
     lam = np.zeros_like(cl.k)
     gamma = _GAMMA0
     best_projection = None
@@ -177,20 +176,20 @@ def _multiplier_loop(plant, comp, ident):
     return best_projection, outer, tightened
 
 
-def _polish(plant, k_projected, ident, *, start=None):
-    """Projected-gradient descent of J on the free entries (ident). Returns
-    the descent result and the last closed loop it evaluated
-    (_descend_tracked)."""
+def _polish(plant, start, ident):
+    """Projected-gradient descent of J on the free entries (ident) from the
+    closed loop start of a projected gain. Returns the descent result and
+    the last closed loop it evaluated (_descend_tracked)."""
     return _descend_tracked(
-        plant, start, k_projected, lambda c: c, prox=lambda v, s: v * ident,
+        plant, start, lambda c: c, prox=lambda v, s: v * ident,
         grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER,
     )
 
 
-def _descend_tracked(plant, start, x0, objective, **limits):
-    """descend of objective(closed loop of K) from x0, whose closed loop is
-    start when given. Returns the descent result and the last closed loop
-    it evaluated (start when it evaluated none), which h2 matches to a K."""
+def _descend_tracked(plant, start, objective, **limits):
+    """descend of objective(closed loop of K) from the closed loop start.
+    Returns the descent result and the last closed loop it evaluated
+    (start when it evaluated none), which h2 matches to a K."""
     last = start
 
     def make_eval(kk):
@@ -198,5 +197,5 @@ def _descend_tracked(plant, start, x0, objective, **limits):
         last = _ClosedLoop(plant, kk)
         return objective(last)
 
-    res = descend(make_eval, x0, start=None if start is None else objective(start), **limits)
+    res = descend(make_eval, start.k, start=objective(start), **limits)
     return res, last

@@ -7,6 +7,7 @@ differences, and Riccati solutions by scipy's solve_continuous_are.
 """
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.linalg import expm
 
@@ -90,6 +91,27 @@ def single_node_plant(rng, n, m, margin=0.5):
     return LtiPlant(a, b, w, np.eye(n), np.eye(m), part)
 
 
+@st.composite
+def plants(draw, max_nodes=3):
+    """Hurwitz plants on heterogeneous partitions: 2..max_nodes nodes of 1-4
+    states and 1-2 inputs each, every input acting on its own node's states
+    (B block-diagonal on the partition), a W with one or two more columns
+    than states, and non-diagonal SPD Q and R. A W with fewer columns than
+    states leaves the controllability Gramian near singular, where the
+    sparse solve can give up (see ROADMAP, open-loop-unstable plants)."""
+    n_nodes = draw(st.integers(2, max_nodes))
+    states = draw(st.lists(st.integers(1, 4), min_size=n_nodes, max_size=n_nodes))
+    inputs = draw(st.lists(st.integers(1, 2), min_size=n_nodes, max_size=n_nodes))
+    extra = draw(st.integers(1, 2))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    part = BlockPartition(tuple(inputs), tuple(states))
+    n, m = part.n, part.m
+    local = part.expand(np.eye(n_nodes, dtype=bool)).T
+    b = local * rng.uniform(-1.0, 1.0, size=(n, m))
+    w = rng.uniform(-1.0, 1.0, size=(n, n + extra))
+    return LtiPlant(random_stable_matrix(rng, n), b, w, random_psd(rng, n), random_psd(rng, m), part)
+
+
 def perturbed_gain(rng, plant, base, scale=0.2):
     """Stabilizing gain near base (base + bounded random perturbation)."""
     from sparselink import is_stabilizing
@@ -110,6 +132,40 @@ def one_reweight(monkeypatch):
     from sparselink import sparse
 
     monkeypatch.setattr(sparse, "MAX_REWEIGHT", 1)
+
+
+# ---------------------------------------------------------------------------
+# invariants
+
+def assert_reroute_invariants(table, attacked, out):
+    """The conservation rules every countermeasure keeps."""
+    assert out.attacked == frozenset(attacked)
+    sacrificed, rerouted, dropped = out.sacrificed, out.rerouted, out.dropped
+    if not out.feasible:
+        assert out.table == table
+        assert not (sacrificed | rerouted | dropped)
+        return
+    assert rerouted | dropped == out.attacked
+    assert not (sacrificed & rerouted)
+    assert not (sacrificed & dropped)
+    assert not (rerouted & dropped)
+    # A host serves a rerouted link of higher priority, so the hosts below
+    # any priority t carry at least the need of the rerouted links up to t;
+    # at t = r1 + 1 this is total capacity >= total need.
+    sizes = table.sizes()
+    for host in sacrificed:
+        assert any(host < a for a in rerouted)
+    for t in range(1, table.r1 + 2):
+        need = sum(sizes[a - 1] for a in rerouted if a <= t)
+        capacity = sum(sizes[q - 1] for q in sacrificed if q < t)
+        assert capacity >= need
+    for q in range(1, table.r1 + 1):
+        before, after = table.row(q), out.table.row(q)
+        if q in sacrificed | dropped:
+            assert after.values == (0.0,) * len(before.values)
+            assert (after.i, after.j, after.size) == (before.i, before.j, before.size)
+        else:
+            assert after == before
 
 
 # ---------------------------------------------------------------------------

@@ -257,6 +257,20 @@ class TestLoopHandOff:
         same = _carry(GainMatrix(signed, plant.partition), held)
         assert _closed_loop(plant, same) is held and len(factored) == 1
 
+    def test_a_gain_keeps_the_loop_factored_for_it(self, monkeypatch):
+        plant = generate_plant(2, 0)
+        gain = GainMatrix(lqr_centralized(plant).K.copy(), plant.partition)
+        factored = []
+        schur = h2._real_schur
+
+        def recording(a):
+            factored.append(a)
+            return schur(a)
+
+        monkeypatch.setattr(h2, "_real_schur", recording)
+        costs = [closed_loop_cost(plant, gain) for _ in range(2)]
+        assert costs[0] == costs[1] and len(factored) == 1
+
 
 class TestRealSchur:
     @pytest.mark.parametrize("n", [1, 2, 5, 20])

@@ -345,6 +345,25 @@ def ranked_with(plant, sweep, loss):
     return [(r.i, r.j) for r in table.rows], losses
 
 
+def counting_kernel(monkeypatch):
+    """The matrices h2 factors and the free masks of the Hessians it builds,
+    recorded as they happen."""
+    factored, hessians = [], []
+    schur, hessian = h2._real_schur, h2._ClosedLoop.hessian
+
+    def recording_schur(a):
+        factored.append(a.tobytes())
+        return schur(a)
+
+    def recording_hessian(self, free):
+        hessians.append(free.copy())
+        return hessian(self, free)
+
+    monkeypatch.setattr(h2, "_real_schur", recording_schur)
+    monkeypatch.setattr(h2._ClosedLoop, "hessian", recording_hessian)
+    return factored, hessians
+
+
 class TestNewtonRemovalLoss:
     @settings(max_examples=25, deadline=None)
     @given(n_nodes=st.integers(2, 4), seed=st.integers(0, 10_000))
@@ -390,6 +409,35 @@ class TestNewtonRemovalLoss:
         _, losses = ranked_with(plant, sweep, removal_loss)
         assert len(losses) >= 10
         assert len(factored) == len(losses)
+
+    def test_base_without_a_loop_builds_one_model(self, monkeypatch):
+        # A base gain that carries no closed loop is factored by the first
+        # loss and keeps that loop, with the Hessian's factor, for the rest.
+        plant = generate_plant(3, 4)
+        entry = sparsity_sweep(plant, LOSS_SCHEDULE).entries[0]
+        bare = GainMatrix(entry.polished_gain.K.copy(), plant.partition)
+        base = dataclasses.replace(entry.polished, gain=bare)
+        blocks = entry.pattern.free_blocks()
+        factored, hessians = counting_kernel(monkeypatch)
+        losses = [removal_loss(plant, entry.pattern, blk, base=base) for blk in blocks * 2]
+        assert factored.count((plant.A - plant.B @ bare.K).tobytes()) == 1
+        assert len(hessians) == 1
+        assert losses == [removal_loss(plant, entry.pattern, blk, base=entry.polished)
+                          for blk in blocks * 2]
+
+    def test_each_base_pattern_has_its_own_model(self, monkeypatch):
+        # One gain as the base of two patterns: each pattern's free entries
+        # get their own Hessian, built once, on the one closed loop of K*.
+        plant = generate_plant(3, 4)
+        entry = sparsity_sweep(plant, LOSS_SCHEDULE).entries[0]
+        kept, dropped = entry.pattern.free_blocks()[:2]
+        other = entry.pattern.without_block(*dropped)
+        factored, hessians = counting_kernel(monkeypatch)
+        for pattern in (entry.pattern, other, entry.pattern, other):
+            removal_loss(plant, pattern, kept, base=entry.polished)
+        assert [int(free.sum()) for free in hessians] == [
+            int(p.structural_identity().sum()) for p in (entry.pattern, other)]
+        assert factored.count((plant.A - plant.B @ entry.polished_gain.K).tobytes()) <= 1
 
     @settings(max_examples=5, deadline=None)
     @given(n_nodes=st.integers(6, 10), seed=st.integers(0, 10_000))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import EX2_ROWS, make_table
+from conftest import EX2_ROWS, assert_reroute_invariants, make_table
 from sparselink import (
     AttackScenario,
     BlockPartition,
@@ -299,37 +299,6 @@ class TestFuzzInvariants:
         a = reroute_uniform(ex1_table, {3, 7, 8})
         b = reroute_uniform(ex1_table, {3, 7, 8})
         assert a == b
-
-
-def assert_reroute_invariants(table, attacked, out):
-    """The conservation rules every countermeasure keeps."""
-    assert out.attacked == frozenset(attacked)
-    sacrificed, rerouted, dropped = out.sacrificed, out.rerouted, out.dropped
-    if not out.feasible:
-        assert out.table == table
-        assert not (sacrificed | rerouted | dropped)
-        return
-    assert rerouted | dropped == out.attacked
-    assert not (sacrificed & rerouted)
-    assert not (sacrificed & dropped)
-    assert not (rerouted & dropped)
-    # A host serves a rerouted link of higher priority, so the hosts below
-    # any priority t carry at least the need of the rerouted links up to t;
-    # at t = r1 + 1 this is total capacity >= total need.
-    sizes = table.sizes()
-    for host in sacrificed:
-        assert any(host < a for a in rerouted)
-    for t in range(1, table.r1 + 2):
-        need = sum(sizes[a - 1] for a in rerouted if a <= t)
-        capacity = sum(sizes[q - 1] for q in sacrificed if q < t)
-        assert capacity >= need
-    for q in range(1, table.r1 + 1):
-        before, after = table.row(q), out.table.row(q)
-        if q in sacrificed | dropped:
-            assert after.values == (0.0,) * len(before.values)
-            assert (after.i, after.j, after.size) == (before.i, before.j, before.size)
-        else:
-            assert after == before
 
 
 @st.composite

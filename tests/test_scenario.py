@@ -46,7 +46,7 @@ from sparselink import cli, h2
 from sparselink import scenario as scenario_module
 from sparselink.cli import main
 
-from conftest import make_table
+from conftest import assert_reroute_invariants, make_table, plants
 
 
 FAST_SCHEDULE = (0.05, 0.5)  # with the one_reweight fixture
@@ -250,6 +250,28 @@ class TestPipelineProperties:
         ))
         for row in res.table.rows:
             assert row.values[: row.size] == tuple(res.before.gain.block(row.i, row.j).ravel())
+
+    @settings(max_examples=8, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(plant=plants(max_nodes=2), fraction=st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    def test_invariants_on_heterogeneous_plants(self, plant, fraction):
+        # Two nodes keep an example near 0.1 s; a third adds a tail of
+        # seconds-long removal-loss polishes. Betas relative to J(K_c) keep
+        # the first pattern dense whatever the plant's scale.
+        j_c = closed_loop_cost(plant, lqr_centralized(plant))
+        res = run_pipeline(Scenario(
+            name="p", plant_doc=plant_to_doc(plant),
+            beta_schedule=(0.03 * j_c, 0.3 * j_c), attack={"top_fraction": fraction},
+        ))
+        rep = res.report
+        if rep.feasible:
+            assert rep.j_before <= rep.j_reroute + 1e-9
+        assert_reroute_invariants(res.table, res.attack.priorities, res.outcome)
+        for row in res.table.rows:
+            assert row.values[: row.size] == tuple(res.before.gain.block(row.i, row.j).ravel())
+        first, second = res.sweep.entries
+        if second.pattern.is_subset(first.pattern):
+            assert first.cost_polished <= second.cost_polished
 
 
 @pytest.mark.usefixtures("one_reweight")
@@ -695,6 +717,24 @@ class TestCli:
             args = [command, "--scenario", str(write_scenario(tmp_path, {"attacked_top": 1}))]
         assert main(args) == 5
         assert "solver failure: solver gave up" in capsys.readouterr().err
+
+    def test_schur_failure_exit_five(self, tmp_path, capsys, monkeypatch):
+        # dgees reports that its QR iteration did not converge (info > 0)
+        gees = h2.dgees
+        monkeypatch.setattr(h2, "dgees", lambda *args, **kwargs: (*gees(*args, **kwargs)[:-1], 1))
+        assert main(["run", "--scenario", str(write_scenario(tmp_path, {"attacked_top": 1}))]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Schur form not found") and "Traceback" not in err
+
+    def test_singular_lyapunov_exit_five(self, tmp_path, capsys):
+        # A Hurwitz A with eigenvalues -1e30 and -1: the eigenvalue sum -2 of
+        # its Lyapunov operator is below rounding at the scale 1e30, so
+        # trsyl finds that operator numerically singular.
+        plant = LtiPlant(np.array([[-1e30, 1e30], [0.0, -1.0]]), np.ones((2, 1)), np.eye(2),
+                         np.eye(2), np.eye(1), BlockPartition((1,), (2,)))
+        scenario = write_scenario(tmp_path, None, plant={"inline": plant_to_doc(plant)})
+        assert main(["run", "--scenario", str(scenario)]) == 5
+        assert "solver failure: Lyapunov operator numerically singular" in capsys.readouterr().err
 
     def test_run_csv_stdout(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {"attacked_top": 1})
