@@ -39,7 +39,7 @@ class NotStabilizing(InputError, ValueError):
 
 
 class RiccatiFailure(SolverFailure, RuntimeError):
-    """The Riccati iteration failed to converge or to find a starting gain."""
+    """The Riccati solve failed, or its gain does not stabilize the plant."""
 
 
 class LineSearchFailure(SolverFailure, RuntimeError):

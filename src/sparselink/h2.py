@@ -39,6 +39,7 @@ import functools
 import math
 
 import numpy as np
+from scipy.linalg import solve_continuous_are
 from scipy.linalg.lapack import dgees, dpotrf, dtrsyl
 
 from .errors import (
@@ -50,12 +51,6 @@ from .errors import (
     SingularSolve,
 )
 from .plant import GainMatrix, LtiPlant, STABILITY_TOL
-
-# The Newton iteration stops once ||P_k - P_{k-1}||_F <= _RICCATI_TOL and
-# gives up after _RICCATI_MAX_ITER steps.
-_RICCATI_TOL = 1e-10
-_RICCATI_MAX_ITER = 100
-
 
 def _no_sort(x, y=None):
     return None
@@ -101,8 +96,12 @@ def _lyapunov_factored(t: np.ndarray, z: np.ndarray, rhs: np.ndarray, transposed
         raise SingularSolve(f"trsyl failed (info={info}, scale={scale})")
     if info == 1:
         raise SingularSolve("Lyapunov operator numerically singular")
-    sol = z @ (x / scale) @ z.T
-    return 0.5 * (sol + sol.T)
+    return _sym(z @ (x / scale) @ z.T)
+
+
+def _sym(x: np.ndarray) -> np.ndarray:
+    """The symmetric part (x + x^T) / 2, equal to x when x is symmetric."""
+    return 0.5 * (x + x.T)
 
 
 class _ClosedLoop:
@@ -257,48 +256,19 @@ def cost_gradient(plant: LtiPlant, gain) -> np.ndarray:
     return _gain_loop(plant, gain).gradient()
 
 
-def _stabilizing_seed(plant: LtiPlant) -> _ClosedLoop:
-    """Closed loop of an initial stabilizing gain for the Riccati iteration.
-
-    Shifted-Lyapunov construction: with b > max Re eig(A) pick Z solving
-    (A + bI) Z + Z (A + bI)^T = 2 B B^T, then K0 = B^T Z^{-1} gives
-    A_cl Z + Z A_cl^T = -2 b Z < 0. Regularized retries cover plants that
-    are stabilizable but not controllable.
-    """
-    a, b_mat = plant.A, plant.B
-    n = plant.n
-    cl = _ClosedLoop(plant, np.zeros((plant.m, n)))
-    if cl.stable:
-        return cl
-    shift = np.linalg.norm(a, "fro") + 1.0
-    shifted = -(a + shift * np.eye(n)).T  # Hurwitz by construction
-    bbt = 2.0 * (b_mat @ b_mat.T)
-    for reg in (0.0, 1e-10, 1e-6, 1e-2):
-        try:
-            z = solve_lyapunov(shifted, bbt + reg * np.eye(n))
-            k0 = np.linalg.solve(z, b_mat).T
-        except (SingularSolve, MaxIterations, np.linalg.LinAlgError):
-            continue
-        cl = _ClosedLoop(plant, k0)
-        if cl.stable:
-            return cl
-    raise RiccatiFailure("could not construct an initial stabilizing gain")
-
-
 def lqr_centralized(plant: LtiPlant) -> GainMatrix:
-    """Centralized LQR gain K_c = R^{-1} B^T P* via the Newton iteration
-    that re-solves one Lyapunov equation per step (quadratically convergent
-    from any stabilizing start). Each step's P is the observability Gramian
-    of the previous gain's closed loop; the first is the seed's own."""
-    cl = _stabilizing_seed(plant)
-    p_prev = None
-    for _ in range(_RICCATI_MAX_ITER):
-        if not cl.stable:
-            raise RiccatiFailure("Riccati iterate is not stabilizing")
-        p = cl.obs_gramian()
-        k = np.linalg.solve(plant.R, plant.B.T @ p)
-        if p_prev is not None and np.linalg.norm(p - p_prev, "fro") <= _RICCATI_TOL:
-            return GainMatrix(k, plant.partition)
-        p_prev = p
-        cl = _ClosedLoop(plant, k)
-    raise RiccatiFailure(f"Riccati iteration did not converge in {_RICCATI_MAX_ITER} steps")
+    """Centralized LQR gain K_c = R^{-1} B^T P*, with P* the stabilizing
+    solution of A^T P + P A - P B R^{-1} B^T P + Q = 0 from scipy's
+    solve_continuous_are (generalized eigenvalues; Arnold & Laub, Proc. IEEE
+    72(12), 1984). The gain carries the loop of A - B K_c, the one
+    factorization made here. Raises RiccatiFailure when the solve fails or
+    K_c is not stabilizing. Q and R go in symmetrized: the plant admits a
+    rounding asymmetry that scipy refuses."""
+    try:
+        p = solve_continuous_are(plant.A, plant.B, _sym(plant.Q), _sym(plant.R))
+    except np.linalg.LinAlgError as exc:
+        raise RiccatiFailure(f"Riccati solve failed: {exc}") from exc
+    cl = _ClosedLoop(plant, np.linalg.solve(plant.R, plant.B.T @ p))
+    if not cl.stable:
+        raise RiccatiFailure("the Riccati solution does not stabilize the plant")
+    return _carry(GainMatrix(cl.k, plant.partition), cl)

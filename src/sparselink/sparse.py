@@ -22,7 +22,7 @@ The first entry's polish is the deployed pre-attack gain
 (scenario.run_pipeline), the base of the removal losses and the source of
 the table values (priority.rank_links). No pass or polish factors its start
 again: each gain carries the closed loop of its K (h2._carry) -- K_c the
-loop of its first evaluation, a sparse or polished gain the last loop its
+loop lqr_centralized factored, a sparse or polished gain the last loop its
 solve evaluated -- and a solve from a gain takes that loop
 (h2._closed_loop). A sparse gain already on its pattern is its own
 projection (GainMatrix.project), so its polish starts from its loop. An
@@ -153,7 +153,13 @@ def sparse_gain(
 
 
 def default_beta_schedule(j_centralized: float) -> tuple[float, ...]:
-    """Logarithmic schedule of 30 points from 1e-4 * J(K_c) to 1e2 * J(K_c)."""
+    """Logarithmic schedule of 30 points from 1e-4 * J(K_c) to 1e2 * J(K_c).
+    InvalidAssumption unless 0 < J(K_c) < inf: a plant whose optimal cost
+    is 0 (W = 0, say) has no such schedule and needs sparsity.beta_schedule."""
+    if not 0.0 < j_centralized < math.inf:
+        raise InvalidAssumption(
+            f"J(K_c) = {j_centralized!r} gives no default beta schedule; set sparsity.beta_schedule"
+        )
     lo, hi = 1e-4 * j_centralized, 1e2 * j_centralized
     return tuple(np.logspace(math.log10(lo), math.log10(hi), 30))
 

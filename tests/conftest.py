@@ -3,7 +3,8 @@
 The oracles here deliberately avoid the package's own solvers: Lyapunov
 equations are cross-checked by a dense Kronecker-vectorized solve, costs by
 numerical quadrature of the Gramian integral, gradients by central finite
-differences, and Riccati solutions by scipy's solve_continuous_are.
+differences, and Riccati solutions by the Kleinman fixed point (a gain
+solves the Riccati equation iff kleinman_step gives it back).
 """
 import numpy as np
 import pytest
@@ -30,6 +31,15 @@ def lyapunov_kron(a_cl, q_hat):
     lhs = np.kron(eye, a_cl.T) + np.kron(a_cl.T, eye)
     vec_p = np.linalg.solve(lhs, -q_hat.reshape(n * n, order="F"))
     return vec_p.reshape((n, n), order="F")
+
+
+def kleinman_step(plant, k):
+    """R^{-1} B^T P with P the Kronecker solve of the closed loop of K:
+    A_cl^T P + P A_cl + Q + K^T R K = 0, A_cl = A - B K (Kleinman, IEEE TAC
+    13(1), 1968). Its fixed points are the Riccati gains."""
+    k = np.asarray(k, dtype=float)
+    p = lyapunov_kron(plant.A - plant.B @ k, plant.Q + k.T @ plant.R @ k)
+    return np.linalg.solve(plant.R, plant.B.T @ p)
 
 
 def fd_gradient(fun, x, step=1e-5):

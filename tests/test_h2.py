@@ -2,8 +2,8 @@
 
 Every numerical result is checked against an independent oracle: the
 Kronecker-vectorized Lyapunov solve, quadrature of the Gramian integral,
-central finite differences, closed-form scalar formulas, and scipy's
-solve_continuous_are.
+central finite differences, closed-form scalar formulas, and the Kleinman
+fixed point of the Riccati equation.
 """
 import math
 
@@ -11,12 +11,14 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.linalg import schur, solve_continuous_are
+from scipy.linalg import schur
 
 from conftest import (
     fd_gradient,
+    kleinman_step,
     lyapunov_kron,
     perturbed_gain,
+    plants,
     quadrature_cost,
     random_psd,
     random_stable_matrix,
@@ -30,7 +32,6 @@ from sparselink import (
     NotHurwitz,
     NotStabilizing,
     RiccatiFailure,
-    SingularSolve,
     closed_loop_cost,
     cost_gradient,
     generate_plant,
@@ -39,12 +40,23 @@ from sparselink import (
     solve_lyapunov,
 )
 from sparselink import h2
+from sparselink.cli import main
 from sparselink.h2 import _carry, _closed_loop, _ClosedLoop, _lyapunov_factored, _real_schur
 
 
 def scalar_plant(a=0.0, b=1.0, w=1.0, q=1.0, r=1.0):
     part = BlockPartition((1,), (1,))
     return LtiPlant([[a]], [[b]], [[w]], [[q]], [[r]], part)
+
+
+@st.composite
+def shifted_generated_plants(draw):
+    """generate_plant(2..8 nodes) with A + c I, c in {0, 0.5, 2, 5}: from
+    Hurwitz (c = 0) to open-loop unstable."""
+    plant = generate_plant(draw(st.integers(2, 8)), draw(st.integers(0, 2**16)))
+    shift = draw(st.sampled_from([0.0, 0.5, 2.0, 5.0]))
+    return LtiPlant(plant.A + shift * np.eye(plant.n), plant.B, plant.W, plant.Q, plant.R,
+                    plant.partition)
 
 
 class TestSolveLyapunov:
@@ -310,16 +322,39 @@ class TestLqrCentralized:
             g = cost_gradient(plant, kc)
             assert np.linalg.norm(g) <= 1e-6 * (1.0 + np.linalg.norm(kc.K))
 
-    def test_matches_scipy_are(self):
-        rng = np.random.default_rng(19)
-        for _ in range(5):
-            n = int(rng.integers(2, 9))
-            m = int(rng.integers(1, n + 1))
-            plant = single_node_plant(rng, n, m)
-            kc = lqr_centralized(plant)
-            p_star = solve_continuous_are(plant.A, plant.B, plant.Q, plant.R)
-            k_star = np.linalg.solve(plant.R, plant.B.T @ p_star)
-            assert np.linalg.norm(kc.K - k_star) <= 1e-8 * (1.0 + np.linalg.norm(k_star))
+    @settings(deadline=None)
+    @given(plant=st.one_of(plants(), shifted_generated_plants()))
+    def test_kleinman_fixed_point(self, plant):
+        # K_c solves the Riccati equation iff the Lyapunov equation of its
+        # own closed loop gives it back: R^{-1} B^T P(K_c) = K_c.
+        kc = lqr_centralized(plant)
+        assert is_stabilizing(plant, kc)
+        residual = np.linalg.norm(kleinman_step(plant, kc.K) - kc.K)
+        assert residual <= 1e-9 * (1.0 + np.linalg.norm(kc.K))
+
+    def test_weakly_controllable_plant(self):
+        # The mode at 2 is reached through a B entry of 1e-6: K_c moves it
+        # to about -2 with a gain entry near 1.37e7, and the mode at 1 goes
+        # to -sqrt(1 + 1) as in the scalar formula.
+        part = BlockPartition((1,), (2,))
+        plant = LtiPlant(np.diag([1.0, 2.0]), [[1.0], [1e-6]], np.eye(2), np.eye(2), [[1.0]], part)
+        kc = lqr_centralized(plant)
+        poles = np.sort(np.linalg.eigvals(plant.A - plant.B @ kc.K).real)
+        assert poles == pytest.approx([-2.0, -math.sqrt(2.0)], rel=1e-6)
+        assert abs(kc.K[0, 1]) == pytest.approx(1.37e7, rel=1e-2)
+        residual = np.linalg.norm(kleinman_step(plant, kc.K) - kc.K)
+        assert residual <= 1e-9 * (1.0 + np.linalg.norm(kc.K))
+
+    def test_rounding_asymmetry_in_q_and_r_is_accepted(self):
+        # The plant accepts Q and R symmetric up to 1e-10 relative; the
+        # Riccati solve must too, and give the gain of the symmetric part.
+        rng = np.random.default_rng(23)
+        plant = single_node_plant(rng, 3, 2)
+        tilt_q, tilt_r = np.triu(np.full((3, 3), 1e-13), 1), np.triu(np.full((2, 2), 1e-13), 1)
+        tilted = LtiPlant(plant.A, plant.B, plant.W, plant.Q + tilt_q, plant.R + tilt_r,
+                          plant.partition)
+        kc = lqr_centralized(tilted).K
+        assert np.linalg.norm(kc - lqr_centralized(plant).K) <= 1e-9 * (1.0 + np.linalg.norm(kc))
 
     def test_local_optimality(self):
         rng = np.random.default_rng(29)
@@ -332,31 +367,24 @@ class TestLqrCentralized:
 
 
 class TestRiccatiFailures:
-    """Each way the Riccati iteration gives up is a solver failure
+    """Each way the Riccati solve gives up is a solver failure
     (RiccatiFailure, exit code 5), never an input error."""
 
-    def test_iterate_losing_stability(self, monkeypatch):
-        # Only the seed K = 0 of the Hurwitz plant keeps its stability.
-        class LosesStability(_ClosedLoop):
-            def __init__(self, plant, k):
-                super().__init__(plant, k)
-                self.stable = self.stable and not k.any()
+    def test_solve_that_raises(self, monkeypatch, tmp_path, capsys):
+        def fails(*args):
+            raise np.linalg.LinAlgError("Failed to find a finite solution.")
 
-        monkeypatch.setattr(h2, "_ClosedLoop", LosesStability)
-        with pytest.raises(RiccatiFailure, match="not stabilizing"):
-            lqr_centralized(scalar_plant(a=-1.0))
-
-    def test_iteration_cap(self, monkeypatch):
-        monkeypatch.setattr(h2, "_RICCATI_MAX_ITER", 1)
-        with pytest.raises(RiccatiFailure, match="did not converge in 1 steps"):
-            lqr_centralized(scalar_plant(a=-1.0))
-
-    def test_seed_cannot_be_built(self, monkeypatch):
-        # K = 0 does not stabilize a = 1, and every shifted solve fails.
-        def singular(a_cl, q_hat):
-            raise SingularSolve("forced")
-
-        monkeypatch.setattr(h2, "solve_lyapunov", singular)
-        with pytest.raises(RiccatiFailure, match="initial stabilizing gain"):
+        monkeypatch.setattr(h2, "solve_continuous_are", fails)
+        with pytest.raises(RiccatiFailure, match="Riccati solve failed"):
             lqr_centralized(scalar_plant(a=1.0))
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"plant": {"generator": {"n_nodes": 2, "seed": 0}}}', encoding="utf-8")
+        assert main(["run", "--scenario", str(scenario)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Riccati solve failed") and "Traceback" not in err
 
+    def test_solution_that_does_not_stabilize(self, monkeypatch):
+        # P = 0 gives K = 0, which leaves the pole of a = 1 in place
+        monkeypatch.setattr(h2, "solve_continuous_are", lambda a, b, q, r: np.zeros_like(a))
+        with pytest.raises(RiccatiFailure, match="does not stabilize"):
+            lqr_centralized(scalar_plant(a=1.0))

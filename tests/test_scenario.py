@@ -317,9 +317,9 @@ class TestPipeline:
     def test_factors_no_gain_twice(self, monkeypatch):
         # Every stage starts from the closed loop its gain carries: across
         # the whole pipeline no matrix is factored twice except A itself
-        # (K = 0: the Riccati seed of a Hurwitz A, and a proximal trial
-        # that shrinks every block to zero), and lqr_centralized factors A
-        # once.
+        # (K = 0: a proximal trial that shrinks every block to zero), and
+        # lqr_centralized factors one matrix, the loop A - B K_c its gain
+        # carries.
         factored = []
         schur = h2._real_schur
 
@@ -337,8 +337,8 @@ class TestPipeline:
                     if n > 1 and key != a] == []
 
             factored.clear()
-            lqr_centralized(res.plant)  # A is Hurwitz by construction
-            assert factored.count(a) == 1
+            kc = lqr_centralized(res.plant)
+            assert factored == [(res.plant.A - res.plant.B @ kc.K).tobytes()]
 
     def test_one_synthesis_after_the_sweep(self, monkeypatch):
         # The pre-attack gain is entry 0's polish as the sweep made it, so
@@ -735,6 +735,17 @@ class TestCli:
         scenario = write_scenario(tmp_path, None, plant={"inline": plant_to_doc(plant)})
         assert main(["run", "--scenario", str(scenario)]) == 5
         assert "solver failure: Lyapunov operator numerically singular" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["run", "sweep"])
+    def test_zero_optimal_cost_needs_a_schedule(self, tmp_path, capsys, command):
+        # W = 0 gives J(K_c) = 0, and the default schedule is 1e-4 J(K_c)
+        # to 1e2 J(K_c), log-spaced: there is none, so the scenario must set one
+        plant = LtiPlant(np.array([[-1.0, 0.5], [0.0, -2.0]]), np.eye(2), np.zeros((2, 2)),
+                         np.eye(2), np.eye(2), BlockPartition((1, 1), (1, 1)))
+        scenario = write_scenario(tmp_path, None, plant={"inline": plant_to_doc(plant)}, sparsity={})
+        assert main([command, "--scenario", str(scenario)]) == 4
+        err = capsys.readouterr().err
+        assert err.startswith("input error: J(K_c) = 0.0") and "sparsity.beta_schedule" in err
 
     def test_run_csv_stdout(self, tmp_path, capsys):
         scenario = write_scenario(tmp_path, {"attacked_top": 1})

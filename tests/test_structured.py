@@ -312,12 +312,14 @@ class TestSynthesizeStructured:
         assert is_stabilizing(plant, full.gain)
 
     def test_no_input_on_pattern_with_hurwitz_a_is_kept(self):
-        # trace(A) < 0: the rule does not apply, and K = 0 is the optimum
+        # trace(A) < 0: the rule does not apply, and K = 0 is the optimum,
+        # reached up to the rounding of the Riccati solve the cold start
+        # begins from (about 1e-18 here)
         cross = cross_coupled_plant()
         part = cross.partition
         plant = LtiPlant(np.diag([-1.0, -2.0]), cross.B, np.eye(2), np.eye(2), np.eye(2), part)
         info = synthesize_structured_info(plant, SparsityPattern.diagonal(part))
-        assert np.all(info.gain.K == 0.0)
+        assert np.max(np.abs(info.gain.K)) <= 1e-15
         assert info.cost == pytest.approx(0.5 + 0.25, rel=1e-12)
 
     def test_on_pattern_init_checked_once(self, monkeypatch):
