@@ -33,11 +33,12 @@ LOST_STABILITY = "lost_stability"
 _STEP_MIN = 1e-18
 _STEP_MAX = 1e6
 _RESIDUAL_STEP = 0.01  # S of the gradient-mapping residual
-# Armijo sufficient-decrease constant, backtracking factor, and the number
-# of backtracking trials per iteration of every line search.
+# Armijo sufficient-decrease constant and backtracking factor of every line
+# search. An iteration shrinks its trial step until a trial is accepted or
+# the step falls below _STEP_MIN: from at most _STEP_MAX that is at most 80
+# trials, since 1e6 * 0.5**80 < 1e-18.
 ARMIJO_C1 = 1e-4
 ARMIJO_SHRINK = 0.5
-MAX_BACKTRACKS = 80
 
 
 @dataclass
@@ -90,7 +91,7 @@ def descend(
         tau = min(max(step, _STEP_MIN), _STEP_MAX)
         accepted = None
         failure = LOST_STABILITY
-        for _ in range(MAX_BACKTRACKS):
+        while tau >= _STEP_MIN:
             x_trial = prox(x - tau * g, tau)
             moved_sq = float(np.sum((x_trial - x) ** 2))
             if moved_sq == 0.0:
@@ -104,8 +105,6 @@ def descend(
                     break
                 failure = STALLED
             tau *= ARMIJO_SHRINK
-            if tau < _STEP_MIN:
-                break
         if accepted is None:
             return DescentResult(x, f, g, it, failure)
 

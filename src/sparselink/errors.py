@@ -1,4 +1,5 @@
-"""Exception types raised across the package.
+"""Exception types raised across the package, and the integer rule that
+every reader of outside input applies (_integer).
 
 Every error subclasses SparselinkError plus the closest builtin category,
 so callers can catch either the package base or the usual builtin. Each
@@ -8,6 +9,7 @@ dimensions, or a start that breaks a precondition) or SolverFailure (5, a
 numerical solver gave up). InfeasibleOutcome (2) and PatternNotStabilizable
 (3) are their own categories.
 """
+import numbers
 
 
 class SparselinkError(Exception):
@@ -76,3 +78,10 @@ class IndexOutOfRange(InputError, IndexError):
 
 class UnknownFormat(InputError, ValueError):
     """An unsupported output or input format name was requested."""
+
+
+def _integer(value, name: str) -> int:
+    """value as an int; a bool, a float or a string is rejected, not converted."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise InvalidAssumption(f"{name} must be an integer, got {value!r}")
+    return int(value)

@@ -147,15 +147,6 @@ class GainMatrix:
         ri, cj = self.partition.block(i, j)
         return self.K[ri, cj]
 
-    def with_zeroed_blocks(self, blocks) -> "GainMatrix":
-        """The gain with the given (i, j) blocks set to zero: a copy, or the
-        gain itself when those blocks are zero already."""
-        k = self.K.copy()
-        for (i, j) in blocks:
-            ri, cj = self.partition.block(i, j)
-            k[ri, cj] = 0.0
-        return self if np.array_equal(k, self.K) else GainMatrix(k, self.partition)
-
     def project(self, pattern: "SparsityPattern") -> "GainMatrix":
         """Hard projection onto a pattern: zero every non-free entry. A gain
         with no non-zero entry off the pattern is its own projection (the

@@ -7,8 +7,10 @@ sparsity pattern. Every outcome comes from one serving rule (_serve); the
 three procedures (uniform block sizes, a single attacked link with mixed
 sizes, multiple attacked links with mixed sizes) differ only in the
 precondition and feasibility screen in front of it, and select_reroute
-chooses among them. Capacity is counted in information units (block
-element counts), exactly as the table stores it.
+chooses among them. Each takes the attacked priorities as given and checks
+them by one rule (_validated_attack): integers in 1..r1 of the table.
+Capacity is counted in information units (block element counts), exactly
+as the table stores it.
 """
 from __future__ import annotations
 
@@ -16,20 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InfeasibleOutcome, InvalidAssumption
+from .errors import IndexOutOfRange, InfeasibleOutcome, InvalidAssumption, _integer
 from .plant import BlockPartition, SparsityPattern
 from .priority import PriorityTable
-
-
-@dataclass(frozen=True)
-class AttackScenario:
-    """Attacked priority levels."""
-
-    priorities: frozenset[int]
-
-    @classmethod
-    def none(cls) -> "AttackScenario":
-        return cls(frozenset())
 
 
 @dataclass(frozen=True)
@@ -69,16 +60,19 @@ class RerouteOutcome:
 
 
 def _validated_attack(table: PriorityTable, attacked) -> frozenset[int]:
-    prios = frozenset(int(q) for q in attacked)
+    """attacked as a set of ints. InvalidAssumption for a priority that is
+    no integer (a bool, a float or a string; NumPy integers are integers),
+    IndexOutOfRange for one outside 1..r1 of the table."""
+    prios = frozenset(_integer(q, "attacked priority") for q in attacked)
     for q in prios:
         if not 1 <= q <= table.r1:
             raise IndexOutOfRange(f"attacked priority {q} outside 1..{table.r1}")
     return prios
 
 
-def _infeasible_outcome(table: PriorityTable, attacked) -> RerouteOutcome:
+def _infeasible_outcome(table: PriorityTable, attacked: frozenset[int]) -> RerouteOutcome:
     empty = frozenset()
-    return RerouteOutcome(table, frozenset(attacked), empty, empty, empty, False)
+    return RerouteOutcome(table, attacked, empty, empty, empty, False)
 
 
 def _serve(table: PriorityTable, attacked: frozenset[int]) -> RerouteOutcome:
@@ -153,14 +147,15 @@ def reroute_multi(table: PriorityTable, attacked) -> RerouteOutcome:
     return _serve(table, attacked)
 
 
-def select_reroute(table: PriorityTable, attack: AttackScenario) -> RerouteOutcome:
+def select_reroute(table: PriorityTable, attacked) -> RerouteOutcome:
     """Uniform block sizes use reroute_uniform; one attacked block on a
     mixed-size table uses reroute_single; anything else reroute_multi."""
+    attacked = _validated_attack(table, attacked)
     if len(set(table.sizes())) <= 1:
-        return reroute_uniform(table, attack.priorities)
-    if len(attack.priorities) == 1:
-        return reroute_single(table, next(iter(attack.priorities)))
-    return reroute_multi(table, attack.priorities)
+        return reroute_uniform(table, attacked)
+    if len(attacked) == 1:
+        return reroute_single(table, next(iter(attacked)))
+    return reroute_multi(table, attacked)
 
 
 def pattern_from(outcome: RerouteOutcome, partition: BlockPartition) -> SparsityPattern:

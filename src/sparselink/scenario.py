@@ -4,10 +4,11 @@ before / immediately-after-attack / after-reroute cost report.
 
 The pre-attack gain and j_before are the first sweep entry's structured
 synthesis (SweepEntry.polished), taken as the sweep made it. j_attack is
-computed with the pre-attack gain after zeroing the attacked blocks only
-(no resynthesis), so it can be +inf when the mutilated gain no longer
-stabilizes. j_reroute comes from the pipeline's one structured synthesis,
-on the post-attack pattern, started from the pre-attack gain.
+the cost of the pre-attack gain projected onto its pattern without the
+attacked blocks (GainMatrix.project, no resynthesis), so it can be +inf
+when the mutilated gain no longer stabilizes. j_reroute comes from the
+pipeline's one structured synthesis, on the post-attack pattern, started
+from the pre-attack gain.
 """
 from __future__ import annotations
 
@@ -22,15 +23,14 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidAssumption
+from .errors import InvalidAssumption, _integer
 from .h2 import closed_loop_cost
 from .plant import BlockPartition, LtiPlant, SparsityPattern
 from .priority import PriorityTable, rank_links
 from .render import render_pattern
-from .reroute import AttackScenario, RerouteOutcome, pattern_from, select_reroute
+from .reroute import RerouteOutcome, pattern_from, select_reroute
 from .serialize import (
     _fields,
-    _integer,
     _one_of,
     attack_from_doc,
     attack_spec,
@@ -204,7 +204,6 @@ class PipelineResult:
     plant: LtiPlant
     sweep: SweepResult
     table: PriorityTable
-    attack: AttackScenario
     outcome: RerouteOutcome
     pattern_before: SparsityPattern
     pattern_after: SparsityPattern | None
@@ -223,8 +222,7 @@ def run_pipeline(scenario: Scenario) -> PipelineResult:
     pattern_before = sweep.entries[0].pattern
     before = sweep.entries[0].polished
 
-    attack = attack_from_doc(scenario.attack, table.r1)
-    outcome = select_reroute(table, attack)
+    outcome = select_reroute(table, attack_from_doc(scenario.attack, table.r1))
 
     after = None
     pattern_after = None
@@ -234,10 +232,11 @@ def run_pipeline(scenario: Scenario) -> PipelineResult:
         after = synthesize_structured_info(plant, pattern_after, init=before.gain)
         j_reroute = after.cost
 
-    attacked_blocks = [
-        (row.i, row.j) for row in table.rows if row.q in attack.priorities
-    ]
-    j_attack = closed_loop_cost(plant, before.gain.with_zeroed_blocks(attacked_blocks))
+    survivors = pattern_before
+    for row in table.rows:
+        if row.q in outcome.attacked:
+            survivors = survivors.without_block(row.i, row.j)
+    j_attack = closed_loop_cost(plant, before.gain.project(survivors))
 
     report = CostReport(
         scenario=scenario.name,
@@ -253,7 +252,6 @@ def run_pipeline(scenario: Scenario) -> PipelineResult:
         plant=plant,
         sweep=sweep,
         table=table,
-        attack=attack,
         outcome=outcome,
         pattern_before=pattern_before,
         pattern_after=pattern_after,
@@ -310,13 +308,13 @@ def write_artifacts(result: PipelineResult, out_dir) -> list:
         "pattern_before.svg": render_pattern(result.pattern_before, "svg"),
         "pattern_attack.txt": render_pattern(
             result.table,
-            attacked=result.attack.priorities,
+            attacked=result.outcome.attacked,
             partition=result.plant.partition,
         ),
         "pattern_attack.svg": render_pattern(
             result.table,
             "svg",
-            attacked=result.attack.priorities,
+            attacked=result.outcome.attacked,
             partition=result.plant.partition,
         ),
     }

@@ -16,10 +16,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidAssumption
+from .errors import DimensionMismatch, InvalidAssumption, _integer
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .priority import PriorityRow, PriorityTable
-from .reroute import AttackScenario, RerouteOutcome
+from .reroute import RerouteOutcome
 from .structured import SynthesisInfo
 
 
@@ -67,13 +67,6 @@ def _matrix_from(doc, name: str, rows: int | None = None, cols: int | None = Non
     if cols is not None and a.shape[1] != cols:
         raise DimensionMismatch(f"{name} has {a.shape[1]} columns, expected {cols}")
     return a
-
-
-def _integer(value, name: str) -> int:
-    """value as an int; a bool, a float or a string is rejected, not converted."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidAssumption(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _integers(doc, name: str) -> tuple[int, ...]:
@@ -265,7 +258,6 @@ def _fraction(value, name: str) -> float:
 
 _ATTACK_VALUES = {
     "attacked_priorities": lambda value, name: frozenset(_integers(value, name)),
-    "attacked_block": _integer,
     "attacked_top": _integer,
     "top_fraction": _fraction,
 }
@@ -274,36 +266,30 @@ _ATTACK_VALUES = {
 def attack_spec(doc) -> tuple[str, int | float | frozenset[int]] | None:
     """Form check and value conversion of an attack spec, which need no
     priority table: the spec's one (key, converted value), or None for no
-    attack. Accepted forms: {"attacked_priorities": [q...]},
-    {"attacked_block": q} (the one priority q), {"attacked_top": k} or
-    {"top_fraction": f} (the k = round(f*r1) highest priorities)."""
+    attack. Accepted forms: {"attacked_priorities": [q...]} (a list of
+    integers), {"attacked_top": k} (an integer) or {"top_fraction": f} (a
+    number in [0, 1]); the last two name the k = round(f*r1) highest
+    priorities."""
     if doc is None:
         return None
     key, value = _one_of(doc, "attack spec", _ATTACK_VALUES)
     return key, _ATTACK_VALUES[key](value, key)
 
 
-def attack_from_doc(doc, r1: int) -> AttackScenario:
-    """The attack an attack spec (see attack_spec) names on a table with
-    priorities 1..r1. None means no attack."""
+def attack_from_doc(doc, r1: int) -> frozenset[int]:
+    """The attacked priorities an attack spec (see attack_spec) names on a
+    table with priorities 1..r1; empty for None (no attack). The count k of
+    attacked_top or top_fraction must lie in 0..r1. Explicit priorities come
+    back as the spec lists them: the rerouting procedures check them
+    against the table (reroute._validated_attack)."""
     spec = attack_spec(doc)
     if spec is None:
-        return AttackScenario.none()
+        return frozenset()
     key, value = spec
     if key == "attacked_priorities":
-        _check_range(value, r1)
-        return AttackScenario(value)
-    if key == "attacked_block":
-        _check_range({value}, r1)
-        return AttackScenario(frozenset([value]))
+        return value
     if key == "top_fraction":
-        value = int(round(value * r1))
+        value = round(value * r1)
     if not 0 <= value <= r1:
         raise InvalidAssumption(f"attacked_top {value} outside 0..{r1}")
-    return AttackScenario(frozenset(range(r1 - value + 1, r1 + 1)))
-
-
-def _check_range(prios, r1: int) -> None:
-    for q in prios:
-        if not 1 <= q <= r1:
-            raise InvalidAssumption(f"attacked priority {q} outside 1..{r1}")
+    return frozenset(range(r1 - value + 1, r1 + 1))

@@ -123,14 +123,18 @@ def sparse_gain(
 ) -> GainMatrix:
     """Stabilizing fixed point of the proximal-gradient map at one (beta, G),
     reached from init by SpaRSA steps (see the module docstring). Every beta,
-    0 included, stops at the residual tolerance _RESIDUAL_TOL. An init that
-    is not stabilizing raises NotStabilizing (descend's start check)."""
+    0 included, stops at the residual tolerance _RESIDUAL_TOL. beta and the
+    N x N weights G must be finite and non-negative (InvalidAssumption): a
+    negative weight makes the penalty concave. An init that is not
+    stabilizing raises NotStabilizing (descend's start check)."""
     if not 0.0 <= beta < math.inf:
         raise InvalidAssumption("beta must be finite and non-negative")
     weights = np.asarray(weights, dtype=float)
     n_nodes = plant.partition.n_nodes
     if weights.shape != (n_nodes, n_nodes):
         raise DimensionMismatch(f"weights shape {weights.shape}, expected ({n_nodes},{n_nodes})")
+    if not np.all((0.0 <= weights) & (weights < math.inf)):
+        raise InvalidAssumption("weights must be finite and non-negative")
     cl = _closed_loop(plant, init)
     partition = plant.partition
     last = cl

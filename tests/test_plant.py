@@ -69,14 +69,6 @@ class TestGainMatrix:
         with pytest.raises(ValueError):
             ex1_gain.K[0, 0] = 99.0
 
-    def test_with_zeroed_blocks(self, ex1_gain):
-        zeroed = ex1_gain.with_zeroed_blocks([(0, 0), (3, 1)])
-        assert np.array_equal(zeroed.block(0, 0), [[0.0, 0.0]])
-        assert np.array_equal(zeroed.block(3, 1), [[0.0, 0.0]])
-        assert np.array_equal(zeroed.block(1, 1), [[1.0, 5.0]])
-        # source untouched
-        assert np.array_equal(ex1_gain.block(0, 0), [[3.0, 1.0]])
-
     def test_project(self, ex1_gain, ex1_partition):
         pattern = SparsityPattern.diagonal(ex1_partition)
         projected = ex1_gain.project(pattern)
@@ -84,17 +76,15 @@ class TestGainMatrix:
         assert np.array_equal(projected.block(0, 2), [[0.0, 0.0]])
 
     def test_unchanged_gain_comes_back_as_itself(self, ex1_gain, ex1_partition):
-        # a projection or zeroing that leaves the gain bit for bit as it is
-        # returns the gain itself (with any closed loop it carries); any
-        # change makes a new gain
+        # a projection that leaves the gain bit for bit as it is returns the
+        # gain itself (with any closed loop it carries); any change makes a
+        # new gain
         assert ex1_gain.project(SparsityPattern.from_gain(ex1_gain, 0.0)) is ex1_gain
         assert ex1_gain.project(SparsityPattern.full(ex1_partition)) is ex1_gain
         diagonal = SparsityPattern.diagonal(ex1_partition)
         projected = ex1_gain.project(diagonal)
         assert projected is not ex1_gain
         assert projected.project(diagonal) is projected
-        assert ex1_gain.with_zeroed_blocks([(1, 0), (2, 2)]) is ex1_gain
-        assert ex1_gain.with_zeroed_blocks([(1, 0), (0, 0)]) is not ex1_gain
 
     def test_nonfinite_rejected(self):
         part = BlockPartition((1,), (1,))

@@ -8,26 +8,22 @@ from hypothesis import strategies as st
 
 from conftest import EX2_ROWS, assert_reroute_invariants, make_table
 from sparselink import (
-    AttackScenario,
     BlockPartition,
     DimensionMismatch,
     IndexOutOfRange,
     InfeasibleOutcome,
     InvalidAssumption,
     PriorityTable,
+    dumps_canonical,
+    outcome_to_doc,
     parse_pattern,
     pattern_from,
     render_pattern,
     reroute_multi,
     reroute_single,
     reroute_uniform,
+    select_reroute,
 )
-
-
-class TestAttackScenario:
-    def test_none(self):
-        attack = AttackScenario.none()
-        assert attack.priorities == frozenset()
 
 
 class TestGoldenExampleOne:
@@ -334,6 +330,30 @@ class TestRerouteProperties:
                 assert reroute_single(table, q) == reroute_multi(table, {q})
         if len(set(table.sizes())) == 1 and len(attacked) < table.r1 / 2:
             assert reroute_uniform(table, attacked) == reroute_multi(table, attacked)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_one_priority_rule(self, data):
+        # Every procedure and select_reroute take an attacked priority by
+        # one rule: an integer, NumPy's included and stored as int, in
+        # 1..r1. A bool, a float or a string is rejected, never converted.
+        table = data.draw(tables(uniform=data.draw(st.booleans())))
+        q = data.draw(st.integers(1, table.r1))
+        bad = data.draw(st.one_of(
+            st.sampled_from([True, False, np.True_, float(q), q + 0.5, str(q)]),
+            st.floats(),
+            st.text(max_size=3),
+        ))
+        procedures = [select_reroute, reroute_multi, lambda t, a: reroute_single(t, *a)]
+        if len(set(table.sizes())) == 1:
+            procedures.append(reroute_uniform)
+        for procedure in procedures:
+            with pytest.raises(InvalidAssumption):
+                procedure(table, {bad})
+            out = procedure(table, {np.int64(q)})
+            assert out == procedure(table, {q})
+            assert all(type(p) is int for p in out.attacked | out.rerouted | out.dropped)
+            dumps_canonical(outcome_to_doc(out))
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())

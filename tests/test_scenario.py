@@ -10,7 +10,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sparselink import (
-    AttackScenario,
     BlockPartition,
     CostReport,
     GeneratorSpec,
@@ -22,6 +21,7 @@ from sparselink import (
     RiccatiFailure,
     Scenario,
     SingularSolve,
+    attack_from_doc,
     closed_loop_cost,
     dumps_canonical,
     generate_plant,
@@ -203,23 +203,19 @@ class TestScenarioDoc:
 
 class TestSelectReroute:
     def test_uniform_dispatch(self, ex1_table):
-        attack = AttackScenario(frozenset({3, 7, 8}))
-        assert select_reroute(ex1_table, attack) == reroute_uniform(ex1_table, {3, 7, 8})
+        assert select_reroute(ex1_table, {3, 7, 8}) == reroute_uniform(ex1_table, {3, 7, 8})
 
     def test_single_dispatch(self, ex2_table):
-        attack = AttackScenario(frozenset({5}))
-        assert select_reroute(ex2_table, attack) == reroute_single(ex2_table, 5)
+        assert select_reroute(ex2_table, {5}) == reroute_single(ex2_table, 5)
 
     def test_multi_dispatch(self):
         table = make_table((2, 2, 2, 4, 4))
-        attack = AttackScenario(frozenset({4, 5}))
-        assert select_reroute(table, attack) == reroute_multi(table, {4, 5})
+        assert select_reroute(table, {4, 5}) == reroute_multi(table, {4, 5})
 
     def test_uniform_single_attack_uses_pairing(self, ex1_table):
         # one attacked link on a uniform table goes through the pairing
         # procedure, not the capacity loop
-        attack = AttackScenario(frozenset({1}))
-        out = select_reroute(ex1_table, attack)
+        out = select_reroute(ex1_table, {1})
         assert out == reroute_uniform(ex1_table, {1})
 
 
@@ -266,7 +262,8 @@ class TestPipelineProperties:
         rep = res.report
         if rep.feasible:
             assert rep.j_before <= rep.j_reroute + 1e-9
-        assert_reroute_invariants(res.table, res.attack.priorities, res.outcome)
+        attacked = attack_from_doc({"top_fraction": fraction}, res.table.r1)
+        assert_reroute_invariants(res.table, attacked, res.outcome)
         for row in res.table.rows:
             assert row.values[: row.size] == tuple(res.before.gain.block(row.i, row.j).ravel())
         first, second = res.sweep.entries
@@ -563,6 +560,21 @@ class TestCli:
         doc = json.loads((out_dir / "outcome.json").read_text())
         assert doc["feasible"] is False
 
+    def test_out_of_range_priority_exit_four(self, tmp_path, capsys):
+        # an explicit priority meets its table's range at reroute time, in
+        # reroute and in run alike
+        from sparselink import table_to_doc
+
+        write_json(tmp_path / "table.json", table_to_doc(make_table((1, 1, 1, 1))))
+        args = ["reroute", "--table", str(tmp_path / "table.json"),
+                "--attack", '{"attacked_priorities": [9]}']
+        assert main(args) == 4
+        scenario = write_scenario(tmp_path, {"attacked_priorities": [99]})
+        assert main(["run", "--scenario", str(scenario)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.count("input error: attacked priority") == 2
+
     def test_synth_diagonal(self, tmp_path):
         from sparselink import SparsityPattern, pattern_to_doc
 
@@ -808,7 +820,7 @@ class TestCli:
             ({"n_nodes": 3, "seed": 0}, {"attacked_top": [1]}),
             ({"n_nodes": 3, "seed": 0}, {"attacked_top": 2.5}),
             ({"n_nodes": 3, "seed": 0}, {"attacked_priorities": [1.7, "2"]}),
-            ({"n_nodes": 3, "seed": 0}, {"attacked_block": True}),
+            ({"n_nodes": 3, "seed": 0}, {"attacked_block": 1}),  # a retired form
             ({"n_nodes": 3, "seed": 0}, {"top_fraction": True}),
             ({"n_nodes": 3, "seed": True}, None),
             ({"n_nodes": 3, "seed": 0, "delta": True}, None),

@@ -8,10 +8,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from sparselink import (
-    AttackScenario,
     BlockPartition,
     DimensionMismatch,
     GeneratorSpec,
+    IndexOutOfRange,
     InvalidAssumption,
     SparsityPattern,
     attack_from_doc,
@@ -195,7 +195,7 @@ class TestRankedDocProperties:
         plant = GeneratorSpec(n_nodes, seed).plant()
         table = rank_links(plant, sparsity_sweep(plant, (0.05, 0.5)))
         attacked = data.draw(st.frozensets(st.integers(1, table.r1)), label="attacked")
-        outcome = select_reroute(table, AttackScenario(attacked))
+        outcome = select_reroute(table, attacked)
         table_doc = json.loads(dumps_canonical(table_to_doc(table)))
         outcome_doc = json.loads(dumps_canonical(outcome_to_doc(outcome)))
 
@@ -248,33 +248,28 @@ class TestGainDoc:
 
 class TestAttackDoc:
     def test_explicit_priorities(self):
-        attack = attack_from_doc({"attacked_priorities": [3, 7, 8]}, 9)
-        assert attack.priorities == frozenset({3, 7, 8})
-
-    def test_single_block(self):
-        attack = attack_from_doc({"attacked_block": 5}, 6)
-        assert attack.priorities == frozenset({5})
+        assert attack_from_doc({"attacked_priorities": [3, 7, 8]}, 9) == frozenset({3, 7, 8})
 
     def test_top_count(self):
-        attack = attack_from_doc({"attacked_top": 3}, 9)
-        assert attack.priorities == frozenset({7, 8, 9})
+        assert attack_from_doc({"attacked_top": 3}, 9) == frozenset({7, 8, 9})
 
     def test_top_fraction(self):
-        attack = attack_from_doc({"top_fraction": 0.25}, 10)
         # round(2.5) banker-rounds to 2
-        assert attack.priorities == frozenset({9, 10})
+        assert attack_from_doc({"top_fraction": 0.25}, 10) == frozenset({9, 10})
 
     def test_zero_fraction(self):
-        assert attack_from_doc({"top_fraction": 0.0}, 5).priorities == frozenset()
+        assert attack_from_doc({"top_fraction": 0.0}, 5) == frozenset()
 
     def test_none_means_no_attack(self):
-        assert attack_from_doc(None, 9).priorities == frozenset()
+        assert attack_from_doc(None, 9) == frozenset()
 
-    def test_rejections(self):
-        with pytest.raises(InvalidAssumption):
-            attack_from_doc({"attacked_priorities": [0]}, 9)
-        with pytest.raises(InvalidAssumption):
-            attack_from_doc({"attacked_block": 10}, 9)
+    def test_rejections(self, ex1_table):
+        # an explicit priority's range is checked where it meets the table
+        for q in (0, 10):
+            with pytest.raises(IndexOutOfRange):
+                select_reroute(ex1_table, attack_from_doc({"attacked_priorities": [q]}, 9))
+        with pytest.raises(InvalidAssumption, match="unknown attack spec keys"):
+            attack_from_doc({"attacked_block": 1}, 9)
         with pytest.raises(InvalidAssumption):
             attack_from_doc({"attacked_top": 10}, 9)
         with pytest.raises(InvalidAssumption):
@@ -290,7 +285,8 @@ class TestAttackDoc:
             {"attacked_top": 2.5},
             {"attacked_priorities": [1.7, "2"]},
             {"attacked_priorities": "12"},
-            {"attacked_block": True},
+            {"attacked_priorities": [True]},
+            {"attacked_top": True},
             {"top_fraction": True},
             {"top_fraction": "0.5"},
         ):

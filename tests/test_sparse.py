@@ -149,6 +149,17 @@ class TestSparseGain:
         with pytest.raises(DimensionMismatch):
             sparse_gain(plant, 1.0, np.ones((3, 3)), lqr_centralized(plant))
 
+    @pytest.mark.parametrize("bad", [-1.0, math.nan, math.inf])
+    def test_bad_weights_rejected(self, bad):
+        # A negative weight makes the penalty concave; a NaN or infinite one
+        # makes the start's value non-finite, which descend would take for a
+        # start off the stabilizing set.
+        plant = generate_plant(3, 0)
+        kc = lqr_centralized(plant)
+        beta = 0.1 * closed_loop_cost(plant, kc)
+        with pytest.raises(InvalidAssumption, match="weights"):
+            sparse_gain(plant, beta, np.full((3, 3), bad), kc)
+
     def test_large_beta_empties_offdiagonal(self):
         # open-loop stable plant: with a huge penalty the gain collapses
         plant = generate_plant(3, 1)
