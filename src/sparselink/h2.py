@@ -28,10 +28,11 @@ a line-search rejection and never do arithmetic with it.
 A GainMatrix can carry the closed loop of its K (_carry), which holds all
 that is derived from K, the removal losses' Hessian factors too. A solve
 handed the gain on the same plant takes that loop, and a loop factored for
-the gain stays on it (_closed_loop); the solvers hand the last loop they
-evaluated to the gain they return, so a gain passed from stage to stage is
-factored once. Only _holds decides whether a loop belongs to a K: byte for
-byte.
+the gain stays on it (_closed_loop). Every descent over closed loops runs
+on a _Trail, which keeps the last loop it factored, and its solver hands
+that loop to the gain it returns (_carry) or to the next solve
+(_Trail.end), so a gain passed from stage to stage is factored once. Only
+_holds decides whether a loop belongs to a K: byte for byte.
 """
 from __future__ import annotations
 
@@ -190,11 +191,6 @@ def _holds(cl: _ClosedLoop, k: np.ndarray) -> bool:
     return cl.k.tobytes() == k.tobytes()
 
 
-def _loop_of(plant: LtiPlant, k: np.ndarray, cl: _ClosedLoop | None) -> _ClosedLoop:
-    """cl when it is of plant and holds k, else a new factorization."""
-    return cl if cl is not None and cl.plant is plant and _holds(cl, k) else _ClosedLoop(plant, k)
-
-
 def _carry(gain: GainMatrix, cl: _ClosedLoop) -> GainMatrix:
     """gain, with cl attached when it holds gain.K: a later solve from gain
     on cl.plant takes cl instead of factoring again (_closed_loop). K is
@@ -204,23 +200,39 @@ def _carry(gain: GainMatrix, cl: _ClosedLoop) -> GainMatrix:
     return gain
 
 
-def _closed_loop(plant: LtiPlant, gain: GainMatrix) -> _ClosedLoop:
-    """The closed loop gain carries (_loop_of), else a new factorization,
-    which gain carries from then on (_carry)."""
-    cl = _loop_of(plant, gain.K, gain.__dict__.get("_loop"))
-    _carry(gain, cl)
-    return cl
-
-
-def _gain_loop(plant: LtiPlant, gain) -> _ClosedLoop:
-    """The closed loop of a GainMatrix (_closed_loop) or of an m x n array."""
+def _closed_loop(plant: LtiPlant, gain) -> _ClosedLoop:
+    """The closed loop of an m x n array, or of a GainMatrix: the loop the
+    gain carries when it is of plant and holds K, else a new factorization,
+    which the gain carries from then on (_carry)."""
     is_matrix = isinstance(gain, GainMatrix)
     k = gain.K if is_matrix else np.asarray(gain, dtype=float)
     if k.shape != (plant.m, plant.n):
-        raise DimensionMismatch(
-            f"gain shape {k.shape} does not match plant ({plant.m},{plant.n})"
-        )
-    return _closed_loop(plant, gain) if is_matrix else _ClosedLoop(plant, k)
+        raise DimensionMismatch(f"gain shape {k.shape} does not match plant ({plant.m},{plant.n})")
+    held = gain.__dict__.get("_loop") if is_matrix else None
+    if held is not None and held.plant is plant and _holds(held, k):
+        return held
+    cl = _ClosedLoop(plant, k)
+    if is_matrix:
+        _carry(gain, cl)
+    return cl
+
+
+class _Trail:
+    """The closed loops of one descent from the loop start: called as
+    descent.descend's make_eval, it factors the trial K once, keeps that
+    loop as last and returns objective(loop)."""
+
+    def __init__(self, start: _ClosedLoop, objective):
+        self.last = start
+        self._objective = objective
+
+    def __call__(self, k: np.ndarray):
+        self.last = _ClosedLoop(self.last.plant, k)
+        return self._objective(self.last)
+
+    def end(self, x: np.ndarray) -> _ClosedLoop:
+        """The loop of the end point x: last, unless the descent ended on a rejected trial."""
+        return self.last if _holds(self.last, x) else _ClosedLoop(self.last.plant, x)
 
 
 def solve_lyapunov(a_cl: np.ndarray, q_hat: np.ndarray) -> np.ndarray:
@@ -243,17 +255,17 @@ def solve_lyapunov(a_cl: np.ndarray, q_hat: np.ndarray) -> np.ndarray:
 
 def is_stabilizing(plant: LtiPlant, gain) -> bool:
     """True iff max Re eig(A - B K) < -STABILITY_TOL (strict margin)."""
-    return _gain_loop(plant, gain).stable
+    return _closed_loop(plant, gain).stable
 
 
 def closed_loop_cost(plant: LtiPlant, gain) -> float:
     """H2 cost trace(W^T P W); +inf when the gain is not stabilizing."""
-    return _gain_loop(plant, gain).value
+    return _closed_loop(plant, gain).value
 
 
 def cost_gradient(plant: LtiPlant, gain) -> np.ndarray:
     """Gradient 2 (R K - B^T P) L of the H2 cost at a stabilizing gain."""
-    return _gain_loop(plant, gain).gradient()
+    return _closed_loop(plant, gain).gradient()
 
 
 def lqr_centralized(plant: LtiPlant) -> GainMatrix:

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NotStabilizing
+from .errors import DimensionMismatch, NotStabilizing, _integer
 
 STABILITY_TOL = 1e-9
 
@@ -31,8 +31,8 @@ class BlockPartition:
     col_sizes: tuple[int, ...]
 
     def __post_init__(self):
-        rows = tuple(int(s) for s in self.row_sizes)
-        cols = tuple(int(s) for s in self.col_sizes)
+        rows = tuple(_integer(s, "row block size") for s in self.row_sizes)
+        cols = tuple(_integer(s, "column block size") for s in self.col_sizes)
         object.__setattr__(self, "row_sizes", rows)
         object.__setattr__(self, "col_sizes", cols)
         if len(rows) != len(cols):

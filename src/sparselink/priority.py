@@ -31,8 +31,9 @@ _MODEL_TOL J(x0) the loss takes the model value J(x0) - 1/2 g^T H_r^-1 g,
 within about that much of a converged descent's value. Every other loss
 is one structured synthesis of the reduced pattern
 (synthesize_structured_info with init). Its init is x0 with the closed
-loop factored there (h2._carry): x0 is on the reduced pattern, so it is
-its own projection, and the synthesis polishes from that loop. When the
+loop factored there, by the hand-off of the h2 module docstring
+(h2._carry): x0 is on the reduced pattern, so it is its own projection,
+and the synthesis polishes from that loop. When the
 Hessian is not positive definite, H^-1_bb is numerically singular, or x0
 is not stabilizing, the init is K* instead (a polish from K*'s
 projection, or a cold start when that projection is not stabilizing). As

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import InvalidAssumption, _integer
+from .errors import IndexOutOfRange, InvalidAssumption, _integer
 from .h2 import closed_loop_cost
 from .plant import BlockPartition, LtiPlant, SparsityPattern
 from .priority import PriorityTable, rank_links
@@ -117,8 +117,9 @@ class Scenario:
     """Everything the pipeline needs: a plant source (generator spec or an
     inline plant document), the sweep's beta schedule (None: the default
     schedule of sparsity_sweep; checked there), and the attack spec (raw
-    JSON form; its form and values are checked here, its range against the
-    table's r1 at reroute time)."""
+    JSON form; its form and values are checked here, its bound N^2 when
+    the plant resolves in run_pipeline, its range against the table's r1
+    at reroute time)."""
 
     name: str
     generator: GeneratorSpec | None = None
@@ -214,6 +215,11 @@ class PipelineResult:
 
 def run_pipeline(scenario: Scenario) -> PipelineResult:
     plant = scenario.resolve_plant()
+    # r1 <= N^2: an attack past N^2 fails before the sweep (a count inside attack_from_doc)
+    n_blocks = plant.partition.n_nodes ** 2
+    beyond = max(attack_from_doc(scenario.attack, n_blocks), default=0)
+    if beyond > n_blocks:
+        raise IndexOutOfRange(f"attacked priority {beyond} outside 1..{n_blocks} of the plant's blocks")
     sweep = sparsity_sweep(plant, scenario.beta_schedule)
     table = rank_links(plant, sweep)
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, InvalidAssumption, _integer
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidAssumption, _integer
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .priority import PriorityRow, PriorityTable
 from .reroute import RerouteOutcome
@@ -267,13 +267,18 @@ def attack_spec(doc) -> tuple[str, int | float | frozenset[int]] | None:
     """Form check and value conversion of an attack spec, which need no
     priority table: the spec's one (key, converted value), or None for no
     attack. Accepted forms: {"attacked_priorities": [q...]} (a list of
-    integers), {"attacked_top": k} (an integer) or {"top_fraction": f} (a
-    number in [0, 1]); the last two name the k = round(f*r1) highest
-    priorities."""
+    integers, none below 1: IndexOutOfRange), {"attacked_top": k} (an
+    integer k >= 0) or {"top_fraction": f} (a number in [0, 1]); the last
+    two name the k = round(f*r1) highest priorities."""
     if doc is None:
         return None
     key, value = _one_of(doc, "attack spec", _ATTACK_VALUES)
-    return key, _ATTACK_VALUES[key](value, key)
+    value = _ATTACK_VALUES[key](value, key)
+    if key == "attacked_priorities" and min(value, default=1) < 1:
+        raise IndexOutOfRange(f"attacked priority {min(value)} below 1")
+    if key == "attacked_top" and value < 0:
+        raise InvalidAssumption(f"attacked_top {value} below 0")
+    return key, value
 
 
 def attack_from_doc(doc, r1: int) -> frozenset[int]:
@@ -290,6 +295,6 @@ def attack_from_doc(doc, r1: int) -> frozenset[int]:
         return value
     if key == "top_fraction":
         value = round(value * r1)
-    if not 0 <= value <= r1:
+    if value > r1:
         raise InvalidAssumption(f"attacked_top {value} outside 0..{r1}")
     return frozenset(range(r1 - value + 1, r1 + 1))

@@ -21,10 +21,10 @@ polished), polished a SynthesisInfo; the sparse gains stay in the sweep.
 The first entry's polish is the deployed pre-attack gain
 (scenario.run_pipeline), the base of the removal losses and the source of
 the table values (priority.rank_links). No pass or polish factors its start
-again: each gain carries the closed loop of its K (h2._carry) -- K_c the
-loop lqr_centralized factored, a sparse or polished gain the last loop its
-solve evaluated -- and a solve from a gain takes that loop
-(h2._closed_loop). A sparse gain already on its pattern is its own
+again: each gain carries the closed loop of its K -- K_c the loop
+lqr_centralized factored, a sparse or polished gain the last loop its
+solve evaluated -- by the hand-off of the h2 module docstring (h2._Trail,
+h2._carry, h2._closed_loop). A sparse gain already on its pattern is its own
 projection (GainMatrix.project), so its polish starts from its loop. An
 entry whose pattern equals the previous entry's takes that entry's polish
 instead of polishing again.
@@ -39,7 +39,7 @@ import numpy as np
 
 from .descent import descend, require_converged
 from .errors import DimensionMismatch, InvalidAssumption
-from .h2 import _carry, _ClosedLoop, _closed_loop, lqr_centralized
+from .h2 import _carry, _closed_loop, _Trail, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import SynthesisInfo, synthesize_structured_info
 
@@ -137,15 +137,9 @@ def sparse_gain(
         raise InvalidAssumption("weights must be finite and non-negative")
     cl = _closed_loop(plant, init)
     partition = plant.partition
-    last = cl
-
-    def penalized(k):
-        nonlocal last
-        last = _ClosedLoop(plant, k)
-        return _Penalized(last, beta, weights)
-
+    trail = _Trail(cl, lambda c: _Penalized(c, beta, weights))
     res = descend(
-        penalized,
+        trail,
         cl.k,
         grad_tol=_RESIDUAL_TOL,
         max_iter=_MAX_ITER,
@@ -153,7 +147,7 @@ def sparse_gain(
         start=_Penalized(cl, beta, weights),
     )
     require_converged(res, "proximal gradient")
-    return _carry(GainMatrix(res.x, partition), last)
+    return _carry(GainMatrix(res.x, partition), trail.last)
 
 
 def default_beta_schedule(j_centralized: float) -> tuple[float, ...]:

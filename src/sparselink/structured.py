@@ -15,10 +15,11 @@ onto the pattern and polishes from there when the projection is
 stabilizing, so only an init whose projection is not stabilizing falls
 back to the cold start.
 
-Every closed loop the method factors serves all its later uses: an inner
-solve starts from the evaluation its predecessor ended on, and the polish
-from the stability check of the projection it starts at. An init already
-on the pattern is its own projection and brings the closed loop it carries
+Every closed loop the method factors serves all its later uses, by the
+hand-off of the h2 module docstring: an inner solve starts from the loop
+its predecessor ended on (h2._Trail.end), and the polish from the
+stability check of the projection it starts at. An init already on the
+pattern is its own projection and brings the closed loop it carries
 (h2._closed_loop), and the returned gain is handed the last loop the polish
 evaluated (h2._carry), so the next solve from it factors nothing. A polish
 that does not converge raises the typed error of its status, so
@@ -38,7 +39,7 @@ import numpy as np
 
 from .descent import descend, require_converged
 from .errors import NotStabilizing, PatternNotStabilizable
-from .h2 import _carry, _ClosedLoop, _closed_loop, _gain_loop, _loop_of, lqr_centralized
+from .h2 import _carry, _ClosedLoop, _closed_loop, _Trail, lqr_centralized
 from .plant import STABILITY_TOL, GainMatrix, LtiPlant, SparsityPattern
 
 # The penalty starts at _GAMMA0 and grows by _ALPHA per multiplier update, at
@@ -89,22 +90,21 @@ class _AugLagEval:
 
 def augmented_lagrangian(plant: LtiPlant, gain, multiplier, gamma: float, pattern: SparsityPattern) -> float:
     """L_g value at a stabilizing gain; raises NotStabilizing otherwise."""
-    ev = _AugLagEval(_gain_loop(plant, gain), np.asarray(multiplier, dtype=float), gamma,
+    ev = _AugLagEval(_closed_loop(plant, gain), np.asarray(multiplier, dtype=float), gamma,
                      pattern.complement_identity())
     if not math.isfinite(ev.value):
         raise NotStabilizing("augmented Lagrangian undefined for a non-stabilizing gain")
     return ev.value
 
 
-def _inner_solve(plant, cl, lam, gamma, comp, grad_tol):
+def _inner_solve(cl, lam, gamma, comp, grad_tol):
     """Descent of L_g over unstructured K at a fixed multiplier and penalty
     from the closed loop cl; returns the descent result and the closed loop
-    of its end point."""
-    res, last = _descend_tracked(
-        plant, cl, lambda c: _AugLagEval(c, lam, gamma, comp),
-        grad_tol=grad_tol, max_iter=_INNER_MAX_ITER,
-    )
-    return res, _loop_of(plant, res.x, last)
+    of its end point (h2._Trail.end)."""
+    trail = _Trail(cl, lambda c: _AugLagEval(c, lam, gamma, comp))
+    res = descend(trail, cl.k, start=_AugLagEval(cl, lam, gamma, comp),
+                  grad_tol=grad_tol, max_iter=_INNER_MAX_ITER)
+    return res, trail.end(res.x)
 
 
 def synthesize_structured_info(
@@ -137,9 +137,12 @@ def synthesize_structured_info(
             raise NotStabilizing("neither the initial gain nor its projection is stabilizing")
         start, outer, tightened = _multiplier_loop(plant, comp, ident)
 
-    res, last = _polish(plant, start, ident)
+    # the polish: projected-gradient descent of J on the free entries
+    trail = _Trail(start, lambda c: c)
+    res = descend(trail, start.k, start=start, prox=lambda v, s: v * ident,
+                  grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER)
     require_converged(res, "structured polish")
-    gain = _carry(GainMatrix(res.x * ident, plant.partition), last)  # exact off-pattern zeros
+    gain = _carry(GainMatrix(res.x * ident, plant.partition), trail.last)  # exact off-pattern zeros
     return SynthesisInfo(gain=gain, cost=res.value, iterations=outer, converged=tightened)
 
 
@@ -165,7 +168,7 @@ def _multiplier_loop(plant, comp, ident):
                 break
         # Loose-to-tight inner tolerance keeps early outer iterations cheap.
         inner_tol = max(_INNER_TOL, 1e-2 / gamma)
-        _, cl = _inner_solve(plant, cl, lam, gamma, comp, inner_tol)
+        _, cl = _inner_solve(cl, lam, gamma, comp, inner_tol)
         lam = lam + gamma * (cl.k * comp)
         gamma = _ALPHA * gamma
 
@@ -174,28 +177,3 @@ def _multiplier_loop(plant, comp, ident):
             f"no stabilizing projected iterate within {_MAX_OUTER} outer iterations"
         )
     return best_projection, outer, tightened
-
-
-def _polish(plant, start, ident):
-    """Projected-gradient descent of J on the free entries (ident) from the
-    closed loop start of a projected gain. Returns the descent result and
-    the last closed loop it evaluated (_descend_tracked)."""
-    return _descend_tracked(
-        plant, start, lambda c: c, prox=lambda v, s: v * ident,
-        grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER,
-    )
-
-
-def _descend_tracked(plant, start, objective, **limits):
-    """descend of objective(closed loop of K) from the closed loop start.
-    Returns the descent result and the last closed loop it evaluated
-    (start when it evaluated none), which h2 matches to a K."""
-    last = start
-
-    def make_eval(kk):
-        nonlocal last
-        last = _ClosedLoop(plant, kk)
-        return objective(last)
-
-    res = descend(make_eval, start.k, start=objective(start), **limits)
-    return res, last

@@ -32,6 +32,7 @@ from sparselink import (
     NotHurwitz,
     NotStabilizing,
     RiccatiFailure,
+    SparsityPattern,
     closed_loop_cost,
     cost_gradient,
     generate_plant,
@@ -39,9 +40,9 @@ from sparselink import (
     lqr_centralized,
     solve_lyapunov,
 )
-from sparselink import h2
+from sparselink import descent, h2, structured
 from sparselink.cli import main
-from sparselink.h2 import _carry, _closed_loop, _ClosedLoop, _lyapunov_factored, _real_schur
+from sparselink.h2 import _carry, _closed_loop, _ClosedLoop, _lyapunov_factored, _real_schur, _Trail
 
 
 def scalar_plant(a=0.0, b=1.0, w=1.0, q=1.0, r=1.0):
@@ -243,14 +244,8 @@ class TestHessian:
 
 
 class TestLoopHandOff:
-    def test_loop_of_other_bits_is_refused(self, monkeypatch):
-        # K = 0 against a loop held for K with one -0.0: equal values, one
-        # bit apart. Neither _carry nor _closed_loop may take that loop.
-        plant = generate_plant(2, 0)
-        k = np.zeros((plant.m, plant.n))
-        signed = k.copy()
-        signed[0, 0] = -0.0
-        held = _ClosedLoop(plant, signed)
+    @staticmethod
+    def _factorizations(monkeypatch):
         factored = []
         schur = h2._real_schur
 
@@ -259,6 +254,17 @@ class TestLoopHandOff:
             return schur(a)
 
         monkeypatch.setattr(h2, "_real_schur", recording)
+        return factored
+
+    def test_loop_of_other_bits_is_refused(self, monkeypatch):
+        # K = 0 against a loop held for K with one -0.0: equal values, one
+        # bit apart. Neither _carry nor _closed_loop may take that loop.
+        plant = generate_plant(2, 0)
+        k = np.zeros((plant.m, plant.n))
+        signed = k.copy()
+        signed[0, 0] = -0.0
+        held = _ClosedLoop(plant, signed)
+        factored = self._factorizations(monkeypatch)
         gain = _carry(GainMatrix(k, plant.partition), held)
         assert "_loop" not in gain.__dict__
         object.__setattr__(gain, "_loop", held)  # held by hand: still refused
@@ -272,16 +278,47 @@ class TestLoopHandOff:
     def test_a_gain_keeps_the_loop_factored_for_it(self, monkeypatch):
         plant = generate_plant(2, 0)
         gain = GainMatrix(lqr_centralized(plant).K.copy(), plant.partition)
-        factored = []
-        schur = h2._real_schur
-
-        def recording(a):
-            factored.append(a)
-            return schur(a)
-
-        monkeypatch.setattr(h2, "_real_schur", recording)
+        factored = self._factorizations(monkeypatch)
         costs = [closed_loop_cost(plant, gain) for _ in range(2)]
         assert costs[0] == costs[1] and len(factored) == 1
+
+    def test_trail_end_on_an_accepted_trial_is_its_last_loop(self, monkeypatch):
+        plant = generate_plant(2, 0)
+        start = _ClosedLoop(plant, lqr_centralized(plant).K)
+        factored = self._factorizations(monkeypatch)
+        trail = _Trail(start, lambda c: c)
+        assert trail.end(start.k.copy()) is start and not factored
+        k = 1.1 * start.k
+        assert trail(k).k is k and len(factored) == 1
+        assert trail.end(k.copy()) is trail.last and len(factored) == 1
+
+    def test_trail_end_on_a_rejected_trial_factors_once(self, monkeypatch):
+        plant = generate_plant(2, 0)
+        start = _ClosedLoop(plant, lqr_centralized(plant).K)
+        factored = self._factorizations(monkeypatch)
+        trail = _Trail(start, lambda c: c)
+        assert trail(-100.0 * start.k).value == math.inf  # a rejected trial
+        end = trail.end(start.k)
+        assert len(factored) == 2 and end is not start
+        assert end.k.tobytes() == start.k.tobytes() and end.value == start.value
+
+    def test_inner_solve_that_gives_up_on_a_rejected_trial(self, monkeypatch):
+        # the descent's last trial is not its end point: the loop handed on
+        # still holds the end point, factored once more
+        plant = generate_plant(2, 0)
+        start = _ClosedLoop(plant, lqr_centralized(plant).K)
+        comp = SparsityPattern.diagonal(plant.partition).complement_identity()
+
+        def giving_up(make_eval, x0, *, start, **limits):
+            assert make_eval(-100.0 * x0).value == math.inf
+            return descent.DescentResult(np.array(x0), start.value, start.gradient(), 0,
+                                         descent.LOST_STABILITY)
+
+        monkeypatch.setattr(structured, "descend", giving_up)
+        factored = self._factorizations(monkeypatch)
+        res, end = structured._inner_solve(start, np.zeros_like(start.k), 1.0, comp, 1e-6)
+        assert res.status == descent.LOST_STABILITY and len(factored) == 2
+        assert h2._holds(end, res.x) and end.stable
 
 
 class TestRealSchur:

@@ -1,4 +1,6 @@
 """Core type validation: partitions, gains, patterns, plants."""
+import json
+
 import numpy as np
 import pytest
 
@@ -6,9 +8,12 @@ from sparselink import (
     BlockPartition,
     DimensionMismatch,
     GainMatrix,
+    InvalidAssumption,
     LtiPlant,
     NotStabilizing,
     SparsityPattern,
+    plant_from_doc,
+    plant_to_doc,
 )
 
 
@@ -51,6 +56,21 @@ class TestBlockPartition:
     def test_nonpositive_size(self):
         with pytest.raises(DimensionMismatch):
             BlockPartition((1, 0), (1, 1))
+
+    @pytest.mark.parametrize("size", [1.7, 2.0, True, "2"])
+    def test_non_integer_size_is_rejected(self, size):
+        # a size is never truncated: (1.7, True) used to build (1, 1)
+        with pytest.raises(InvalidAssumption, match="block size must be an integer"):
+            BlockPartition((size, 1), (2, 2))
+        with pytest.raises(InvalidAssumption, match="block size must be an integer"):
+            BlockPartition((1, 1), (2, size))
+
+    def test_numpy_integer_sizes_are_stored_as_int(self):
+        p = BlockPartition(np.array([1, 2]), (np.int64(3), np.int32(4)))
+        assert p.row_sizes == (1, 2) and p.col_sizes == (3, 4)
+        assert all(type(s) is int for s in p.row_sizes + p.col_sizes)
+        plant = LtiPlant(-np.eye(7), np.ones((7, 3)), np.eye(7), np.eye(7), np.eye(3), p)
+        assert plant_from_doc(json.loads(json.dumps(plant_to_doc(plant)))).partition == p
 
     def test_check_gain_shape(self):
         p = BlockPartition((1, 2), (3, 4))

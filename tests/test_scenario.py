@@ -13,6 +13,7 @@ from sparselink import (
     BlockPartition,
     CostReport,
     GeneratorSpec,
+    IndexOutOfRange,
     InvalidAssumption,
     LineSearchFailure,
     LostStabilizability,
@@ -193,6 +194,18 @@ class TestScenarioDoc:
         with pytest.raises(InvalidAssumption, match="name"):
             scenario_from_doc({"name": bad, "plant": gen})
 
+    @pytest.mark.parametrize(
+        "attack, error",
+        [
+            ({"attacked_priorities": [0]}, IndexOutOfRange),
+            ({"attacked_priorities": [-5]}, IndexOutOfRange),
+            ({"attacked_top": -1}, InvalidAssumption),
+        ],
+    )
+    def test_attack_below_every_table_is_rejected(self, attack, error):
+        with pytest.raises(error):
+            Scenario(name="x", generator=GeneratorSpec(10, 0), attack=attack)
+
     def test_exactly_one_plant_source(self):
         plant_doc = plant_to_doc(generate_plant(2, 0))
         with pytest.raises(InvalidAssumption):
@@ -273,6 +286,29 @@ class TestPipelineProperties:
 
 @pytest.mark.usefixtures("one_reweight")
 class TestPipeline:
+    @pytest.mark.parametrize(
+        "attack, error",
+        [
+            ({"attacked_priorities": [3, 101]}, IndexOutOfRange),
+            ({"attacked_top": 101}, InvalidAssumption),
+            ({"attacked_priorities": [100]}, None),
+            ({"attacked_top": 100}, None),
+        ],
+    )
+    def test_attack_above_every_table_fails_before_the_sweep(self, monkeypatch, attack, error):
+        # r1 <= N^2 = 100 for a 10-node plant; an attack within that bound
+        # goes on to the sweep
+        class SweepReached(Exception):
+            pass
+
+        def no_sweep(*args, **kwargs):
+            raise SweepReached
+
+        monkeypatch.setattr(scenario_module, "sparsity_sweep", no_sweep)
+        scenario = Scenario(name="x", generator=GeneratorSpec(10, 0), attack=attack)
+        with pytest.raises(error or SweepReached):
+            run_pipeline(scenario)
+
     def test_no_attack_costs_agree(self):
         res = run_pipeline(fast_scenario(None))
         rep = res.report
@@ -562,14 +598,15 @@ class TestCli:
 
     def test_out_of_range_priority_exit_four(self, tmp_path, capsys):
         # an explicit priority meets its table's range at reroute time, in
-        # reroute and in run alike
+        # reroute and in run alike: 9 is within the 3-node plant's 9 blocks
+        # but above this table's r1 = 3
         from sparselink import table_to_doc
 
         write_json(tmp_path / "table.json", table_to_doc(make_table((1, 1, 1, 1))))
         args = ["reroute", "--table", str(tmp_path / "table.json"),
                 "--attack", '{"attacked_priorities": [9]}']
         assert main(args) == 4
-        scenario = write_scenario(tmp_path, {"attacked_priorities": [99]})
+        scenario = write_scenario(tmp_path, {"attacked_priorities": [9]})
         assert main(["run", "--scenario", str(scenario)]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -835,6 +872,26 @@ class TestCli:
         monkeypatch.setattr(scenario_module, "sparsity_sweep", no_sweep)
         plant = generator if "file" in generator else {"generator": generator}
         scenario = write_scenario(tmp_path, attack, plant=plant)
+        assert main(["run", "--scenario", str(scenario)]) == 4
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "attack",
+        [
+            {"attacked_priorities": [0]},
+            {"attacked_priorities": [-5, 3]},
+            {"attacked_top": -1},
+            {"attacked_priorities": [101]},
+            {"attacked_top": 101},
+        ],
+    )
+    def test_impossible_attack_exit_four_before_the_sweep(self, tmp_path, capsys, monkeypatch, attack):
+        # no table of a 10-node plant has a priority below 1 or above 10^2
+        def no_sweep(*args, **kwargs):
+            pytest.fail("sparsity_sweep ran on an impossible attack")
+
+        monkeypatch.setattr(scenario_module, "sparsity_sweep", no_sweep)
+        scenario = write_scenario(tmp_path, attack, plant={"generator": {"n_nodes": 10, "seed": 0}})
         assert main(["run", "--scenario", str(scenario)]) == 4
         assert "input error" in capsys.readouterr().err
 

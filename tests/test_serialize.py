@@ -264,10 +264,16 @@ class TestAttackDoc:
         assert attack_from_doc(None, 9) == frozenset()
 
     def test_rejections(self, ex1_table):
-        # an explicit priority's range is checked where it meets the table
-        for q in (0, 10):
-            with pytest.raises(IndexOutOfRange):
-                select_reroute(ex1_table, attack_from_doc({"attacked_priorities": [q]}, 9))
+        # an explicit priority below 1 is out of every table's range; its
+        # upper bound is checked where it meets the table
+        for q in (0, -5):
+            with pytest.raises(IndexOutOfRange, match="below 1"):
+                attack_from_doc({"attacked_priorities": [2, q]}, 9)
+        assert attack_from_doc({"attacked_priorities": [10]}, 9) == frozenset({10})
+        with pytest.raises(IndexOutOfRange):
+            select_reroute(ex1_table, attack_from_doc({"attacked_priorities": [10]}, 9))
+        with pytest.raises(InvalidAssumption, match="below 0"):
+            attack_from_doc({"attacked_top": -1}, 9)
         with pytest.raises(InvalidAssumption, match="unknown attack spec keys"):
             attack_from_doc({"attacked_block": 1}, 9)
         with pytest.raises(InvalidAssumption):

@@ -112,7 +112,7 @@ class TestMinimizeInner:
         plant = two_node_plant(1)
         pattern = SparsityPattern.diagonal(plant.partition)
         kc = lqr_centralized(plant)
-        res, _ = structured._inner_solve(plant, _ClosedLoop(plant, kc.K),
+        res, _ = structured._inner_solve(_ClosedLoop(plant, kc.K),
                                          np.zeros((plant.m, plant.n)), 0.0,
                                          pattern.complement_identity(), structured._INNER_TOL)
         assert res.status == descent.CONVERGED
@@ -125,7 +125,7 @@ class TestMinimizeInner:
         lam = 0.1 * rng.standard_normal((plant.m, plant.n))
         gamma = 5.0
         comp = pattern.complement_identity()
-        res, end = structured._inner_solve(plant, _ClosedLoop(plant, lqr_centralized(plant).K),
+        res, end = structured._inner_solve(_ClosedLoop(plant, lqr_centralized(plant).K),
                                            lam, gamma, comp, structured._INNER_TOL)
         assert res.status == descent.CONVERGED
         assert np.array_equal(end.k, res.x)
@@ -148,7 +148,7 @@ class TestMinimizeInner:
             return schur(a)
 
         monkeypatch.setattr(h2, "_real_schur", recording)
-        res, end = structured._inner_solve(plant, start, lam, 5.0, comp, structured._INNER_TOL)
+        res, end = structured._inner_solve(start, lam, 5.0, comp, structured._INNER_TOL)
         assert res.iterations > 0
         assert not any(np.array_equal(a, a_start) for a in factored)
         # the end point's closed loop is the one the accepted trial built
@@ -232,9 +232,9 @@ class TestSynthesizeStructured:
         calls = []
         inner = structured._inner_solve
 
-        def recording(plant, cl, lam, gamma, comp, grad_tol):
+        def recording(cl, lam, gamma, comp, grad_tol):
             calls.append((cl.k.copy(), lam.copy(), gamma))
-            return inner(plant, cl, lam, gamma, comp, grad_tol)
+            return inner(cl, lam, gamma, comp, grad_tol)
 
         monkeypatch.setattr(structured, "_inner_solve", recording)
         plant = two_node_plant(7)
