@@ -2,10 +2,11 @@
 
 Subcommands: gen, sweep, rank, reroute, synth, run, render. Exit codes:
 0 success, 2 infeasible countermeasure (InfeasibleOutcome), 3 pattern not
-stabilizable (PatternNotStabilizable), 4 input error (any InputError, or a
-file the OS or the JSON reader rejects), 5 solver failure (any
-SolverFailure: a numerical solver gave up). The categories are those of
-sparselink.errors.
+stabilizable (PatternNotStabilizable), 4 input error (any InputError, a
+file or directory the OS rejects on read or write, such as an --out that
+names an existing file, or a document the JSON reader rejects), 5 solver
+failure (any SolverFailure: a numerical solver gave up). The categories
+are those of sparselink.errors.
 """
 from __future__ import annotations
 
@@ -140,6 +141,8 @@ def _cmd_synth(args) -> int:
 
 def _cmd_run(args) -> int:
     scenario = load_scenario(args.scenario, seed=args.seed)
+    if args.out is not None:  # an --out the OS rejects fails before the pipeline runs
+        Path(args.out).mkdir(parents=True, exist_ok=True)
     result = run_pipeline(scenario)
     if args.out is not None:
         write_artifacts(result, args.out)
@@ -236,8 +239,7 @@ def main(argv=None) -> int:
     except PatternNotStabilizable as exc:
         print(f"not stabilizable: {exc}", file=sys.stderr)
         return 3
-    except (InputError, FileNotFoundError, IsADirectoryError, NotADirectoryError,
-            PermissionError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     except SolverFailure as exc:

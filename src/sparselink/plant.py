@@ -128,6 +128,11 @@ class BlockPartition:
                 f"gain shape {k.shape} does not match partition ({self.m},{self.n})"
             )
 
+    def check_same(self, other: "BlockPartition", what: str) -> None:
+        """DimensionMismatch unless other has this partition's block sizes."""
+        if other != self:
+            raise DimensionMismatch(f"{what} blocks {other} do not match {self}")
+
 
 @dataclass(frozen=True, eq=False)
 class GainMatrix:
@@ -151,6 +156,7 @@ class GainMatrix:
         """Hard projection onto a pattern: zero every non-free entry. A gain
         with no non-zero entry off the pattern is its own projection (the
         product equals it bit for bit) and comes back as itself."""
+        self.partition.check_same(pattern.partition, "pattern")
         k = self.K * pattern.structural_identity()
         return self if np.array_equal(k, self.K) else GainMatrix(k, self.partition)
 

@@ -213,6 +213,7 @@ def removal_loss(
     converged descent's value; elsewhere a reduced polish that does not
     converge raises the typed error of its status (module docstring).
     """
+    plant.partition.check_same(base_pattern.partition, "base pattern")
     i, j = block
     n_nodes = base_pattern.partition.n_nodes
     if not (0 <= i < n_nodes and 0 <= j < n_nodes):

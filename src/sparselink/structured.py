@@ -6,14 +6,14 @@ augmented Lagrangian
     L_g(K, Lam) = J(K) + trace(Lam^T (K o Ic)) + (g/2) ||K o Ic||_F^2
 
 is minimized over unstructured K for fixed multipliers, then Lam is updated
-by Lam + g (K o Ic) and the penalty grows geometrically until the structural
-violation ||K o Ic||_F drops below _EPS_STOP. A final hard projection onto
-the pattern plus a projected-gradient polish removes the residual violation
-exactly while restoring stationarity on the free entries. That multiplier
-loop runs from K_c, for cold starts only: a warm start projects its init
-onto the pattern and polishes from there when the projection is
-stabilizing, so only an init whose projection is not stabilizing falls
-back to the cold start.
+by Lam + g (K o Ic) and the penalty grows geometrically. One stop rule ends
+the loop: the hard projection K o I is factored only once ||K o Ic||_F is
+below _EPS_STOP, and the first such projection that is stabilizing starts
+a projected-gradient polish on the free entries; with none in _MAX_OUTER
+outer iterations, the loop raises PatternNotStabilizable. It runs from K_c,
+for cold starts only: a warm start projects its init onto the pattern and
+polishes from there when the projection is stabilizing, so only an init
+whose projection is not stabilizing falls back to the cold start.
 
 Every closed loop the method factors serves all its later uses, by the
 hand-off of the h2 module docstring: an inner solve starts from the loop
@@ -23,7 +23,7 @@ pattern is its own projection and brings the closed loop it carries
 (h2._closed_loop), and the returned gain is handed the last loop the polish
 evaluated (h2._carry), so the next solve from it factors nothing. A polish
 that does not converge raises the typed error of its status, so
-SynthesisInfo.converged says only that the multiplier loop tightened.
+SynthesisInfo.converged is always True.
 
 A pattern with no input entry (B^T o I = 0) cannot move trace(A - B K) off
 trace(A); when that is not below -n STABILITY_TOL, no gain on the pattern
@@ -61,7 +61,7 @@ class SynthesisInfo:
     gain: GainMatrix
     cost: float
     iterations: int
-    converged: bool  # the violation fell below _EPS_STOP (always, warm)
+    converged: bool  # always True: a synthesis that does not converge raises
 
 
 class _AugLagEval:
@@ -122,6 +122,7 @@ def synthesize_structured_info(
     when only init is stabilizing, and raises NotStabilizing when neither
     is.
     """
+    plant.partition.check_same(pattern.partition, "pattern")
     comp = pattern.complement_identity()
     ident = pattern.structural_identity()
     # Without an input on the pattern, trace(A - B K) = trace(A) for every
@@ -131,11 +132,11 @@ def synthesize_structured_info(
 
     start = None if init is None else _closed_loop(plant, init.project(pattern))
     if start is not None and start.stable:
-        outer, tightened = 0, True
+        outer = 0
     else:
         if init is not None and not _closed_loop(plant, init).stable:
             raise NotStabilizing("neither the initial gain nor its projection is stabilizing")
-        start, outer, tightened = _multiplier_loop(plant, comp, ident)
+        start, outer = _multiplier_loop(plant, comp, ident)
 
     # the polish: projected-gradient descent of J on the free entries
     trail = _Trail(start, lambda c: c)
@@ -143,37 +144,24 @@ def synthesize_structured_info(
                   grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER)
     require_converged(res, "structured polish")
     gain = _carry(GainMatrix(res.x * ident, plant.partition), trail.last)  # exact off-pattern zeros
-    return SynthesisInfo(gain=gain, cost=res.value, iterations=outer, converged=tightened)
+    return SynthesisInfo(gain=gain, cost=res.value, iterations=outer, converged=True)
 
 
 def _multiplier_loop(plant, comp, ident):
     """The multiplier loop from K_c (module docstring). Returns the closed
-    loop of the last stabilizing projection, the number of outer iterations,
-    and whether the violation fell below _EPS_STOP there."""
+    loop of the first stabilizing projection whose violation is below
+    _EPS_STOP, and the number of outer iterations before it."""
     cl = _closed_loop(plant, lqr_centralized(plant))
     lam = np.zeros_like(cl.k)
     gamma = _GAMMA0
-    best_projection = None
-    tightened = False
-
-    outer = 0
     for outer in range(_MAX_OUTER):
-        k = cl.k
-        violation = float(np.linalg.norm(k * comp))
-        projection = _ClosedLoop(plant, k * ident)
-        if projection.stable:
-            best_projection = projection
-            if violation < _EPS_STOP:
-                tightened = True
-                break
+        if np.linalg.norm(cl.k * comp) < _EPS_STOP:
+            projection = _ClosedLoop(plant, cl.k * ident)
+            if projection.stable:
+                return projection, outer
         # Loose-to-tight inner tolerance keeps early outer iterations cheap.
         inner_tol = max(_INNER_TOL, 1e-2 / gamma)
         _, cl = _inner_solve(cl, lam, gamma, comp, inner_tol)
         lam = lam + gamma * (cl.k * comp)
         gamma = _ALPHA * gamma
-
-    if best_projection is None:
-        raise PatternNotStabilizable(
-            f"no stabilizing projected iterate within {_MAX_OUTER} outer iterations"
-        )
-    return best_projection, outer, tightened
+    raise PatternNotStabilizable(f"no tight stabilizing projection within {_MAX_OUTER} outer iterations")

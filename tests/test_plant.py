@@ -106,6 +106,12 @@ class TestGainMatrix:
         assert projected is not ex1_gain
         assert projected.project(diagonal) is projected
 
+    def test_project_onto_another_grid_rejected(self, ex1_gain, ex1_partition):
+        # the same 4 x 8 matrix in other blocks, and one node over all of it
+        for part in (BlockPartition((1, 1, 1, 1), (1, 3, 2, 2)), BlockPartition((4,), (8,))):
+            with pytest.raises(DimensionMismatch):
+                ex1_gain.project(SparsityPattern.full(part))
+
     def test_nonfinite_rejected(self):
         part = BlockPartition((1,), (1,))
         with pytest.raises(DimensionMismatch):

@@ -195,6 +195,14 @@ class TestRemovalLoss:
         with pytest.raises(InvalidAssumption):
             removal_loss(plant, diag, (0, 1), base=base)
 
+    def test_base_pattern_on_another_grid_rejected(self):
+        plant = generate_plant(2, 0)
+        diag = SparsityPattern.diagonal(plant.partition)
+        base = synthesize_structured_info(plant, diag)
+        other = SparsityPattern(diag.mask, BlockPartition((1, 1), (1, 3)))
+        with pytest.raises(DimensionMismatch):
+            removal_loss(plant, other, (0, 0), base=base)
+
 
 def entry(beta, gain, mask, partition, polished=None):
     """A sweep entry whose polish is polished, or a record of gain."""

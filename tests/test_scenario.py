@@ -683,6 +683,46 @@ class TestCli:
         assert code == 3
         assert "not stabilizable" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "rows, cols, mask",
+        [([1, 1], [1, 3], [[True, False], [False, True]]), ([2], [4], [[True]])],
+        ids=["other_column_blocks", "one_node"],
+    )
+    def test_synth_pattern_on_another_grid_exit_four(self, tmp_path, capsys, rows, cols, mask):
+        # the plant's gain is 2 x 4 in blocks (1, 1) x (2, 2); a pattern over
+        # the same 2 x 4 in other blocks would zero the wrong entries
+        write_json(tmp_path / "plant.json", plant_to_doc(generate_plant(2, 0)))
+        write_json(tmp_path / "pattern.json", {"mask": mask, "rowBlockSizes": rows, "colBlockSizes": cols})
+        code = main(["synth", "--plant", str(tmp_path / "plant.json"),
+                     "--pattern", str(tmp_path / "pattern.json")])
+        assert code == 4
+        assert "input error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["gen", "synth", "run"])
+    def test_out_naming_a_file_exit_four(self, tmp_path, capsys, monkeypatch, command):
+        # --out names a directory; a file in its place is an input error,
+        # which run reports before the sweep
+        def no_sweep(*args, **kwargs):
+            pytest.fail("sparsity_sweep ran with an --out that cannot be made")
+
+        monkeypatch.setattr(scenario_module, "sparsity_sweep", no_sweep)
+        from sparselink import SparsityPattern, pattern_to_doc
+
+        plant = generate_plant(2, 0)
+        write_json(tmp_path / "plant.json", plant_to_doc(plant))
+        write_json(tmp_path / "pattern.json", pattern_to_doc(SparsityPattern.diagonal(plant.partition)))
+        taken = tmp_path / "taken"
+        taken.write_text("a file, not a directory")
+        argv = {
+            "gen": ["gen", "--n-nodes", "2", "--seed", "0"],
+            "synth": ["synth", "--plant", str(tmp_path / "plant.json"),
+                      "--pattern", str(tmp_path / "pattern.json")],
+            "run": ["run", "--scenario", str(write_scenario(tmp_path, None))],
+        }[command]
+        assert main(argv + ["--out", str(taken)]) == 4
+        assert "input error" in capsys.readouterr().err
+        assert taken.read_text() == "a file, not a directory"
+
     @pytest.mark.parametrize("init", ["synth_output", "lqr", "not_stabilizing"])
     def test_synth_init(self, tmp_path, capsys, init):
         # --init warm-starts the synthesis: it polishes from the init's

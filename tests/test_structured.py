@@ -7,6 +7,7 @@ from scipy.linalg import block_diag, solve_continuous_are
 from conftest import fd_gradient, perturbed_gain, single_node_plant
 from sparselink import (
     BlockPartition,
+    DimensionMismatch,
     GainMatrix,
     LineSearchFailure,
     LostStabilizability,
@@ -289,6 +290,50 @@ class TestSynthesizeStructured:
         pattern = SparsityPattern.diagonal(plant.partition)
         with pytest.raises(PatternNotStabilizable):
             synthesize_structured_info(plant, pattern)
+
+    def test_loop_that_never_tightens_raises(self, monkeypatch):
+        # the violation never falls below a stop tolerance of 0: the loop
+        # raises instead of returning a gain whose stop test failed
+        monkeypatch.setattr(structured, "_EPS_STOP", 0.0)
+        monkeypatch.setattr(structured, "_MAX_OUTER", 3)
+        plant = two_node_plant(7)
+        with pytest.raises(PatternNotStabilizable):
+            synthesize_structured_info(plant, SparsityPattern.diagonal(plant.partition))
+
+    def test_one_projection_per_cold_synthesis(self, monkeypatch):
+        # the projection K o I is factored only once the violation is below
+        # _EPS_STOP, and the first stabilizing one stops the loop
+        projections = []
+
+        def counting(plant, k):
+            projections.append(k)
+            return _ClosedLoop(plant, k)
+
+        monkeypatch.setattr(structured, "_ClosedLoop", counting)
+        for seed in (5, 7):
+            plant = two_node_plant(seed)
+            pattern = SparsityPattern.diagonal(plant.partition)
+            projections.clear()
+            info = synthesize_structured_info(plant, pattern)
+            assert info.iterations >= 2
+            assert len(projections) == 1
+            assert np.all(projections[0] * pattern.complement_identity() == 0.0)
+            assert info.converged
+
+    @pytest.mark.parametrize(
+        "rows, cols, mask",
+        [((1, 1), (1, 3), [[True, False], [False, True]]), ((2,), (4,), [[True]])],
+        ids=["other_column_blocks", "one_node"],
+    )
+    def test_pattern_on_another_grid_rejected(self, rows, cols, mask):
+        # the same 2 x 4 gain in other blocks: a projection would zero the
+        # wrong entries, cold or warm
+        plant = two_node_plant(0)
+        pattern = SparsityPattern(np.array(mask), BlockPartition(rows, cols))
+        with pytest.raises(DimensionMismatch):
+            synthesize_structured_info(plant, pattern)
+        with pytest.raises(DimensionMismatch):
+            synthesize_structured_info(plant, pattern, init=lqr_centralized(plant))
 
     def test_no_input_on_pattern_fails_before_any_factorization(self, monkeypatch):
         # B^T o I = 0 makes trace(A - B K) = trace(A) = 0 for every K on the
