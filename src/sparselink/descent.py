@@ -14,7 +14,8 @@ pattern, sparse_gain the block soft-threshold of its penalty. A trial at
 step tau is prox(x - tau g, tau), accepted when F(trial) <= F -
 (ARMIJO_C1 / tau) ||trial - x||^2 (for h = 0 the Armijo test); step sizes
 are seeded by a Barzilai-Borwein estimate. A trial that does not move x
-ends the descent as stalled.
+ends the descent as stalled. make_eval evaluates x0 first, then each
+trial, and is asked a gradient only at x0 and at each accepted trial.
 """
 from __future__ import annotations
 
@@ -57,23 +58,21 @@ def descend(
     grad_tol: float,
     max_iter: int,
     prox=None,
-    start=None,
 ) -> DescentResult:
     """Minimize F = f + h from a feasible start (see the module docstring).
 
     make_eval(x) must return an object with a float attribute `value`, F(x)
     (+inf allowed for infeasible points), and a `gradient()` method, the
-    gradient of f, that is only called at finite-value points. start, when
-    given, is the caller's make_eval(x0), so x0 is not evaluated again.
-    prox(v, s), when given, is the proximal map of s h. Every iterate up to
-    the max_iter-th is tested for convergence, at a fixed point of the
+    gradient of f, that is only called at finite-value points. prox(v, s),
+    when given, is the proximal map of s h. Every iterate up to the
+    max_iter-th is tested for convergence, at a fixed point of the
     proximal map: ||x - prox(x - S g, S)||_F / S <= grad_tol (1 + ||x||_F)
     for S = _RESIDUAL_STEP (for a projection, the projected gradient norm).
     """
     if prox is None:
         prox = _identity
     x = np.array(x0, dtype=float)
-    ev = make_eval(x) if start is None else start
+    ev = make_eval(x)
     f = ev.value
     if not math.isfinite(f):
         raise NotStabilizing("descent requires a feasible starting point")

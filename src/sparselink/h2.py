@@ -29,10 +29,10 @@ A GainMatrix can carry the closed loop of its K (_carry), which holds all
 that is derived from K, the removal losses' Hessian factors too. A solve
 handed the gain on the same plant takes that loop, and a loop factored for
 the gain stays on it (_closed_loop). Every descent over closed loops runs
-on a _Trail, which keeps the last loop it factored, and its solver hands
-that loop to the gain it returns (_carry) or to the next solve
-(_Trail.end), so a gain passed from stage to stage is factored once. Only
-_holds decides whether a loop belongs to a K: byte for byte.
+on a _Trail, which factors only a K its last loop does not hold, and its
+solver hands that loop to the gain it returns (_carry) or to the next
+solve (_Trail.loop), so a gain passed from stage to stage is factored
+once. Only _holds decides whether a loop belongs to a K: byte for byte.
 """
 from __future__ import annotations
 
@@ -219,20 +219,21 @@ def _closed_loop(plant: LtiPlant, gain) -> _ClosedLoop:
 
 class _Trail:
     """The closed loops of one descent from the loop start: called as
-    descent.descend's make_eval, it factors the trial K once, keeps that
-    loop as last and returns objective(loop)."""
+    descent.descend's make_eval, it returns objective(loop(k))."""
 
     def __init__(self, start: _ClosedLoop, objective):
         self.last = start
         self._objective = objective
 
     def __call__(self, k: np.ndarray):
-        self.last = _ClosedLoop(self.last.plant, k)
-        return self._objective(self.last)
+        return self._objective(self.loop(k))
 
-    def end(self, x: np.ndarray) -> _ClosedLoop:
-        """The loop of the end point x: last, unless the descent ended on a rejected trial."""
-        return self.last if _holds(self.last, x) else _ClosedLoop(self.last.plant, x)
+    def loop(self, k: np.ndarray) -> _ClosedLoop:
+        """The closed loop of K = k: last when it holds k, else k factored
+        once and kept as last."""
+        if not _holds(self.last, k):
+            self.last = _ClosedLoop(self.last.plant, k)
+        return self.last
 
 
 def solve_lyapunov(a_cl: np.ndarray, q_hat: np.ndarray) -> np.ndarray:
@@ -275,10 +276,11 @@ def lqr_centralized(plant: LtiPlant) -> GainMatrix:
     72(12), 1984). The gain carries the loop of A - B K_c, the one
     factorization made here. Raises RiccatiFailure when the solve fails or
     K_c is not stabilizing. Q and R go in symmetrized: the plant admits a
-    rounding asymmetry that scipy refuses."""
+    rounding asymmetry that scipy refuses. A scipy ValueError (an ordqz
+    that cannot reorder) is a failed solve: the plant rules out the rest."""
     try:
         p = solve_continuous_are(plant.A, plant.B, _sym(plant.Q), _sym(plant.R))
-    except np.linalg.LinAlgError as exc:
+    except (np.linalg.LinAlgError, ValueError) as exc:
         raise RiccatiFailure(f"Riccati solve failed: {exc}") from exc
     cl = _ClosedLoop(plant, np.linalg.solve(plant.R, plant.B.T @ p))
     if not cl.stable:

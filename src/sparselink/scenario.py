@@ -67,8 +67,8 @@ class GeneratorSpec:
             raise InvalidAssumption(f"generator needs n_nodes >= 2, got {self.n_nodes}")
         if self.seed < 0:
             raise InvalidAssumption(f"generator needs seed >= 0, got {self.seed}")
-        if not self.delta > 0:
-            raise InvalidAssumption(f"generator needs delta > 0, got {self.delta}")
+        if not 0 < self.delta < math.inf:
+            raise InvalidAssumption(f"generator needs a finite delta > 0, got {self.delta}")
         if self.node_state < 1 or self.node_input < 1:
             raise InvalidAssumption("node dimensions must be positive")
 

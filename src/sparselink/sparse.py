@@ -24,7 +24,8 @@ the table values (priority.rank_links). No pass or polish factors its start
 again: each gain carries the closed loop of its K -- K_c the loop
 lqr_centralized factored, a sparse or polished gain the last loop its
 solve evaluated -- by the hand-off of the h2 module docstring (h2._Trail,
-h2._carry, h2._closed_loop). A sparse gain already on its pattern is its own
+which answers a descent's start from that loop, h2._carry,
+h2._closed_loop). A sparse gain already on its pattern is its own
 projection (GainMatrix.project), so its polish starts from its loop. An
 entry whose pattern equals the previous entry's takes that entry's polish
 instead of polishing again.
@@ -144,7 +145,6 @@ def sparse_gain(
         grad_tol=_RESIDUAL_TOL,
         max_iter=_MAX_ITER,
         prox=lambda v, s: block_soft_threshold(v, s * beta * weights, partition),
-        start=_Penalized(cl, beta, weights),
     )
     require_converged(res, "proximal gradient")
     return _carry(GainMatrix(res.x, partition), trail.last)

@@ -17,13 +17,13 @@ whose projection is not stabilizing falls back to the cold start.
 
 Every closed loop the method factors serves all its later uses, by the
 hand-off of the h2 module docstring: an inner solve starts from the loop
-its predecessor ended on (h2._Trail.end), and the polish from the
-stability check of the projection it starts at. An init already on the
-pattern is its own projection and brings the closed loop it carries
-(h2._closed_loop), and the returned gain is handed the last loop the polish
-evaluated (h2._carry), so the next solve from it factors nothing. A polish
-that does not converge raises the typed error of its status, so
-SynthesisInfo.converged is always True.
+its predecessor ended on (h2._Trail.loop), the polish from the stability
+check of the projection it starts at, and each descent's start is that
+loop. An init already on the pattern is its own projection and brings the
+closed loop it carries (h2._closed_loop), and the returned gain is handed
+the last loop the polish evaluated (h2._carry), so the next solve from it
+factors nothing. A polish that does not converge raises the typed error of
+its status, so SynthesisInfo.converged is always True.
 
 A pattern with no input entry (B^T o I = 0) cannot move trace(A - B K) off
 trace(A); when that is not below -n STABILITY_TOL, no gain on the pattern
@@ -99,12 +99,10 @@ def augmented_lagrangian(plant: LtiPlant, gain, multiplier, gamma: float, patter
 
 def _inner_solve(cl, lam, gamma, comp, grad_tol):
     """Descent of L_g over unstructured K at a fixed multiplier and penalty
-    from the closed loop cl; returns the descent result and the closed loop
-    of its end point (h2._Trail.end)."""
+    from the closed loop cl; returns the closed loop of its end point
+    (h2._Trail.loop)."""
     trail = _Trail(cl, lambda c: _AugLagEval(c, lam, gamma, comp))
-    res = descend(trail, cl.k, start=_AugLagEval(cl, lam, gamma, comp),
-                  grad_tol=grad_tol, max_iter=_INNER_MAX_ITER)
-    return res, trail.end(res.x)
+    return trail.loop(descend(trail, cl.k, grad_tol=grad_tol, max_iter=_INNER_MAX_ITER).x)
 
 
 def synthesize_structured_info(
@@ -140,7 +138,7 @@ def synthesize_structured_info(
 
     # the polish: projected-gradient descent of J on the free entries
     trail = _Trail(start, lambda c: c)
-    res = descend(trail, start.k, start=start, prox=lambda v, s: v * ident,
+    res = descend(trail, start.k, prox=lambda v, s: v * ident,
                   grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER)
     require_converged(res, "structured polish")
     gain = _carry(GainMatrix(res.x * ident, plant.partition), trail.last)  # exact off-pattern zeros
@@ -161,7 +159,7 @@ def _multiplier_loop(plant, comp, ident):
                 return projection, outer
         # Loose-to-tight inner tolerance keeps early outer iterations cheap.
         inner_tol = max(_INNER_TOL, 1e-2 / gamma)
-        _, cl = _inner_solve(cl, lam, gamma, comp, inner_tol)
+        cl = _inner_solve(cl, lam, gamma, comp, inner_tol)
         lam = lam + gamma * (cl.k * comp)
         gamma = _ALPHA * gamma
     raise PatternNotStabilizable(f"no tight stabilizing projection within {_MAX_OUTER} outer iterations")

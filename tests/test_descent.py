@@ -77,22 +77,51 @@ def test_prox_onto_one_point_converges_in_one_iteration(max_iter):
     assert np.array_equal(res.x, point)
 
 
-def test_start_evaluation_is_not_repeated():
-    target = np.array([[1.0, -2.0], [3.0, 0.5]])
-    x0 = np.zeros((2, 2))
-    evaluated = []
+@settings(max_examples=60, deadline=None)
+@given(rows=st.integers(1, 3), cols=st.integers(1, 4), seed=st.integers(0, 10_000),
+       projected=st.booleans(), max_iter=st.sampled_from([1, 5, 500]))
+def test_each_point_is_evaluated_once(rows, cols, seed, projected, max_iter):
+    # f a random convex quadratic 0.5 <x, A x> - <b, x>, with no prox or the
+    # projection onto a random mask (the polish's prox). descend evaluates
+    # the start once, first, then one point per trial, and asks a gradient
+    # of the start and of each accepted trial only, once each: so the
+    # evaluations are 1 + iterations + the rejected trials, those it asks no
+    # gradient of. A projection maps distinct steps to distinct points, so
+    # no point is evaluated twice in a row.
+    rng = np.random.default_rng(seed)
+    shape = (rows, cols)
+    root = rng.standard_normal((rows * cols,) * 2)
+    a = root @ root.T / root.shape[0] + 0.1 * np.eye(root.shape[0])
+    b = rng.standard_normal(shape)
+    mask = rng.random(shape) < 0.6 if projected else np.ones(shape, dtype=bool)
+    x0 = rng.standard_normal(shape) * mask
+    evaluations = []
 
-    def make(x):
-        evaluated.append(x)
-        return _Quadratic(x, target)
+    class _Counted:
+        def __init__(self, x):
+            self.x = x
+            self.graded = 0
+            ax = (a @ x.ravel()).reshape(shape)
+            self._g = ax - b
+            self.value = 0.5 * float(np.sum(x * ax)) - float(np.sum(b * x))
+            evaluations.append(self)
 
-    plain = descend(make, x0, grad_tol=1e-10, max_iter=200)
-    n_plain = len(evaluated)
-    evaluated.clear()
-    started = descend(make, x0, grad_tol=1e-10, max_iter=200, start=_Quadratic(x0, target))
-    assert len(evaluated) == n_plain - 1
-    assert not any(x is x0 or np.array_equal(x, x0) for x in evaluated)
-    assert np.array_equal(started.x, plain.x) and started.iterations == plain.iterations
+        def gradient(self):
+            self.graded += 1
+            return self._g
+
+    res = descend(_Counted, x0, grad_tol=1e-6, max_iter=max_iter,
+                  prox=(lambda v, s: v * mask) if projected else None)
+    points = [ev.x.tobytes() for ev in evaluations]
+    assert points[0] == x0.tobytes() and points.count(x0.tobytes()) == 1
+    assert all(p != q for p, q in zip(points, points[1:]))
+    accepted = [ev for ev in evaluations if ev.graded]
+    rejected = [ev for ev in evaluations if not ev.graded]
+    assert all(ev.graded == 1 for ev in accepted)
+    assert all(later.value < earlier.value for earlier, later in zip(accepted, accepted[1:]))
+    assert accepted[-1].x.tobytes() == res.x.tobytes() and accepted[-1].value == res.value
+    assert len(accepted) == 1 + res.iterations
+    assert len(evaluations) == 1 + res.iterations + len(rejected)
 
 
 def test_infeasible_trials_rejected():

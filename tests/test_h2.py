@@ -28,16 +28,19 @@ from sparselink import (
     BlockPartition,
     DimensionMismatch,
     GainMatrix,
+    GeneratorSpec,
     LtiPlant,
     NotHurwitz,
     NotStabilizing,
     RiccatiFailure,
+    Scenario,
     SparsityPattern,
     closed_loop_cost,
     cost_gradient,
     generate_plant,
     is_stabilizing,
     lqr_centralized,
+    run_pipeline,
     solve_lyapunov,
 )
 from sparselink import descent, h2, structured
@@ -287,10 +290,10 @@ class TestLoopHandOff:
         start = _ClosedLoop(plant, lqr_centralized(plant).K)
         factored = self._factorizations(monkeypatch)
         trail = _Trail(start, lambda c: c)
-        assert trail.end(start.k.copy()) is start and not factored
+        assert trail.loop(start.k.copy()) is start and not factored
         k = 1.1 * start.k
         assert trail(k).k is k and len(factored) == 1
-        assert trail.end(k.copy()) is trail.last and len(factored) == 1
+        assert trail.loop(k.copy()) is trail.last and len(factored) == 1
 
     def test_trail_end_on_a_rejected_trial_factors_once(self, monkeypatch):
         plant = generate_plant(2, 0)
@@ -298,9 +301,28 @@ class TestLoopHandOff:
         factored = self._factorizations(monkeypatch)
         trail = _Trail(start, lambda c: c)
         assert trail(-100.0 * start.k).value == math.inf  # a rejected trial
-        end = trail.end(start.k)
+        end = trail.loop(start.k)
         assert len(factored) == 2 and end is not start
         assert end.k.tobytes() == start.k.tobytes() and end.value == start.value
+
+    def test_trail_called_twice_on_one_gain_factors_once(self, monkeypatch):
+        # a backtrack whose prox maps two steps to one K (every block
+        # shrunk to zero) repeats a rejected trial: its loop is the last one
+        plant = generate_plant(2, 0)
+        start = _ClosedLoop(plant, lqr_centralized(plant).K)
+        factored = self._factorizations(monkeypatch)
+        trail = _Trail(start, lambda c: c)
+        zero = np.zeros_like(start.k)
+        first = trail(zero)
+        assert trail(zero.copy()) is first and len(factored) == 1
+
+    def test_pipeline_never_factors_one_matrix_twice_in_a_row(self, monkeypatch):
+        factored = self._factorizations(monkeypatch)
+        run_pipeline(Scenario(name="repeats", generator=GeneratorSpec(2, 0)))
+        assert len(factored) > 1
+        repeats = [i for i in range(1, len(factored))
+                   if factored[i].tobytes() == factored[i - 1].tobytes()]
+        assert not repeats
 
     def test_inner_solve_that_gives_up_on_a_rejected_trial(self, monkeypatch):
         # the descent's last trial is not its end point: the loop handed on
@@ -309,16 +331,17 @@ class TestLoopHandOff:
         start = _ClosedLoop(plant, lqr_centralized(plant).K)
         comp = SparsityPattern.diagonal(plant.partition).complement_identity()
 
-        def giving_up(make_eval, x0, *, start, **limits):
+        def giving_up(make_eval, x0, **limits):
+            ev = make_eval(x0)
             assert make_eval(-100.0 * x0).value == math.inf
-            return descent.DescentResult(np.array(x0), start.value, start.gradient(), 0,
+            return descent.DescentResult(np.array(x0), ev.value, ev.gradient(), 0,
                                          descent.LOST_STABILITY)
 
         monkeypatch.setattr(structured, "descend", giving_up)
         factored = self._factorizations(monkeypatch)
-        res, end = structured._inner_solve(start, np.zeros_like(start.k), 1.0, comp, 1e-6)
-        assert res.status == descent.LOST_STABILITY and len(factored) == 2
-        assert h2._holds(end, res.x) and end.stable
+        end = structured._inner_solve(start, np.zeros_like(start.k), 1.0, comp, 1e-6)
+        assert len(factored) == 2 and end is not start
+        assert h2._holds(end, start.k) and end.stable
 
 
 class TestRealSchur:
@@ -416,6 +439,18 @@ class TestRiccatiFailures:
             lqr_centralized(scalar_plant(a=1.0))
         scenario = tmp_path / "s.json"
         scenario.write_text('{"plant": {"generator": {"n_nodes": 2, "seed": 0}}}', encoding="utf-8")
+        assert main(["run", "--scenario", str(scenario)]) == 5
+        err = capsys.readouterr().err
+        assert err.startswith("solver failure: Riccati solve failed") and "Traceback" not in err
+
+    def test_pencil_that_scipy_cannot_reorder(self, tmp_path, capsys):
+        # delta = 1e308 shifts A so far left that ordqz cannot reorder the
+        # Hamiltonian pencil; scipy raises ValueError, not LinAlgError
+        with pytest.raises(RiccatiFailure, match="Riccati solve failed: Reordering"):
+            lqr_centralized(generate_plant(2, 0, delta=1e308))
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"plant": {"generator": {"n_nodes": 2, "seed": 0, "delta": 1e308}}}',
+                            encoding="utf-8")
         assert main(["run", "--scenario", str(scenario)]) == 5
         err = capsys.readouterr().err
         assert err.startswith("solver failure: Riccati solve failed") and "Traceback" not in err

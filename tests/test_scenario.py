@@ -115,6 +115,18 @@ class TestGeneratePlant:
             generate_plant(3, 0, node_state=0)
         with pytest.raises(InvalidAssumption):
             GeneratorSpec(3, 0, node_input=0)
+        for delta in (math.inf, math.nan):  # not A's fault, which an infinite shift would make it
+            with pytest.raises(InvalidAssumption, match="delta"):
+                GeneratorSpec(3, 0, delta=delta)
+
+    def test_infinite_delta_exit_four(self, tmp_path, capsys):
+        scenario = tmp_path / "s.json"
+        scenario.write_text('{"plant": {"generator": {"n_nodes": 2, "seed": 0, "delta": Infinity}}}',
+                            encoding="utf-8")
+        assert main(["run", "--scenario", str(scenario)]) == 4
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: generator needs a finite delta")
+        assert "Warning" not in captured.err
 
 
 class TestScenarioDoc:

@@ -108,26 +108,40 @@ class TestAugmentedLagrangian:
 
 
 class TestMinimizeInner:
-    def test_reduces_to_h2_descent(self):
+    @staticmethod
+    def _inner_solve(monkeypatch, *args):
+        """structured._inner_solve(*args), which returns the end point's loop,
+        and the result of the descent it ran."""
+        results = []
+
+        def recorded(*a, **kw):
+            results.append(descent.descend(*a, **kw))
+            return results[-1]
+
+        monkeypatch.setattr(structured, "descend", recorded)
+        end = structured._inner_solve(*args)
+        return results[0], end
+
+    def test_reduces_to_h2_descent(self, monkeypatch):
         # gamma=0 and Lambda=0 make L equal J; K_c is already stationary
         plant = two_node_plant(1)
         pattern = SparsityPattern.diagonal(plant.partition)
         kc = lqr_centralized(plant)
-        res, _ = structured._inner_solve(_ClosedLoop(plant, kc.K),
-                                         np.zeros((plant.m, plant.n)), 0.0,
-                                         pattern.complement_identity(), structured._INNER_TOL)
+        res, _ = self._inner_solve(monkeypatch, _ClosedLoop(plant, kc.K),
+                                   np.zeros((plant.m, plant.n)), 0.0,
+                                   pattern.complement_identity(), structured._INNER_TOL)
         assert res.status == descent.CONVERGED
         assert np.linalg.norm(res.x - kc.K) <= 1e-8 * (1.0 + np.linalg.norm(kc.K))
 
-    def test_inner_tolerance_contract(self):
+    def test_inner_tolerance_contract(self, monkeypatch):
         rng = np.random.default_rng(47)
         plant = two_node_plant(2)
         pattern = SparsityPattern.diagonal(plant.partition)
         lam = 0.1 * rng.standard_normal((plant.m, plant.n))
         gamma = 5.0
         comp = pattern.complement_identity()
-        res, end = structured._inner_solve(_ClosedLoop(plant, lqr_centralized(plant).K),
-                                           lam, gamma, comp, structured._INNER_TOL)
+        res, end = self._inner_solve(monkeypatch, _ClosedLoop(plant, lqr_centralized(plant).K),
+                                     lam, gamma, comp, structured._INNER_TOL)
         assert res.status == descent.CONVERGED
         assert np.array_equal(end.k, res.x)
         g = _AugLagEval(end, lam, gamma, comp).gradient()
@@ -149,7 +163,7 @@ class TestMinimizeInner:
             return schur(a)
 
         monkeypatch.setattr(h2, "_real_schur", recording)
-        res, end = structured._inner_solve(start, lam, 5.0, comp, structured._INNER_TOL)
+        res, end = self._inner_solve(monkeypatch, start, lam, 5.0, comp, structured._INNER_TOL)
         assert res.iterations > 0
         assert not any(np.array_equal(a, a_start) for a in factored)
         # the end point's closed loop is the one the accepted trial built
@@ -408,8 +422,8 @@ class TestSynthesizeStructured:
         plant = two_node_plant(9)
         init = GainMatrix(1.5 * lqr_centralized(plant).K, plant.partition)
 
-        def giving_up(make_eval, x0, *, start=None, **limits):
-            ev = make_eval(x0) if start is None else start
+        def giving_up(make_eval, x0, **limits):
+            ev = make_eval(x0)
             return descent.DescentResult(np.array(x0), ev.value, ev.gradient(), 0, status)
 
         monkeypatch.setattr(structured, "descend", giving_up)
