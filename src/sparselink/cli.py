@@ -33,6 +33,7 @@ from .scenario import (
     write_artifacts,
 )
 from .serialize import (
+    _loads,
     attack_from_doc,
     dumps_canonical,
     gain_from_doc,
@@ -117,7 +118,7 @@ def _cmd_reroute(args) -> int:
     table = table_from_doc(read_json(args.table))
     # --attack takes a JSON file path or an inline JSON literal
     if args.attack.lstrip().startswith(("{", "[")):
-        attack_doc = json.loads(args.attack)
+        attack_doc = _loads(args.attack, "--attack")
     else:
         attack_doc = read_json(args.attack)
     attack = attack_from_doc(attack_doc, table.r1)

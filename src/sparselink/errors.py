@@ -1,5 +1,5 @@
-"""Exception types raised across the package, and the integer rule that
-every reader of outside input applies (_integer).
+"""Exception types raised across the package, and the value-kind rules
+that every reader of outside input applies (_integer, _real, _boolean).
 
 Every error subclasses SparselinkError plus the closest builtin category,
 so callers can catch either the package base or the usual builtin. Each
@@ -85,3 +85,22 @@ def _integer(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise InvalidAssumption(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def _real(value, name: str) -> float:
+    """value as a float; a bool or a non-number is rejected, not converted,
+    and so is an integer too large for a double. Finiteness and range are
+    the caller's rule."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise InvalidAssumption(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise InvalidAssumption(f"{name} must fit a double, got a number too large for one") from exc
+
+
+def _boolean(value, name: str) -> bool:
+    """value, which must be a bool: a number or a string is rejected."""
+    if not isinstance(value, bool):
+        raise InvalidAssumption(f"{name} must be true or false, got {value!r}")
+    return value

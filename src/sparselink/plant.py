@@ -279,16 +279,16 @@ class LtiPlant:
     def _check_pbh(self):
         # PBH tests on modes with Re >= 0: stabilizability needs
         # rank [A - lam I, B] = n, detectability rank [A - lam I; Q^{1/2}] = n.
+        # Q^{1/2} is formed only for such a mode: a Hurwitz A tests none.
         n = self.n
         eye = np.eye(n)
-        qs = self.state_weight_sqrt()
         for lam in np.linalg.eigvals(self.A):
             if lam.real < -STABILITY_TOL:
                 continue
             shifted = self.A - lam * eye
             if np.linalg.matrix_rank(np.hstack([shifted, self.B])) < n:
                 raise NotStabilizing(f"(A, B) not stabilizable at eigenvalue {lam}")
-            if np.linalg.matrix_rank(np.vstack([shifted, qs])) < n:
+            if np.linalg.matrix_rank(np.vstack([shifted, self.state_weight_sqrt()])) < n:
                 raise NotStabilizing(f"(A, Q^1/2) not detectable at eigenvalue {lam}")
 
     @property

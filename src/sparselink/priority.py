@@ -78,7 +78,7 @@ class PriorityRow:
 @dataclass(frozen=True)
 class PriorityTable:
     """Rows in ascending priority; row k (0-based) has q = k + 1. Each row
-    names its own block (i, j >= 0) and carries at least one unit."""
+    names its own block (i, j >= 0) of size >= 1 and holds finite values."""
 
     rows: tuple[PriorityRow, ...]
 
@@ -101,6 +101,8 @@ class PriorityTable:
                 raise DimensionMismatch("all value rows must share the padded width")
             if any(r.size > width for r in rows):
                 raise DimensionMismatch("row size exceeds the padded width")
+            if not all(math.isfinite(v) for r in rows for v in r.values):
+                raise DimensionMismatch("table values must be finite")
             if any(any(v != 0.0 for v in r.values[r.size:]) for r in rows):
                 raise DimensionMismatch("padding beyond a row's size must be zero")
 

@@ -16,14 +16,13 @@ import csv
 import dataclasses
 import io
 import math
-import numbers
 from collections.abc import Sequence
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidAssumption, _integer
+from .errors import IndexOutOfRange, InvalidAssumption, _integer, _real
 from .h2 import closed_loop_cost
 from .plant import BlockPartition, LtiPlant, SparsityPattern
 from .priority import PriorityTable, rank_links
@@ -61,8 +60,7 @@ class GeneratorSpec:
     def __post_init__(self):
         for name in ("n_nodes", "seed", "node_state", "node_input"):
             _integer(getattr(self, name), f"generator {name}")
-        if isinstance(self.delta, bool) or not isinstance(self.delta, numbers.Real):
-            raise InvalidAssumption(f"generator delta must be a number, got {self.delta!r}")
+        _real(self.delta, "generator delta")
         if self.n_nodes < 2:
             raise InvalidAssumption(f"generator needs n_nodes >= 2, got {self.n_nodes}")
         if self.seed < 0:

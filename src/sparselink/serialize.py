@@ -11,12 +11,11 @@ rather than write Infinity or NaN.
 from __future__ import annotations
 
 import json
-import numbers
 from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidAssumption, _integer
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidAssumption, _boolean, _integer, _real
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .priority import PriorityRow, PriorityTable
 from .reroute import RerouteOutcome
@@ -32,41 +31,37 @@ def write_json(path, doc) -> None:
 
 
 def read_json(path):
-    return json.loads(Path(path).read_text(encoding="utf-8"))
+    return _loads(Path(path).read_text(encoding="utf-8"), path)
+
+
+def _loads(text: str, source):
+    """json.loads; an integer past Python's digit limit is InvalidAssumption,
+    and JSONDecodeError passes as it is."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        raise InvalidAssumption(f"{source}: {exc}") from exc
 
 
 def _matrix_doc(a) -> list:
     return np.asarray(a, dtype=float).tolist()
 
 
-def _json_array(doc, name: str, leaf, ndim: int) -> np.ndarray:
-    """doc as an ndim-dimensional array of leaf (float or bool).
-    InvalidAssumption unless doc nests regularly and every entry is a JSON
-    value of that kind: a bool is not a number and a string is neither, so
-    neither is converted. DimensionMismatch for the wrong number of levels."""
-    if leaf is bool:
-        ok, kind = (lambda v: isinstance(v, bool)), "booleans"
-    else:
-        ok, kind = (lambda v: isinstance(v, numbers.Real) and not isinstance(v, bool)), "numbers"
+def _json_array(doc, name: str, rule, ndim: int) -> np.ndarray:
+    """doc as an ndim-dimensional array of rule's values (errors._real or
+    errors._boolean). InvalidAssumption unless doc nests regularly and rule
+    takes every entry; DimensionMismatch for the wrong number of levels.
+    Shapes are the checking type's rule."""
     try:
         a = np.array(doc, dtype=object)
     except ValueError as exc:
-        raise InvalidAssumption(f"{name} must be a regular array of {kind}") from exc
-    for v in a.flat:
-        if not ok(v):
-            raise InvalidAssumption(f"{name} must be a regular array of {kind}, got entry {v!r}")
+        raise InvalidAssumption(f"{name} must be a regular array") from exc
+    values = [rule(v, f"{name} entry") for v in a.flat]
     if a.ndim != ndim:
         raise DimensionMismatch(f"{name} must be an array of {ndim} dimensions, got {a.ndim}")
-    return a.astype(leaf)
-
-
-def _matrix_from(doc, name: str, rows: int | None = None, cols: int | None = None):
-    a = _json_array(doc, name, float, 2)
-    if rows is not None and a.shape[0] != rows:
-        raise DimensionMismatch(f"{name} has {a.shape[0]} rows, expected {rows}")
-    if cols is not None and a.shape[1] != cols:
-        raise DimensionMismatch(f"{name} has {a.shape[1]} columns, expected {cols}")
-    return a
+    return np.array(values).reshape(a.shape)
 
 
 def _integers(doc, name: str) -> tuple[int, ...]:
@@ -122,15 +117,7 @@ def plant_from_doc(doc: dict) -> LtiPlant:
         _integers(doc["rowBlockSizes"], "rowBlockSizes"),
         _integers(doc["colBlockSizes"], "colBlockSizes"),
     )
-    n, m = partition.n, partition.m
-    return LtiPlant(
-        _matrix_from(doc["A"], "A", n, n),
-        _matrix_from(doc["B"], "B", n, m),
-        _matrix_from(doc["W"], "W", n, None),
-        _matrix_from(doc["Q"], "Q", n, n),
-        _matrix_from(doc["R"], "R", m, m),
-        partition,
-    )
+    return LtiPlant(*(_json_array(doc[name], name, _real, 2) for name in "ABWQR"), partition)
 
 
 # ---------------------------------------------------------------------------
@@ -150,7 +137,7 @@ def pattern_from_doc(doc: dict) -> SparsityPattern:
         _integers(doc["rowBlockSizes"], "rowBlockSizes"),
         _integers(doc["colBlockSizes"], "colBlockSizes"),
     )
-    return SparsityPattern(_json_array(doc["mask"], "mask", bool, 2), partition)
+    return SparsityPattern(_json_array(doc["mask"], "mask", _boolean, 2), partition)
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +170,7 @@ def table_from_doc(doc) -> PriorityTable:
                     j=_integer(entry["j"], "j"),
                     q=_integer(entry["q"], "q"),
                     size=_integer(entry["s"], "s"),
-                    values=tuple(_json_array(entry["values"], "values", float, 1).tolist()),
+                    values=tuple(_json_array(entry["values"], "values", _real, 1).tolist()),
                 )
             )
         rows.sort(key=lambda r: r.q)
@@ -212,9 +199,7 @@ def outcome_from_doc(doc: dict) -> RerouteOutcome:
     rerouted = frozenset(_integers(doc["rerouted"], "rerouted"))
     dropped = frozenset(_integers(doc["dropped"], "dropped"))
     sacrificed = frozenset(_integers(doc["sacrificed"], "sacrificed"))
-    feasible = doc["feasible"]
-    if not isinstance(feasible, bool):
-        raise InvalidAssumption(f"feasible must be true or false, got {feasible!r}")
+    feasible = _boolean(doc["feasible"], "feasible")
     table = table_from_doc(doc["n_final"])
     return RerouteOutcome(
         table=table,
@@ -241,16 +226,14 @@ def gain_to_doc(info: SynthesisInfo, pattern: SparsityPattern) -> dict:
 
 def gain_from_doc(doc: dict, partition: BlockPartition) -> GainMatrix:
     _fields(doc, "gain document", ("K",))
-    return GainMatrix(_matrix_from(doc["K"], "K", partition.m, partition.n), partition)
+    return GainMatrix(_json_array(doc["K"], "K", _real, 2), partition)
 
 
 # ---------------------------------------------------------------------------
 # attack specs
 
 def _fraction(value, name: str) -> float:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidAssumption(f"{name} must be a number, got {value!r}")
-    value = float(value)
+    value = _real(value, name)
     if not 0.0 <= value <= 1.0:
         raise InvalidAssumption(f"{name} {value} outside [0, 1]")
     return value

@@ -33,13 +33,12 @@ instead of polishing again.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .descent import descend, require_converged
-from .errors import DimensionMismatch, InvalidAssumption
+from .errors import DimensionMismatch, InvalidAssumption, _real
 from .h2 import _carry, _closed_loop, _Trail, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import SynthesisInfo, synthesize_structured_info
@@ -165,11 +164,9 @@ def default_beta_schedule(j_centralized: float) -> tuple[float, ...]:
 def _checked_schedule(schedule) -> tuple[float, ...]:
     """The beta schedule as floats; InvalidAssumption unless it is a list of
     finite non-negative numbers in strictly increasing order."""
-    if not isinstance(schedule, (list, tuple, np.ndarray)) or not all(
-        isinstance(b, numbers.Real) and not isinstance(b, bool) for b in schedule
-    ):
+    if not isinstance(schedule, (list, tuple, np.ndarray)):
         raise InvalidAssumption(f"beta schedule must be a list of numbers, got {schedule!r}")
-    sched = tuple(float(b) for b in schedule)
+    sched = tuple(_real(b, "beta schedule entry") for b in schedule)
     if not all(0.0 <= b < math.inf for b in sched):
         raise InvalidAssumption("beta schedule must be finite and non-negative")
     if any(b2 <= b1 for b1, b2 in zip(sched, sched[1:])):

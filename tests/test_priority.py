@@ -87,6 +87,11 @@ class TestPriorityTable:
         with pytest.raises(DimensionMismatch):
             PriorityTable((PriorityRow(0, 0, 1, 3, (1.0, 2.0)),))
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_value_rejected(self, value):
+        with pytest.raises(DimensionMismatch, match="finite"):
+            PriorityTable((PriorityRow(0, 0, 1, 1, (value,)),))
+
     @pytest.mark.parametrize("change", [
         dict(i=-1),
         dict(j=-1),

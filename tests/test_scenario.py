@@ -1090,6 +1090,46 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("input error:")
 
+    @pytest.mark.parametrize("probe", [
+        "synth", "run_inline", "beta_schedule", "delta", "top_fraction", "reroute", "render",
+        "seed", "attack_literal", "reroute_nan", "render_nan",
+    ])
+    def test_number_no_double_holds_exit_four(self, tmp_path, capsys, probe):
+        # 10^400 and 10^333 overflow a double; 5 000 digits pass Python's
+        # integer-digit limit; a NaN table value is no table value
+        def path(name, doc):
+            (tmp_path / name).write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
+            return str(tmp_path / name)
+
+        plant = plant_to_doc(generate_plant(2, 0))
+        plant["A"][0][0] = 10 ** 400
+        pattern = {"mask": [[True, False], [False, True]], "rowBlockSizes": [1, 1], "colBlockSizes": [2, 2]}
+        row = {"i": 0, "j": 0, "q": 1, "s": 1, "values": [1.0]}
+        generator = {"generator": {"n_nodes": 2, "seed": 0}}
+        attack = ["--attack", '{"attacked_priorities": [1]}']
+        argv = {
+            "synth": lambda: ["synth", "--plant", path("plant.json", plant), "--pattern", path("pattern.json", pattern)],
+            "run_inline": lambda: ["run", "--scenario", path("s.json", {"plant": {"inline": plant}})],
+            "beta_schedule": lambda: ["run", "--scenario", path("s.json", {
+                "plant": generator, "sparsity": {"beta_schedule": [1, 10 ** 400]}})],
+            "delta": lambda: ["run", "--scenario", path("s.json", {
+                "plant": {"generator": {"n_nodes": 2, "seed": 0, "delta": 10 ** 400}}})],
+            "top_fraction": lambda: ["run", "--scenario", path("s.json", {
+                "plant": generator, "attack": {"top_fraction": 10 ** 400}})],
+            "reroute": lambda: ["reroute", "--table", path("t.json", [dict(row, values=[10 ** 333])]), *attack],
+            "render": lambda: ["render", "--table", path("t.json", [dict(row, values=[10 ** 333])])],
+            "seed": lambda: ["run", "--scenario", path(
+                "s.json", '{"plant": {"generator": {"n_nodes": 2, "seed": %s}}}' % ("1" * 5000))],
+            "attack_literal": lambda: [
+                "reroute", "--table", path("t.json", [row]), "--attack", '{"attacked_top": %s}' % ("1" * 5000)],
+            "reroute_nan": lambda: ["reroute", "--table", path("t.json", [dict(row, values=[math.nan])]), *attack],
+            "render_nan": lambda: ["render", "--table", path("t.json", [dict(row, values=[math.nan])])],
+        }[probe]()
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("input error:")
+        assert "Traceback" not in captured.err
+
     def test_render_outcome_of_another_table_exit_four(self, tmp_path, capsys, ex1_table):
         from sparselink import outcome_to_doc, table_to_doc
 

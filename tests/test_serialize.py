@@ -307,3 +307,54 @@ class TestFileIo:
         write_json(path, doc)
         assert path.read_text(encoding="utf-8") == dumps_canonical(doc)
         assert table_from_doc(read_json(path)) == ex1_table
+
+
+def _with_entry(doc, key, value):
+    """doc with value in place of the first entry of its matrix doc[key]."""
+    doc[key][0][0] = value
+    return doc
+
+
+_SIZES = {"rowBlockSizes": [1, 1], "colBlockSizes": [2, 2]}
+_ROW = {"i": 0, "j": 0, "q": 1, "s": 1, "values": [1.0]}
+
+# reader name -> (kind it takes, the field its message names, the read of a value)
+_READERS = {
+    "plant_from_doc": ("number", "A entry", lambda v: plant_from_doc(
+        _with_entry(plant_to_doc(generate_plant(2, 0)), "A", v))),
+    "gain_from_doc": ("number", "K entry", lambda v: gain_from_doc(
+        _with_entry({"K": [[0.0] * 4, [0.0] * 4]}, "K", v), BlockPartition((1, 1), (2, 2)))),
+    "table_from_doc": ("number", "values entry", lambda v: table_from_doc([dict(_ROW, values=[v])])),
+    "pattern_from_doc": ("boolean", "mask entry", lambda v: pattern_from_doc(
+        _with_entry(dict(_SIZES, mask=[[True, False], [False, True]]), "mask", v))),
+    "outcome_from_doc": ("boolean", "feasible", lambda v: outcome_from_doc(
+        {"feasible": v, "sacrificed": [], "rerouted": [], "dropped": [], "n_final": [_ROW]})),
+    "attack_from_doc": ("number", "top_fraction", lambda v: attack_from_doc({"top_fraction": v}, 4)),
+    "GeneratorSpec": ("number", "generator delta", lambda v: GeneratorSpec(2, 0, delta=v)),
+    "sparsity_sweep": ("number", "beta schedule entry", lambda v: sparsity_sweep(generate_plant(2, 0), [0.05, v])),
+}
+# a number no double holds, the other kind, and a string
+_NOT_OF_KIND = {
+    "number": (("huge", 10 ** 400), ("bool", True), ("string", "1")),
+    "boolean": (("huge", 10 ** 400), ("number", 1), ("string", "1")),
+}
+
+
+@pytest.mark.parametrize("reader, value", [
+    pytest.param(reader, value, id=f"{reader}-{label}")
+    for reader, (kind, _, _) in _READERS.items() for label, value in _NOT_OF_KIND[kind]
+])
+def test_every_reader_takes_only_its_value_kind(reader, value):
+    _, field, read = _READERS[reader]
+    with pytest.raises(InvalidAssumption, match=field):
+        read(value)
+
+
+def test_integer_past_the_digit_limit(tmp_path):
+    path = tmp_path / "seed.json"
+    path.write_text('{"seed": %s}' % ("1" * 5000), encoding="utf-8")
+    with pytest.raises(InvalidAssumption, match="seed.json"):
+        read_json(path)
+    path.write_text('{"seed": ', encoding="utf-8")
+    with pytest.raises(json.JSONDecodeError):
+        read_json(path)
