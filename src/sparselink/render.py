@@ -71,23 +71,15 @@ def classify_blocks(
         shape = (partition.n_nodes, partition.n_nodes)
     else:
         shape = _table_extent(source)
+    if outcome is not None:  # RerouteOutcome keeps these sets disjoint
+        marked = ((outcome.dropped, CHAR_ATTACKED), (outcome.sacrificed, CHAR_SACRIFICED),
+                  (outcome.rerouted, CHAR_REROUTED))
+    else:
+        marked = ((() if attacked is None else attacked, CHAR_ATTACKED),)
+    marks = {q: char for prios, char in marked for q in prios}
     grid = np.full(shape, CHAR_ZERO, dtype="<U1")
-    attacked = frozenset() if attacked is None else frozenset(attacked)
     for row in source.rows:
-        if outcome is not None:
-            if row.q in outcome.dropped:
-                char = CHAR_ATTACKED
-            elif row.q in outcome.sacrificed:
-                char = CHAR_SACRIFICED
-            elif row.q in outcome.rerouted:
-                char = CHAR_REROUTED
-            else:
-                char = CHAR_FREE
-        elif row.q in attacked:
-            char = CHAR_ATTACKED
-        else:
-            char = CHAR_FREE
-        grid[row.i, row.j] = char
+        grid[row.i, row.j] = marks.get(row.q, CHAR_FREE)
     return grid
 
 

@@ -158,15 +158,19 @@ def select_reroute(table: PriorityTable, attacked) -> RerouteOutcome:
     return reroute_multi(table, attacked)
 
 
+def _links_without(table: PriorityTable, dead, partition: BlockPartition) -> SparsityPattern:
+    """Pattern of the table's blocks whose priority is not in dead; the
+    table must fit the partition (check_fits)."""
+    table.check_fits(partition)
+    mask = np.zeros((partition.n_nodes, partition.n_nodes), dtype=bool)
+    for row in table.rows:
+        mask[row.i, row.j] = row.q not in dead
+    return SparsityPattern(mask, partition)
+
+
 def pattern_from(outcome: RerouteOutcome, partition: BlockPartition) -> SparsityPattern:
     """Pattern of links still active after the countermeasure: the table's
     blocks minus sacrificed minus dropped (rerouted links stay free)."""
     if not outcome.feasible:
         raise InfeasibleOutcome("outcome marked infeasible has no post-attack pattern")
-    outcome.table.check_fits(partition)
-    mask = np.zeros((partition.n_nodes, partition.n_nodes), dtype=bool)
-    dead = outcome.sacrificed | outcome.dropped
-    for row in outcome.table.rows:
-        if row.q not in dead:
-            mask[row.i, row.j] = True
-    return SparsityPattern(mask, partition)
+    return _links_without(outcome.table, outcome.sacrificed | outcome.dropped, partition)

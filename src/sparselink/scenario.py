@@ -4,11 +4,11 @@ before / immediately-after-attack / after-reroute cost report.
 
 The pre-attack gain and j_before are the first sweep entry's structured
 synthesis (SweepEntry.polished), taken as the sweep made it. j_attack is
-the cost of the pre-attack gain projected onto its pattern without the
-attacked blocks (GainMatrix.project, no resynthesis), so it can be +inf
-when the mutilated gain no longer stabilizes. j_reroute comes from the
-pipeline's one structured synthesis, on the post-attack pattern, started
-from the pre-attack gain.
+the cost of the pre-attack gain projected onto the table's blocks without
+the attacked ones, the pattern that pattern_attack draws (GainMatrix.project,
+no resynthesis), so it can be +inf when the mutilated gain no longer
+stabilizes. j_reroute comes from the pipeline's one structured synthesis,
+on the post-attack pattern, started from the pre-attack gain.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ from .h2 import closed_loop_cost
 from .plant import BlockPartition, LtiPlant, SparsityPattern
 from .priority import PriorityTable, rank_links
 from .render import render_pattern
-from .reroute import RerouteOutcome, pattern_from, select_reroute
+from .reroute import RerouteOutcome, _links_without, pattern_from, select_reroute
 from .serialize import (
     _fields,
     _one_of,
@@ -44,12 +44,15 @@ from .serialize import (
 from .sparse import SweepResult, sparsity_sweep, sweep_csv
 from .structured import SynthesisInfo, synthesize_structured_info
 
+_MAX_DIM = 1000  # the largest state or input dimension GeneratorSpec builds
+
 
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Recipe for the random coupled plant: N nodes, each with node_state
     states and node_input controls, drift entries uniform on [0, 1] shifted
-    left so the dominant eigenvalue sits at -delta."""
+    left so the dominant eigenvalue sits at -delta. n = N node_state and
+    m = N node_input are at most _MAX_DIM, checked before any allocation."""
 
     n_nodes: int
     seed: int
@@ -69,6 +72,8 @@ class GeneratorSpec:
             raise InvalidAssumption(f"generator needs a finite delta > 0, got {self.delta}")
         if self.node_state < 1 or self.node_input < 1:
             raise InvalidAssumption("node dimensions must be positive")
+        if max(self.n_nodes * self.node_state, self.n_nodes * self.node_input) > _MAX_DIM:
+            raise InvalidAssumption(f"generated plant dimensions n and m must be at most {_MAX_DIM}")
 
     def plant(self) -> LtiPlant:
         """Random stable coupled plant: A = M - (max Re lambda(M) + delta) I
@@ -236,10 +241,7 @@ def run_pipeline(scenario: Scenario) -> PipelineResult:
         after = synthesize_structured_info(plant, pattern_after, init=before.gain)
         j_reroute = after.cost
 
-    survivors = pattern_before
-    for row in table.rows:
-        if row.q in outcome.attacked:
-            survivors = survivors.without_block(row.i, row.j)
+    survivors = _links_without(table, outcome.attacked, plant.partition)
     j_attack = closed_loop_cost(plant, before.gain.project(survivors))
 
     report = CostReport(
@@ -308,33 +310,20 @@ def write_artifacts(result: PipelineResult, out_dir) -> list:
         ),
         "report.json": dumps_canonical(report_to_doc(result.report)),
         "report.csv": report_csv([result.report]),
-        "pattern_before.txt": render_pattern(result.pattern_before),
-        "pattern_before.svg": render_pattern(result.pattern_before, "svg"),
-        "pattern_attack.txt": render_pattern(
-            result.table,
-            attacked=result.outcome.attacked,
-            partition=result.plant.partition,
-        ),
-        "pattern_attack.svg": render_pattern(
-            result.table,
-            "svg",
-            attacked=result.outcome.attacked,
-            partition=result.plant.partition,
-        ),
     }
+    partition = result.plant.partition
+    views = [
+        ("pattern_before", result.pattern_before, {}),
+        ("pattern_attack", result.table, {"attacked": result.outcome.attacked, "partition": partition}),
+    ]
     if result.after is not None:
         files["gain_after.json"] = dumps_canonical(
             gain_to_doc(result.after, result.pattern_after)
         )
-        files["pattern_after.txt"] = render_pattern(
-            result.table, outcome=result.outcome, partition=result.plant.partition
-        )
-        files["pattern_after.svg"] = render_pattern(
-            result.table,
-            "svg",
-            outcome=result.outcome,
-            partition=result.plant.partition,
-        )
+        views.append(("pattern_after", result.table, {"outcome": result.outcome, "partition": partition}))
+    for name, source, options in views:
+        files[f"{name}.txt"] = render_pattern(source, **options)
+        files[f"{name}.svg"] = render_pattern(source, "svg", **options)
     written = []
     for name, content in sorted(files.items()):
         path = out / name

@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import json
 import math
+import tempfile
 
 import numpy as np
 import pytest
@@ -29,6 +30,7 @@ from sparselink import (
     load_scenario,
     lqr_centralized,
     outcome_from_doc,
+    parse_pattern,
     plant_from_doc,
     plant_to_doc,
     report_csv,
@@ -127,6 +129,30 @@ class TestGeneratePlant:
         captured = capsys.readouterr()
         assert captured.err.startswith("input error: generator needs a finite delta")
         assert "Warning" not in captured.err
+
+    def test_size_limit_is_checked_before_any_allocation(self, monkeypatch):
+        def no_draw(seed):
+            raise AssertionError("drew a plant past the size limit")
+
+        monkeypatch.setattr(np.random, "default_rng", no_draw)
+        GeneratorSpec(scenario_module._MAX_DIM // 2, 0)  # n at the limit: constructs
+        for spec in ((scenario_module._MAX_DIM // 2 + 1, 0), (10**30, 0), (2, 0, 0.1, 10**30),
+                     (2, 0, 0.1, 1, scenario_module._MAX_DIM)):
+            with pytest.raises(InvalidAssumption, match="at most"):
+                GeneratorSpec(*spec).plant()
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "big.json"],
+        ["gen", "--n-nodes", str(10**30), "--seed", "0"],
+        ["gen", "--n-nodes", "2", "--seed", "0", "--node-state", str(10**30)],
+    ])
+    def test_size_limit_exit_four(self, tmp_path, capsys, monkeypatch, argv):
+        (tmp_path / "big.json").write_text(json.dumps({"plant": {"generator": {"n_nodes": 10**30, "seed": 0}}}),
+                                           encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.err == f"input error: generated plant dimensions n and m must be at most {scenario_module._MAX_DIM}\n"
 
 
 class TestScenarioDoc:
@@ -294,6 +320,25 @@ class TestPipelineProperties:
         first, second = res.sweep.entries
         if second.pattern.is_subset(first.pattern):
             assert first.cost_polished <= second.cost_polished
+
+    @settings(max_examples=10, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(n_nodes=st.integers(2, 3), seed=st.integers(0, 10_000),
+           fraction=st.sampled_from([0.25, 0.5, 0.75, 1.0]))
+    def test_drawn_grids_are_the_priced_patterns(self, n_nodes, seed, fraction):
+        res = run_pipeline(Scenario(
+            name="p",
+            generator=GeneratorSpec(n_nodes, seed),
+            beta_schedule=FAST_SCHEDULE,
+            attack={"top_fraction": fraction},
+        ))
+        partition = res.plant.partition
+        with tempfile.TemporaryDirectory() as out:
+            grids = {p.name: p.read_text(encoding="utf-8") for p in write_artifacts(res, out)}
+        attack_view = parse_pattern(grids["pattern_attack.txt"], partition)
+        assert closed_loop_cost(res.plant, res.before.gain.project(attack_view)) == res.report.j_attack
+        if res.outcome.feasible:
+            assert parse_pattern(grids["pattern_after.txt"], partition).same_as(res.pattern_after)
 
 
 @pytest.mark.usefixtures("one_reweight")
