@@ -3,15 +3,14 @@
 Subcommands: gen, sweep, rank, reroute, synth, run, render. Exit codes:
 0 success, 2 infeasible countermeasure (InfeasibleOutcome), 3 pattern not
 stabilizable (PatternNotStabilizable), 4 input error (any InputError, a
-file or directory the OS rejects on read or write, such as an --out that
-names an existing file, or a document the JSON reader rejects), 5 solver
+malformed document among them, or a file or directory the OS rejects on
+read or write, such as an --out that names an existing file), 5 solver
 failure (any SolverFailure: a numerical solver gave up). The categories
 are those of sparselink.errors.
 """
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -22,9 +21,11 @@ from .errors import (
     PatternNotStabilizable,
     SolverFailure,
 )
+from .priority import rank_links
 from .render import render_pattern
 from .reroute import select_reroute
 from .scenario import (
+    GeneratorSpec,
     generate_plant,
     load_scenario,
     report_csv,
@@ -47,7 +48,7 @@ from .serialize import (
     table_from_doc,
     table_to_doc,
 )
-from .sparse import sparsity_sweep, sweep_csv
+from .sparse import _sweep_rows, sparsity_sweep, sweep_csv
 from .structured import synthesize_structured_info
 
 
@@ -71,11 +72,7 @@ def _emit(text: str, out: str | None, name: str) -> None:
 
 def _cmd_gen(args) -> int:
     plant = generate_plant(
-        args.n_nodes,
-        args.seed,
-        args.delta,
-        node_state=args.node_state,
-        node_input=args.node_input,
+        args.n_nodes, args.seed, args.delta, node_state=args.node_state, node_input=args.node_input
     )
     _emit(dumps_canonical(plant_to_doc(plant)), args.out, "plant.json")
     return 0
@@ -85,32 +82,18 @@ def _cmd_sweep(args) -> int:
     scenario = load_scenario(args.scenario, seed=args.seed)
     sweep = sparsity_sweep(scenario.resolve_plant(), scenario.beta_schedule)
     if args.format == "csv":
-        text = sweep_csv(sweep)
-        name = "sweep.csv"
+        _emit(sweep_csv(sweep), args.out, "sweep.csv")
     else:
-        doc = [
-            {
-                "beta": entry.beta,
-                "nnz_blocks": entry.nnz_blocks,
-                "J_polished": entry.cost_polished,
-            }
-            for entry in sweep.entries
-        ]
-        text = dumps_canonical(doc)
-        name = "sweep.json"
-    _emit(text, args.out, name)
+        _emit(dumps_canonical(_sweep_rows(sweep)), args.out, "sweep.json")
     return 0
 
 
 def _cmd_rank(args) -> int:
-    from .priority import rank_links
-
     scenario = load_scenario(args.scenario, seed=args.seed)
     plant = scenario.resolve_plant()
     sweep = sparsity_sweep(plant, scenario.beta_schedule)
     table = rank_links(plant, sweep)
-    text = dumps_canonical(table_to_doc(table))
-    _emit(text, args.out, "table.json")
+    _emit(dumps_canonical(table_to_doc(table)), args.out, "table.json")
     return 0
 
 
@@ -123,8 +106,7 @@ def _cmd_reroute(args) -> int:
         attack_doc = read_json(args.attack)
     attack = attack_from_doc(attack_doc, table.r1)
     outcome = select_reroute(table, attack)
-    text = dumps_canonical(outcome_to_doc(outcome))
-    _emit(text, args.out, "outcome.json")
+    _emit(dumps_canonical(outcome_to_doc(outcome)), args.out, "outcome.json")
     return 0 if outcome.feasible else 2
 
 
@@ -135,8 +117,7 @@ def _cmd_synth(args) -> int:
     if args.init is not None:
         init = gain_from_doc(read_json(args.init), plant.partition)
     info = synthesize_structured_info(plant, pattern, init=init)
-    text = dumps_canonical(gain_to_doc(info, pattern))
-    _emit(text, args.out, "gain.json")
+    _emit(dumps_canonical(gain_to_doc(info, pattern)), args.out, "gain.json")
     return 0
 
 
@@ -172,55 +153,50 @@ def _cmd_render(args) -> int:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="sparselink", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
+    # the flags several commands share, each defined once
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    scenario = argparse.ArgumentParser(add_help=False)
+    scenario.add_argument("--scenario", required=True)
+    scenario.add_argument("--seed", type=int, default=None)
+    report = argparse.ArgumentParser(add_help=False)
+    report.add_argument("--format", choices=("csv", "json"), default="csv")
 
-    gen = sub.add_parser("gen", help="generate a random coupled plant")
+    gen = sub.add_parser("gen", parents=[out], help="generate a random coupled plant")
     gen.add_argument("--n-nodes", type=int, required=True)
     gen.add_argument("--seed", type=int, required=True)
-    gen.add_argument("--delta", type=float, default=0.1)
-    gen.add_argument("--node-state", type=int, default=2)
-    gen.add_argument("--node-input", type=int, default=1)
-    gen.add_argument("--out", default=None)
+    gen.add_argument("--delta", type=float, default=GeneratorSpec.delta)
+    gen.add_argument("--node-state", type=int, default=GeneratorSpec.node_state)
+    gen.add_argument("--node-input", type=int, default=GeneratorSpec.node_input)
     gen.set_defaults(func=_cmd_gen)
 
-    sweep = sub.add_parser("sweep", help="run the sparsity sweep")
-    sweep.add_argument("--scenario", required=True)
-    sweep.add_argument("--seed", type=int, default=None)
-    sweep.add_argument("--out", default=None)
-    sweep.add_argument("--format", choices=("csv", "json"), default="csv")
+    sweep = sub.add_parser("sweep", parents=[scenario, out, report], help="run the sparsity sweep")
     sweep.set_defaults(func=_cmd_sweep)
 
-    rank = sub.add_parser("rank", help="sweep and rank links into a priority table")
-    rank.add_argument("--scenario", required=True)
-    rank.add_argument("--seed", type=int, default=None)
-    rank.add_argument("--out", default=None)
+    rank = sub.add_parser("rank", parents=[scenario, out], help="sweep and rank links into a priority table")
     rank.set_defaults(func=_cmd_rank)
 
-    reroute = sub.add_parser("reroute", help="apply the rerouting countermeasure")
+    reroute = sub.add_parser("reroute", parents=[out], help="apply the rerouting countermeasure")
     reroute.add_argument("--table", required=True)
     reroute.add_argument("--attack", required=True)
-    reroute.add_argument("--out", default=None)
     reroute.set_defaults(func=_cmd_reroute)
 
-    synth = sub.add_parser("synth", help="structured gain synthesis on a pattern")
+    synth = sub.add_parser("synth", parents=[out], help="structured gain synthesis on a pattern")
     synth.add_argument("--plant", required=True)
     synth.add_argument("--pattern", required=True)
     synth.add_argument("--init", default=None)
-    synth.add_argument("--out", default=None)
     synth.set_defaults(func=_cmd_synth)
 
-    run = sub.add_parser("run", help="full pipeline: sweep, rank, attack, reroute, resynthesize")
-    run.add_argument("--scenario", required=True)
-    run.add_argument("--seed", type=int, default=None)
-    run.add_argument("--out", default=None)
-    run.add_argument("--format", choices=("csv", "json"), default="csv")
+    run = sub.add_parser(
+        "run", parents=[scenario, out, report], help="full pipeline: sweep, rank, attack, reroute, resynthesize"
+    )
     run.set_defaults(func=_cmd_run)
 
-    render = sub.add_parser("render", help="render a pattern or table grid")
+    render = sub.add_parser("render", parents=[out], help="render a pattern or table grid")
     render.add_argument("--pattern", default=None)
     render.add_argument("--table", default=None)
     render.add_argument("--outcome", default=None)
     render.add_argument("--format", choices=("text", "svg"), default="text")
-    render.add_argument("--out", default=None)
     render.set_defaults(func=_cmd_render)
 
     return parser
@@ -240,7 +216,7 @@ def main(argv=None) -> int:
     except PatternNotStabilizable as exc:
         print(f"not stabilizable: {exc}", file=sys.stderr)
         return 3
-    except (InputError, OSError, json.JSONDecodeError, UnicodeDecodeError) as exc:
+    except (InputError, OSError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 4
     except SolverFailure as exc:

@@ -1,5 +1,6 @@
 """Exception types raised across the package, and the value-kind rules
-that every reader of outside input applies (_integer, _real, _boolean).
+that every reader of outside input applies (_integer, _real, _boolean),
+with _shown, the form in which their messages show a value.
 
 Every error subclasses SparselinkError plus the closest builtin category,
 so callers can catch either the package base or the usual builtin. Each
@@ -80,10 +81,18 @@ class UnknownFormat(InputError, ValueError):
     """An unsupported output or input format name was requested."""
 
 
+def _shown(value) -> str:
+    """repr(value); a document value nested too deep for repr is named by its type."""
+    try:
+        return repr(value)
+    except RecursionError:
+        return f"a {type(value).__name__} nested too deep to show"
+
+
 def _integer(value, name: str) -> int:
     """value as an int; a bool, a float or a string is rejected, not converted."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise InvalidAssumption(f"{name} must be an integer, got {value!r}")
+        raise InvalidAssumption(f"{name} must be an integer, got {_shown(value)}")
     return int(value)
 
 
@@ -92,7 +101,7 @@ def _real(value, name: str) -> float:
     and so is an integer too large for a double. Finiteness and range are
     the caller's rule."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise InvalidAssumption(f"{name} must be a number, got {value!r}")
+        raise InvalidAssumption(f"{name} must be a number, got {_shown(value)}")
     try:
         return float(value)
     except OverflowError as exc:
@@ -102,5 +111,5 @@ def _real(value, name: str) -> float:
 def _boolean(value, name: str) -> bool:
     """value, which must be a bool: a number or a string is rejected."""
     if not isinstance(value, bool):
-        raise InvalidAssumption(f"{name} must be true or false, got {value!r}")
+        raise InvalidAssumption(f"{name} must be true or false, got {_shown(value)}")
     return value

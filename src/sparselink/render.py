@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, UnknownFormat
-from .plant import BlockPartition, SparsityPattern
+from .plant import _MAX_DIM, BlockPartition, SparsityPattern
 from .priority import PriorityTable
 from .reroute import RerouteOutcome
 
@@ -39,6 +39,8 @@ def _table_extent(table: PriorityTable) -> tuple[int, int]:
         raise DimensionMismatch("an empty table has no blocks to render")
     rows = max(row.i for row in table.rows) + 1
     cols = max(row.j for row in table.rows) + 1
+    if max(rows, cols) > _MAX_DIM:
+        raise DimensionMismatch(f"a drawn grid has at most {_MAX_DIM} rows and columns, got {rows} x {cols}")
     return rows, cols
 
 
@@ -57,7 +59,8 @@ def classify_blocks(
     (plain free/zero view) or a PriorityTable (annotated by the outcome's
     sets, whose table must have its rows up to values, or by an attacked
     priority set for the pre-reroute view). A given partition sets the
-    grid, and the table must fit it (check_fits)."""
+    grid, and the table must fit it (check_fits); without one, the table's
+    extent sets it, at most _MAX_DIM on a side."""
     if isinstance(source, SparsityPattern):
         grid = np.full(source.mask.shape, CHAR_ZERO, dtype="<U1")
         grid[source.mask] = CHAR_FREE

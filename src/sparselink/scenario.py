@@ -22,9 +22,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidAssumption, _integer, _real
+from .errors import IndexOutOfRange, InvalidAssumption, _integer, _real, _shown
 from .h2 import closed_loop_cost
-from .plant import BlockPartition, LtiPlant, SparsityPattern
+from .plant import _MAX_DIM, BlockPartition, LtiPlant, SparsityPattern
 from .priority import PriorityTable, rank_links
 from .render import render_pattern
 from .reroute import RerouteOutcome, _links_without, pattern_from, select_reroute
@@ -43,8 +43,6 @@ from .serialize import (
 )
 from .sparse import SweepResult, sparsity_sweep, sweep_csv
 from .structured import SynthesisInfo, synthesize_structured_info
-
-_MAX_DIM = 1000  # the largest state or input dimension GeneratorSpec builds
 
 
 @dataclass(frozen=True)
@@ -106,10 +104,10 @@ class GeneratorSpec:
 def generate_plant(
     n_nodes: int,
     seed: int,
-    delta: float = 0.1,
+    delta: float = GeneratorSpec.delta,
     *,
-    node_state: int = 2,
-    node_input: int = 1,
+    node_state: int = GeneratorSpec.node_state,
+    node_input: int = GeneratorSpec.node_input,
 ) -> LtiPlant:
     """The plant of GeneratorSpec(n_nodes, seed, delta, node_state, node_input)."""
     return GeneratorSpec(n_nodes, seed, delta, node_state, node_input).plant()
@@ -164,14 +162,14 @@ def scenario_from_doc(doc: dict, *, name: str = "scenario", base_dir=None, seed=
         plant_doc = value
     else:
         if not isinstance(value, str):
-            raise InvalidAssumption(f"scenario plant file must be a path string, got {value!r}")
+            raise InvalidAssumption(f"scenario plant file must be a path string, got {_shown(value)}")
         path = Path(value)
         if base_dir is not None and not path.is_absolute():
             path = Path(base_dir) / path
         plant_doc = read_json(path)
     name = doc.get("name", name)
     if not isinstance(name, str):
-        raise InvalidAssumption(f"scenario name must be a string, got {name!r}")
+        raise InvalidAssumption(f"scenario name must be a string, got {_shown(name)}")
     return Scenario(
         name=name,
         generator=generator,

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DimensionMismatch, IndexOutOfRange, InvalidAssumption, _boolean, _integer, _real
+from .errors import DimensionMismatch, IndexOutOfRange, InvalidAssumption, _boolean, _integer, _real, _shown
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .priority import PriorityRow, PriorityTable
 from .reroute import RerouteOutcome
@@ -31,17 +31,21 @@ def write_json(path, doc) -> None:
 
 
 def read_json(path):
-    return _loads(Path(path).read_text(encoding="utf-8"), path)
+    """The document of a UTF-8 JSON file; text that is not UTF-8 is
+    InvalidAssumption naming the file, and so is any text _loads rejects."""
+    try:
+        return _loads(Path(path).read_text(encoding="utf-8"), path)
+    except UnicodeDecodeError as exc:
+        raise InvalidAssumption(f"{path}: {exc}") from exc
 
 
 def _loads(text: str, source):
-    """json.loads; an integer past Python's digit limit is InvalidAssumption,
-    and JSONDecodeError passes as it is."""
+    """json.loads; text that is not JSON, nests past Python's recursion limit
+    or holds an integer past its digit limit is InvalidAssumption naming
+    source."""
     try:
         return json.loads(text)
-    except json.JSONDecodeError:
-        raise
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InvalidAssumption(f"{source}: {exc}") from exc
 
 
@@ -52,13 +56,15 @@ def _matrix_doc(a) -> list:
 def _json_array(doc, name: str, rule, ndim: int) -> np.ndarray:
     """doc as an ndim-dimensional array of rule's values (errors._real or
     errors._boolean). InvalidAssumption unless doc nests regularly and rule
-    takes every entry; DimensionMismatch for the wrong number of levels.
-    Shapes are the checking type's rule."""
+    takes every entry; DimensionMismatch for the wrong number of levels,
+    before any entry is read when there are too many. Shapes are the
+    checking type's rule."""
     try:
         a = np.array(doc, dtype=object)
     except ValueError as exc:
         raise InvalidAssumption(f"{name} must be a regular array") from exc
-    values = [rule(v, f"{name} entry") for v in a.flat]
+    if a.ndim <= ndim:  # a.flat iterates at most 32 dimensions
+        values = [rule(v, f"{name} entry") for v in a.flat]
     if a.ndim != ndim:
         raise DimensionMismatch(f"{name} must be an array of {ndim} dimensions, got {a.ndim}")
     return np.array(values).reshape(a.shape)
@@ -66,7 +72,7 @@ def _json_array(doc, name: str, rule, ndim: int) -> np.ndarray:
 
 def _integers(doc, name: str) -> tuple[int, ...]:
     if not isinstance(doc, (list, tuple)):
-        raise InvalidAssumption(f"{name} must be a list of integers, got {doc!r}")
+        raise InvalidAssumption(f"{name} must be a list of integers, got {_shown(doc)}")
     return tuple(_integer(v, name) for v in doc)
 
 
@@ -75,7 +81,7 @@ def _fields(doc, name: str, required, optional=None) -> dict:
     optional is given, a key outside required and optional is rejected too;
     without it, extra keys are ignored."""
     if not isinstance(doc, dict):
-        raise InvalidAssumption(f"{name} must be a JSON object, got {doc!r}")
+        raise InvalidAssumption(f"{name} must be a JSON object, got {_shown(doc)}")
     missing = set(required) - set(doc)
     if missing:
         raise InvalidAssumption(f"{name} missing fields: {sorted(missing)}")

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .descent import descend, require_converged
-from .errors import DimensionMismatch, InvalidAssumption, _real
+from .errors import DimensionMismatch, InvalidAssumption, _real, _shown
 from .h2 import _carry, _closed_loop, _Trail, lqr_centralized
 from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .structured import SynthesisInfo, synthesize_structured_info
@@ -165,7 +165,7 @@ def _checked_schedule(schedule) -> tuple[float, ...]:
     """The beta schedule as floats; InvalidAssumption unless it is a list of
     finite non-negative numbers in strictly increasing order."""
     if not isinstance(schedule, (list, tuple, np.ndarray)):
-        raise InvalidAssumption(f"beta schedule must be a list of numbers, got {schedule!r}")
+        raise InvalidAssumption(f"beta schedule must be a list of numbers, got {_shown(schedule)}")
     sched = tuple(_real(b, "beta schedule entry") for b in schedule)
     if not all(0.0 <= b < math.inf for b in sched):
         raise InvalidAssumption("beta schedule must be finite and non-negative")
@@ -206,9 +206,15 @@ def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
     return SweepResult(tuple(entries))
 
 
+def _sweep_rows(result: SweepResult) -> list[dict]:
+    """The sweep's report: one row per entry, rendered by sweep_csv and by
+    `sparselink sweep --format json`."""
+    return [{"beta": e.beta, "nnz_blocks": e.nnz_blocks, "J_polished": e.cost_polished} for e in result.entries]
+
+
 def sweep_csv(result: SweepResult) -> str:
     """CSV export with columns beta, nnz_blocks, J_polished."""
     lines = ["beta,nnz_blocks,J_polished"]
-    for e in result.entries:
-        lines.append(f"{e.beta:.17g},{e.nnz_blocks},{e.cost_polished:.17g}")
+    for row in _sweep_rows(result):
+        lines.append("{beta:.17g},{nnz_blocks},{J_polished:.17g}".format(**row))
     return "\n".join(lines) + "\n"

@@ -18,6 +18,7 @@ from sparselink import (
     render_text,
     reroute_uniform,
 )
+from sparselink import render as render_module
 
 EX1_ATTACK = {3, 7, 8}
 
@@ -61,6 +62,21 @@ class TestClassify:
         rows = (dataclasses.replace(ex1_table.rows[0], i=-1),) + ex1_table.rows[1:]
         with pytest.raises(DimensionMismatch):
             classify_blocks(PriorityTable(rows), partition=ex1_partition)
+
+    def test_grid_size_limit_is_checked_before_any_allocation(self, monkeypatch, ex1_table):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("allocated a grid past the size limit")
+
+        def moved(**index):  # the last row at another block index
+            return PriorityTable(ex1_table.rows[:-1] + (dataclasses.replace(ex1_table.rows[-1], **index),))
+
+        limit = render_module._MAX_DIM
+        assert render_module._table_extent(moved(i=limit - 1, j=limit - 1)) == (limit, limit)
+        monkeypatch.setattr(np, "full", no_grid)
+        for index in ({"i": limit}, {"j": limit}, {"i": 10**9}, {"j": 10**9}, {"i": 10**30}):
+            for fmt in ("text", "svg"):
+                with pytest.raises(DimensionMismatch, match="at most"):
+                    render_pattern(moved(**index), fmt)
 
     def test_empty_table_has_no_extent(self, ex1_partition):
         with pytest.raises(DimensionMismatch):

@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import json
 import math
+import sys
 import tempfile
 
 import numpy as np
@@ -1200,3 +1201,166 @@ class TestCli:
         assert main(args) == 4
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("input error:")
+
+
+def _wrapped(doc, path, depth):
+    """The JSON text of doc with its array at path (a key sequence) nested in
+    depth more levels; built as text, since json.dumps recurses per level."""
+    if not path:
+        return "[" * depth + json.dumps(doc) + "]" * depth
+    doc = json.loads(json.dumps(doc))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    inner = json.dumps(parent[path[-1]])
+    parent[path[-1]] = "@"
+    return json.dumps(doc).replace('"@"', "[" * depth + inner + "]" * depth)
+
+
+def _array_paths(doc, path=()):
+    """The key path of every array of doc (of an array of arrays or objects,
+    the paths through its first element)."""
+    if isinstance(doc, list):
+        yield path
+        if doc and isinstance(doc[0], (list, dict)):
+            yield from _array_paths(doc[0], path + (0,))
+    elif isinstance(doc, dict):
+        for key, value in doc.items():
+            yield from _array_paths(value, path + (key,))
+
+
+def _documents():
+    """A valid document for every reader, by file name."""
+    plant = plant_to_doc(generate_plant(2, 0))
+    blocks = ((0, 0), (0, 1), (1, 0), (1, 1))
+    table = [{"i": i, "j": j, "q": q, "s": 1, "values": [float(q)]} for q, (i, j) in enumerate(blocks, 1)]
+    sparsity = {"beta_schedule": list(FAST_SCHEDULE)}
+    return {
+        "plant.json": plant,
+        "pattern.json": {"mask": [[True, False], [False, True]], "rowBlockSizes": [1, 1], "colBlockSizes": [2, 2]},
+        "gain.json": {"K": [[1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 1.0, 0.0]]},
+        "table.json": table,
+        "outcome.json": {"feasible": True, "sacrificed": [], "rerouted": [], "dropped": [4],
+                         "n_final": table[:3] + [dict(table[3], values=[0.0])]},
+        "attack.json": {"attacked_priorities": [4]},
+        "scenario.json": {"plant": {"generator": {"n_nodes": 2, "seed": 0}}, "sparsity": sparsity,
+                          "attack": {"attacked_priorities": [1]}},
+        "inline.json": {"plant": {"inline": plant}, "sparsity": sparsity},
+    }
+
+
+_SYNTH = ["synth", "--plant", "plant.json", "--pattern", "pattern.json"]
+_REROUTE = ["reroute", "--table", "table.json", "--attack"]
+_READERS = {  # the commands that read each document; "@" is the document's text as the --attack literal
+    "plant.json": [_SYNTH],
+    "pattern.json": [_SYNTH, ["render", "--pattern", "pattern.json"]],
+    "gain.json": [_SYNTH + ["--init", "gain.json"]],
+    "table.json": [_REROUTE + ["attack.json"], ["render", "--table", "table.json"],
+                   ["render", "--table", "table.json", "--outcome", "outcome.json"]],
+    "outcome.json": [["render", "--table", "table.json", "--outcome", "outcome.json"]],
+    "attack.json": [_REROUTE + ["attack.json"], _REROUTE + ["@"]],
+    "scenario.json": [[command, "--scenario", "scenario.json"] for command in ("sweep", "rank", "run")],
+    "inline.json": [["run", "--scenario", "inline.json"]],
+}
+
+
+@pytest.fixture
+def documents(tmp_path, monkeypatch):
+    """_documents(), written to files of their names in the working directory."""
+    monkeypatch.chdir(tmp_path)
+    docs = _documents()
+    for name, doc in docs.items():
+        write_json(name, doc)
+    return docs
+
+
+@pytest.mark.usefixtures("one_reweight")
+class TestBadDocuments:
+    """Every document a command reads fails as one input error line, never
+    as a traceback, however deep it nests or however far its blocks lie."""
+
+    def run(self, capsys, argv):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        return code, captured
+
+    def exit_four(self, capsys, argv):
+        code, captured = self.run(capsys, argv)
+        assert code == 4
+        assert captured.out == ""
+        assert captured.err.startswith("input error:") and captured.err.count("\n") == 1
+        return captured.err
+
+    def test_valid_documents_run(self, capsys, documents):
+        for name, commands in _READERS.items():
+            for argv in commands:
+                argv = [json.dumps(documents[name]) if arg == "@" else arg for arg in argv]
+                assert self.run(capsys, argv)[0] in (0, 2), argv
+
+    @pytest.mark.parametrize("argv", [
+        ["run", "--scenario", "deep.json"],
+        ["synth", "--plant", "deep.json", "--pattern", "pattern.json"],
+        ["reroute", "--table", "deep.json", "--attack", "attack.json"],
+        ["render", "--table", "deep.json"],
+        _REROUTE + ["@"],
+    ], ids=["scenario", "plant", "reroute_table", "render_table", "attack_literal"])
+    def test_document_nested_100_000_deep(self, tmp_path, capsys, documents, argv):
+        deep = "[" * 100_000 + "]" * 100_000
+        (tmp_path / "deep.json").write_text(deep, encoding="utf-8")
+        err = self.exit_four(capsys, [deep if arg == "@" else arg for arg in argv])
+        assert "maximum recursion depth" in err and ("deep.json" in err or "--attack" in err)
+
+    def test_file_not_utf8(self, tmp_path, capsys, documents):
+        (tmp_path / "scenario.json").write_bytes(b'{"name": "\xff", "plant": {"generator": {"n_nodes": 2, "seed": 0}}}')
+        assert self.exit_four(capsys, ["run", "--scenario", "scenario.json"]).startswith("input error: scenario.json: ")
+
+    @pytest.mark.parametrize("depth", [33, 64])
+    @pytest.mark.parametrize("name, path, ndim", [
+        ("plant.json", ("A",), 2), ("pattern.json", ("mask",), 2), ("table.json", (0, "values"), 1),
+        ("gain.json", ("K",), 2),
+    ], ids=["A", "mask", "values", "K"])
+    def test_array_nested_past_its_dimensions(self, tmp_path, capsys, documents, name, path, ndim, depth):
+        (tmp_path / name).write_text(_wrapped(documents[name], path, depth - ndim), encoding="utf-8")
+        assert "dimensions" in self.exit_four(capsys, _READERS[name][-1])
+
+    @pytest.mark.parametrize("i", [10**9, 10**30])
+    def test_table_row_too_far_to_draw(self, capsys, documents, i):
+        write_json("table.json", [dict(documents["table.json"][0], i=i)])
+        assert "at most 1000" in self.exit_four(capsys, ["render", "--table", "table.json"])
+
+    def test_literal_nested_to_the_reader_limit(self, capsys, documents):
+        # the deepest literals the JSON reader takes are too deep for repr to show
+        def reroute(depth):
+            return self.exit_four(capsys, _REROUTE + ['{"attacked_priorities": [%s4%s]}' % ("[" * depth, "]" * depth)])
+
+        taken, refused = 1, sys.getrecursionlimit()  # bisect for the deepest literal the reader takes
+        while refused - taken > 1:
+            depth = (taken + refused) // 2
+            if "--attack: maximum recursion depth" in reroute(depth):
+                refused = depth
+            else:
+                taken = depth
+        for depth in range(taken - 20, taken + 1):
+            assert "must be an integer" in reroute(depth)
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=st.data())
+    def test_every_reader_exits_with_a_documented_code(self, tmp_path, capsys, documents, data):
+        docs = json.loads(json.dumps(documents))  # each example edits its own copy
+        name = data.draw(st.sampled_from(sorted(_READERS)), label="document")
+        if name in ("table.json", "outcome.json") and data.draw(st.booleans(), label="move a row"):
+            rows = docs[name] if name == "table.json" else docs[name]["n_final"]
+            row = data.draw(st.sampled_from(rows), label="row")
+            row[data.draw(st.sampled_from("ij"), label="index")] = 10 ** data.draw(st.integers(3, 40), label="k")
+            text = json.dumps(docs[name])
+        else:
+            path = data.draw(st.sampled_from(list(_array_paths(docs[name]))), label="array")
+            text = _wrapped(docs[name], path, data.draw(st.integers(1, 2000), label="levels"))
+        (tmp_path / name).write_text(text, encoding="utf-8")
+        argv = [text if arg == "@" else arg for arg in data.draw(st.sampled_from(_READERS[name]), label="argv")]
+        code, captured = self.run(capsys, argv)
+        assert code in (0, 2, 3, 4, 5)
+        if code == 4:
+            assert captured.out == "" and captured.err.startswith("input error:")
+        (tmp_path / name).write_text(json.dumps(documents[name]), encoding="utf-8")

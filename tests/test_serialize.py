@@ -35,6 +35,7 @@ from sparselink import (
     table_to_doc,
     write_json,
 )
+from sparselink.serialize import _loads
 
 
 class TestCanonicalDump:
@@ -356,5 +357,41 @@ def test_integer_past_the_digit_limit(tmp_path):
     with pytest.raises(InvalidAssumption, match="seed.json"):
         read_json(path)
     path.write_text('{"seed": ', encoding="utf-8")
-    with pytest.raises(json.JSONDecodeError):
+    with pytest.raises(InvalidAssumption, match="seed.json"):
         read_json(path)
+
+
+@pytest.mark.parametrize("text", [b'{"seed": ', b"[" * 100_000, b'{"seed": %s}' % (b"1" * 5000), b'{"seed": "\xff"}'],
+                         ids=["not JSON", "too deep", "integer too long", "not UTF-8"])
+def test_every_malformed_text_names_its_source(tmp_path, text):
+    path = tmp_path / "doc.json"
+    path.write_bytes(text)
+    with pytest.raises(InvalidAssumption, match="doc.json"):
+        read_json(path)
+    if text.isascii():
+        with pytest.raises(InvalidAssumption, match="--attack"):
+            _loads(text.decode(), "--attack")
+
+
+def _nested(doc, levels):
+    for _ in range(levels):
+        doc = [doc]
+    return doc
+
+
+@pytest.mark.parametrize("depth", [33, 64, 990])
+def test_array_past_its_dimensions_is_a_dimension_mismatch(depth):
+    # numpy iterates at most 32 dimensions and discovers at most 64
+    plant = plant_to_doc(generate_plant(2, 0))
+    pattern = pattern_to_doc(SparsityPattern(np.eye(2, dtype=bool), BlockPartition((1, 1), (2, 2))))
+    with pytest.raises(DimensionMismatch, match="A must be an array of 2 dimensions"):
+        plant_from_doc(dict(plant, A=_nested(plant["A"], depth - 2)))
+    with pytest.raises(DimensionMismatch, match="mask must be an array of 2 dimensions"):
+        pattern_from_doc(dict(pattern, mask=_nested(pattern["mask"], depth - 2)))
+    with pytest.raises(DimensionMismatch, match="K must be an array of 2 dimensions"):
+        gain_from_doc({"K": _nested(np.zeros((2, 4)).tolist(), depth - 2)}, BlockPartition((1, 1), (2, 2)))
+    with pytest.raises(InvalidAssumption, match="malformed table: values must be an array of 1 dimensions"):
+        table_from_doc([{"i": 0, "j": 0, "q": 1, "s": 1, "values": _nested([1.0], depth - 1)}])
+    # before any entry is read: entries of the wrong kind do not change the error
+    with pytest.raises(DimensionMismatch, match="mask must be an array of 2 dimensions"):
+        pattern_from_doc(dict(pattern, mask=_nested([["yes"]], depth - 2)))
