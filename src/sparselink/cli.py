@@ -136,17 +136,14 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_render(args) -> int:
-    if (args.pattern is None) == (args.table is None):
-        raise InvalidAssumption("render needs exactly one of --pattern or --table")
-    if args.outcome is not None and args.table is None:
-        raise InvalidAssumption("render --outcome needs --table")
     if args.pattern is not None:
         source = pattern_from_doc(read_json(args.pattern))
-    else:
+    elif args.table is not None:
         source = table_from_doc(read_json(args.table))
-    outcome = None if args.outcome is None else outcome_from_doc(read_json(args.outcome))
+    else:
+        source = outcome_from_doc(read_json(args.outcome))
     name = "pattern.txt" if args.format == "text" else "pattern.svg"
-    _emit(render_pattern(source, args.format, outcome=outcome), args.out, name)
+    _emit(render_pattern(source, args.format), args.out, name)
     return 0
 
 
@@ -192,10 +189,11 @@ def _build_parser() -> _Parser:
     )
     run.set_defaults(func=_cmd_run)
 
-    render = sub.add_parser("render", parents=[out], help="render a pattern or table grid")
-    render.add_argument("--pattern", default=None)
-    render.add_argument("--table", default=None)
-    render.add_argument("--outcome", default=None)
+    render = sub.add_parser("render", parents=[out], help="render a pattern, table or outcome grid")
+    source = render.add_mutually_exclusive_group(required=True)  # exactly one
+    source.add_argument("--pattern", default=None)
+    source.add_argument("--table", default=None)
+    source.add_argument("--outcome", default=None)
     render.add_argument("--format", choices=("text", "svg"), default="text")
     render.set_defaults(func=_cmd_render)
 

@@ -12,7 +12,7 @@ import numpy as np
 from .errors import DimensionMismatch, NotStabilizing, _integer
 
 STABILITY_TOL = 1e-9
-_MAX_DIM = 1000  # the package's size bound: generated n and m, drawn grid sides
+_MAX_DIM = 1000  # the package's size bound: generated n and m, table block indices
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:

@@ -43,6 +43,7 @@ status.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +57,7 @@ from .errors import (
     PatternNotStabilizable,
 )
 from .h2 import _carry, _ClosedLoop, _closed_loop
-from .plant import BlockPartition, GainMatrix, LtiPlant, SparsityPattern
+from .plant import _MAX_DIM, BlockPartition, GainMatrix, LtiPlant, SparsityPattern
 from .sparse import SweepResult
 from .structured import SynthesisInfo, synthesize_structured_info
 
@@ -77,20 +78,19 @@ class PriorityRow:
 
 @dataclass(frozen=True)
 class PriorityTable:
-    """Rows in ascending priority; row k (0-based) has q = k + 1. Each row
-    names its own block (i, j >= 0) of size >= 1 and holds finite values."""
+    """Rows in ascending priority (the constructor sorts them); row k
+    (0-based) has q = k + 1. Each row names its own block, i and j in
+    0.._MAX_DIM - 1, of size >= 1 and holds finite values."""
 
     rows: tuple[PriorityRow, ...]
 
     def __post_init__(self):
-        rows = tuple(self.rows)
+        rows = tuple(sorted(self.rows, key=lambda r: r.q))
         object.__setattr__(self, "rows", rows)
-        if sorted(r.q for r in rows) != list(range(1, len(rows) + 1)):
+        if [r.q for r in rows] != list(range(1, len(rows) + 1)):
             raise DimensionMismatch("priorities must be a permutation of 1..r1")
-        if any(r.q != k + 1 for k, r in enumerate(rows)):
-            raise DimensionMismatch("rows must be stored in ascending priority")
-        if any(r.i < 0 or r.j < 0 for r in rows):
-            raise DimensionMismatch("block indices must be non-negative")
+        if any(not (0 <= r.i < _MAX_DIM and 0 <= r.j < _MAX_DIM) for r in rows):
+            raise DimensionMismatch(f"block indices must lie in 0..{_MAX_DIM - 1}, at most {_MAX_DIM} a side")
         if len({(r.i, r.j) for r in rows}) != len(rows):
             raise DimensionMismatch("a block is named in two rows")
         if any(r.size < 1 for r in rows):
@@ -159,7 +159,6 @@ def table_from_gain(gain: GainMatrix, priorities: dict[tuple[int, int], int]) ->
         size = int(sizes[i, j])
         values = tuple(float(v) for v in blk) + (0.0,) * (r2 - size)
         rows.append(PriorityRow(int(i), int(j), int(q), size, values))
-    rows.sort(key=lambda r: r.q)
     return PriorityTable(tuple(rows))
 
 
@@ -249,28 +248,18 @@ def rank_links(plant: LtiPlant, sweep: SweepResult) -> PriorityTable:
     if not blocks:
         raise EmptySweep("first sweep entry has no free blocks")
 
-    n_steps = len(entries)
+    # A block vanishes one past the last entry that holds it; one held to
+    # the end vanishes at len(entries), after every real vanish index.
     masks = np.stack([e.pattern.mask for e in entries])
-    never = n_steps  # sort key sentinel above every real vanish index
-
-    vanish: dict[tuple[int, int], int] = {}
-    for (i, j) in blocks:
-        present = masks[:, i, j]
-        last = int(np.max(np.nonzero(present)[0]))
-        vanish[(i, j)] = never if last == n_steps - 1 else last + 1
+    vanish = {blk: int(np.flatnonzero(masks[:, blk[0], blk[1]])[-1]) + 1 for blk in blocks}
 
     # Removal losses are only needed where the vanish key ties.
-    groups: dict[int, list[tuple[int, int]]] = {}
-    for blk, v in vanish.items():
-        groups.setdefault(v, []).append(blk)
-    tied = [blk for members in groups.values() if len(members) > 1 for blk in members]
-    losses: dict[tuple[int, int], float] = {}
-    for blk in tied:
-        losses[blk] = removal_loss(plant, base.pattern, blk, base=base.polished)
-
-    ordered = sorted(
-        blocks,
-        key=lambda blk: (vanish[blk], losses.get(blk, 0.0), blk[0], blk[1]),
-    )
+    ties = Counter(vanish.values())
+    losses = {
+        blk: removal_loss(plant, base.pattern, blk, base=base.polished)
+        for blk in blocks
+        if ties[vanish[blk]] > 1
+    }
+    ordered = sorted(blocks, key=lambda blk: (vanish[blk], losses.get(blk, 0.0), blk))
     priorities = {blk: rank + 1 for rank, blk in enumerate(ordered)}
     return table_from_gain(base.polished.gain, priorities)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionMismatch, UnknownFormat
-from .plant import _MAX_DIM, BlockPartition, SparsityPattern
+from .plant import BlockPartition, SparsityPattern
 from .priority import PriorityTable
 from .reroute import RerouteOutcome
 
@@ -37,51 +37,41 @@ _CELL = 28
 def _table_extent(table: PriorityTable) -> tuple[int, int]:
     if not table.rows:
         raise DimensionMismatch("an empty table has no blocks to render")
-    rows = max(row.i for row in table.rows) + 1
-    cols = max(row.j for row in table.rows) + 1
-    if max(rows, cols) > _MAX_DIM:
-        raise DimensionMismatch(f"a drawn grid has at most {_MAX_DIM} rows and columns, got {rows} x {cols}")
-    return rows, cols
-
-
-def _blocks(table: PriorityTable) -> list[tuple[int, int, int, int]]:
-    return [(row.i, row.j, row.q, row.size) for row in table.rows]
+    return max(row.i for row in table.rows) + 1, max(row.j for row in table.rows) + 1
 
 
 def classify_blocks(
     source,
     *,
-    outcome: RerouteOutcome | None = None,
     attacked=None,
     partition: BlockPartition | None = None,
 ) -> np.ndarray:
     """Character grid over the block lattice. source is a SparsityPattern
-    (plain free/zero view) or a PriorityTable (annotated by the outcome's
-    sets, whose table must have its rows up to values, or by an attacked
-    priority set for the pre-reroute view). A given partition sets the
-    grid, and the table must fit it (check_fits); without one, the table's
-    extent sets it, at most _MAX_DIM on a side."""
+    (plain free/zero view), a PriorityTable (marked by an attacked priority
+    set, if given: the pre-reroute view) or a RerouteOutcome (its table,
+    marked by its sets). A given partition sets the grid, and the table
+    must fit it (check_fits); without one, the table's extent sets it."""
     if isinstance(source, SparsityPattern):
         grid = np.full(source.mask.shape, CHAR_ZERO, dtype="<U1")
         grid[source.mask] = CHAR_FREE
         return grid
-    if not isinstance(source, PriorityTable):
+    if isinstance(source, RerouteOutcome):
+        table = source.table  # RerouteOutcome keeps these sets disjoint
+        marked = ((source.dropped, CHAR_ATTACKED), (source.sacrificed, CHAR_SACRIFICED),
+                  (source.rerouted, CHAR_REROUTED))
+    elif isinstance(source, PriorityTable):
+        table = source
+        marked = ((() if attacked is None else attacked, CHAR_ATTACKED),)
+    else:
         raise UnknownFormat(f"cannot render a {type(source).__name__}")
-    if outcome is not None and _blocks(outcome.table) != _blocks(source):
-        raise DimensionMismatch("the outcome's table does not have the rendered table's blocks")
     if partition is not None:
-        source.check_fits(partition)
+        table.check_fits(partition)
         shape = (partition.n_nodes, partition.n_nodes)
     else:
-        shape = _table_extent(source)
-    if outcome is not None:  # RerouteOutcome keeps these sets disjoint
-        marked = ((outcome.dropped, CHAR_ATTACKED), (outcome.sacrificed, CHAR_SACRIFICED),
-                  (outcome.rerouted, CHAR_REROUTED))
-    else:
-        marked = ((() if attacked is None else attacked, CHAR_ATTACKED),)
+        shape = _table_extent(table)
     marks = {q: char for prios, char in marked for q in prios}
     grid = np.full(shape, CHAR_ZERO, dtype="<U1")
-    for row in source.rows:
+    for row in table.rows:
         grid[row.i, row.j] = marks.get(row.q, CHAR_FREE)
     return grid
 
@@ -159,19 +149,16 @@ def render_pattern(
     source,
     fmt: str = "text",
     *,
-    outcome: RerouteOutcome | None = None,
     attacked=None,
     partition: BlockPartition | None = None,
 ) -> str:
-    grid = classify_blocks(
-        source, outcome=outcome, attacked=attacked, partition=partition
-    )
+    """source drawn by classify_blocks as text or SVG; the SVG labels a
+    table's blocks, or an outcome's table's, with priority and size."""
+    grid = classify_blocks(source, attacked=attacked, partition=partition)
     if fmt == "text":
         return render_text(grid)
     if fmt == "svg":
-        table = source if isinstance(source, PriorityTable) else None
-        part = partition
-        if part is None and isinstance(source, SparsityPattern):
-            part = source.partition
-        return render_svg(grid, table=table, partition=part)
+        if isinstance(source, SparsityPattern):
+            return render_svg(grid, partition=source.partition if partition is None else partition)
+        return render_svg(grid, table=source.table if isinstance(source, RerouteOutcome) else source)
     raise UnknownFormat(f"unsupported render format: {fmt!r}")

@@ -8,7 +8,8 @@ three procedures (uniform block sizes, a single attacked link with mixed
 sizes, multiple attacked links with mixed sizes) differ only in the
 precondition and feasibility screen in front of it, and select_reroute
 chooses among them. Each takes the attacked priorities as given and checks
-them by one rule (_validated_attack): integers in 1..r1 of the table.
+them by one rule (_validated_attack): integers in 1..r1 of the table,
+the rule run_pipeline also applies with r1 = N^2 before its sweep.
 Capacity is counted in information units (block element counts), exactly
 as the table stores it.
 """
@@ -59,14 +60,14 @@ class RerouteOutcome:
             raise InvalidAssumption("sacrificed and dropped rows must be zero")
 
 
-def _validated_attack(table: PriorityTable, attacked) -> frozenset[int]:
+def _validated_attack(r1: int, attacked) -> frozenset[int]:
     """attacked as a set of ints. InvalidAssumption for a priority that is
     no integer (a bool, a float or a string; NumPy integers are integers),
-    IndexOutOfRange for one outside 1..r1 of the table."""
+    IndexOutOfRange for one outside 1..r1."""
     prios = frozenset(_integer(q, "attacked priority") for q in attacked)
     for q in prios:
-        if not 1 <= q <= table.r1:
-            raise IndexOutOfRange(f"attacked priority {q} outside 1..{table.r1}")
+        if not 1 <= q <= r1:
+            raise IndexOutOfRange(f"attacked priority {q} outside 1..{r1}")
     return prios
 
 
@@ -117,7 +118,7 @@ def reroute_uniform(table: PriorityTable, attacked) -> RerouteOutcome:
     sizes = set(table.sizes())
     if len(sizes) > 1:
         raise InvalidAssumption(f"block sizes are not uniform: {sorted(sizes)}")
-    attacked = _validated_attack(table, attacked)
+    attacked = _validated_attack(table.r1, attacked)
     if len(attacked) > table.r1 / 2:
         return _infeasible_outcome(table, attacked)
     return _serve(table, attacked)
@@ -127,7 +128,7 @@ def reroute_single(table: PriorityTable, r_attack: int) -> RerouteOutcome:
     """Single attacked link on a table with arbitrary block sizes; always
     feasible. The lowest-priority link, or an attacked block larger than all
     capacity below it, is dropped."""
-    return _serve(table, _validated_attack(table, [r_attack]))
+    return _serve(table, _validated_attack(table.r1, [r_attack]))
 
 
 def reroute_multi(table: PriorityTable, attacked) -> RerouteOutcome:
@@ -138,7 +139,7 @@ def reroute_multi(table: PriorityTable, attacked) -> RerouteOutcome:
     least half the table is attacked; otherwise served with hosts never
     reused and never themselves attacked.
     """
-    attacked = _validated_attack(table, attacked)
+    attacked = _validated_attack(table.r1, attacked)
     sizes = table.sizes()
     b1 = sum(sizes[q - 1] for q in attacked)
     b2 = sum(sizes[q - 1] for q in range(1, max(attacked, default=0)) if q not in attacked)
@@ -150,7 +151,7 @@ def reroute_multi(table: PriorityTable, attacked) -> RerouteOutcome:
 def select_reroute(table: PriorityTable, attacked) -> RerouteOutcome:
     """Uniform block sizes use reroute_uniform; one attacked block on a
     mixed-size table uses reroute_single; anything else reroute_multi."""
-    attacked = _validated_attack(table, attacked)
+    attacked = _validated_attack(table.r1, attacked)
     if len(set(table.sizes())) <= 1:
         return reroute_uniform(table, attacked)
     if len(attacked) == 1:

@@ -22,12 +22,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import IndexOutOfRange, InvalidAssumption, _integer, _real, _shown
+from .errors import InvalidAssumption, _integer, _real, _shown
 from .h2 import closed_loop_cost
 from .plant import _MAX_DIM, BlockPartition, LtiPlant, SparsityPattern
 from .priority import PriorityTable, rank_links
 from .render import render_pattern
-from .reroute import RerouteOutcome, _links_without, pattern_from, select_reroute
+from .reroute import RerouteOutcome, _links_without, _validated_attack, pattern_from, select_reroute
 from .serialize import (
     _fields,
     _one_of,
@@ -218,9 +218,7 @@ def run_pipeline(scenario: Scenario) -> PipelineResult:
     plant = scenario.resolve_plant()
     # r1 <= N^2: an attack past N^2 fails before the sweep (a count inside attack_from_doc)
     n_blocks = plant.partition.n_nodes ** 2
-    beyond = max(attack_from_doc(scenario.attack, n_blocks), default=0)
-    if beyond > n_blocks:
-        raise IndexOutOfRange(f"attacked priority {beyond} outside 1..{n_blocks} of the plant's blocks")
+    _validated_attack(n_blocks, attack_from_doc(scenario.attack, n_blocks))
     sweep = sparsity_sweep(plant, scenario.beta_schedule)
     table = rank_links(plant, sweep)
 
@@ -318,7 +316,7 @@ def write_artifacts(result: PipelineResult, out_dir) -> list:
         files["gain_after.json"] = dumps_canonical(
             gain_to_doc(result.after, result.pattern_after)
         )
-        views.append(("pattern_after", result.table, {"outcome": result.outcome, "partition": partition}))
+        views.append(("pattern_after", result.outcome, {"partition": partition}))
     for name, source, options in views:
         files[f"{name}.txt"] = render_pattern(source, **options)
         files[f"{name}.svg"] = render_pattern(source, "svg", **options)

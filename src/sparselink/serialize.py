@@ -63,8 +63,9 @@ def _json_array(doc, name: str, rule, ndim: int) -> np.ndarray:
         a = np.array(doc, dtype=object)
     except ValueError as exc:
         raise InvalidAssumption(f"{name} must be a regular array") from exc
-    if a.ndim <= ndim:  # a.flat iterates at most 32 dimensions
-        values = [rule(v, f"{name} entry") for v in a.flat]
+    if a.ndim > ndim:  # named without a count: numpy discovers at most 64 dimensions
+        raise DimensionMismatch(f"{name} must be an array of {ndim} dimensions, nests deeper than {ndim} levels")
+    values = [rule(v, f"{name} entry") for v in a.flat]
     if a.ndim != ndim:
         raise DimensionMismatch(f"{name} must be an array of {ndim} dimensions, got {a.ndim}")
     return np.array(values).reshape(a.shape)
@@ -179,7 +180,6 @@ def table_from_doc(doc) -> PriorityTable:
                     values=tuple(_json_array(entry["values"], "values", _real, 1).tolist()),
                 )
             )
-        rows.sort(key=lambda r: r.q)
         return PriorityTable(tuple(rows))
     except DimensionMismatch as exc:
         raise InvalidAssumption(f"malformed table: {exc}") from exc

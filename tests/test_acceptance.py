@@ -279,7 +279,7 @@ def test_criterion_09_structural_reproduction():
         assert cap >= need
         # the rendered grids tell the same story
         pre = render_pattern(table, attacked=attacked)
-        post = render_pattern(table, outcome=out)
+        post = render_pattern(out)
         assert pre.count(CHAR_ATTACKED) == n_attacked
         assert post.count(CHAR_REROUTED) == n_attacked
         assert post.count(CHAR_ATTACKED) == 0

@@ -60,13 +60,25 @@ class TestPriorityTable:
         with pytest.raises(DimensionMismatch):
             PriorityTable(rows)
 
-    def test_ascending_order_required(self):
-        rows = (
-            PriorityRow(0, 0, 2, 2, (1.0, 2.0)),
-            PriorityRow(1, 1, 1, 2, (3.0, 4.0)),
-        )
-        with pytest.raises(DimensionMismatch):
-            PriorityTable(rows)
+    def test_rows_come_back_in_priority_order(self, ex1_table):
+        assert PriorityTable(ex1_table.rows[::-1]) == ex1_table
+        table = PriorityTable([PriorityRow(0, 0, 2, 2, (1.0, 2.0)), PriorityRow(1, 1, 1, 2, (3.0, 4.0))])
+        assert [(r.i, r.q) for r in table.rows] == [(1, 1), (0, 2)]
+        assert table.row(1).values == (3.0, 4.0)
+
+    def test_grid_size_limit_is_checked_before_any_allocation(self, monkeypatch, ex1_table):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("allocated a grid past the size limit")
+
+        def moved(**index):  # the last row at another block index
+            return PriorityTable(ex1_table.rows[:-1] + (dataclasses.replace(ex1_table.rows[-1], **index),))
+
+        limit = priority._MAX_DIM
+        assert (moved(i=limit - 1, j=limit - 1).rows[-1].i, moved(j=limit - 1).rows[-1].j) == (limit - 1, limit - 1)
+        monkeypatch.setattr(np, "full", no_grid)
+        for index in ({"i": limit}, {"j": limit}, {"i": 10**9}, {"j": 10**9}, {"i": 10**30}, {"j": -1}):
+            with pytest.raises(DimensionMismatch, match=f"0..{limit - 1}, at most {limit}"):
+                moved(**index)
 
     def test_padding_must_be_zero(self):
         rows = (

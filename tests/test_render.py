@@ -18,6 +18,7 @@ from sparselink import (
     render_text,
     reroute_uniform,
 )
+from sparselink import plant as plant_module
 from sparselink import render as render_module
 
 EX1_ATTACK = {3, 7, 8}
@@ -33,7 +34,7 @@ class TestClassify:
 
     def test_outcome_grid(self, ex1_table, ex1_partition):
         out = reroute_uniform(ex1_table, EX1_ATTACK)
-        grid = classify_blocks(ex1_table, outcome=out, partition=ex1_partition)
+        grid = classify_blocks(out, partition=ex1_partition)
         assert render_text(grid) == "S·■R\n·A·R\n·■··\nS■·■\n"
 
     def test_attacked_set_grid(self, ex1_table, ex1_partition):
@@ -63,20 +64,10 @@ class TestClassify:
         with pytest.raises(DimensionMismatch):
             classify_blocks(PriorityTable(rows), partition=ex1_partition)
 
-    def test_grid_size_limit_is_checked_before_any_allocation(self, monkeypatch, ex1_table):
-        def no_grid(*args, **kwargs):
-            raise AssertionError("allocated a grid past the size limit")
-
-        def moved(**index):  # the last row at another block index
-            return PriorityTable(ex1_table.rows[:-1] + (dataclasses.replace(ex1_table.rows[-1], **index),))
-
-        limit = render_module._MAX_DIM
-        assert render_module._table_extent(moved(i=limit - 1, j=limit - 1)) == (limit, limit)
-        monkeypatch.setattr(np, "full", no_grid)
-        for index in ({"i": limit}, {"j": limit}, {"i": 10**9}, {"j": 10**9}, {"i": 10**30}):
-            for fmt in ("text", "svg"):
-                with pytest.raises(DimensionMismatch, match="at most"):
-                    render_pattern(moved(**index), fmt)
+    def test_extent_of_a_row_at_the_table_bound(self, ex1_table):
+        limit = plant_module._MAX_DIM  # no grid is drawn: that would allocate limit**2 cells
+        far = dataclasses.replace(ex1_table.rows[-1], i=limit - 1, j=limit - 1)
+        assert render_module._table_extent(PriorityTable(ex1_table.rows[:-1] + (far,))) == (limit, limit)
 
     def test_empty_table_has_no_extent(self, ex1_partition):
         with pytest.raises(DimensionMismatch):
@@ -98,7 +89,7 @@ class TestParse:
         self, ex1_table, ex1_partition
     ):
         out = reroute_uniform(ex1_table, EX1_ATTACK)
-        text = render_pattern(ex1_table, outcome=out, partition=ex1_partition)
+        text = render_pattern(out, partition=ex1_partition)
         parsed = parse_pattern(text, ex1_partition)
         assert parsed.same_as(pattern_from(out, ex1_partition))
 
@@ -129,7 +120,7 @@ class TestParse:
 class TestSvg:
     def test_cell_count_and_size(self, ex1_table, ex1_partition):
         out = reroute_uniform(ex1_table, EX1_ATTACK)
-        svg = render_pattern(ex1_table, "svg", outcome=out, partition=ex1_partition)
+        svg = render_pattern(out, "svg", partition=ex1_partition)
         assert svg.count("<rect") == 16
         assert 'width="112"' in svg and 'height="112"' in svg
         assert svg.startswith("<?xml")
@@ -137,7 +128,7 @@ class TestSvg:
 
     def test_outcome_colors(self, ex1_table, ex1_partition):
         out = reroute_uniform(ex1_table, EX1_ATTACK)
-        svg = render_pattern(ex1_table, "svg", outcome=out, partition=ex1_partition)
+        svg = render_pattern(out, "svg", partition=ex1_partition)
         assert svg.count('fill="#c53030"') == 1  # dropped q3
         assert svg.count('fill="#dd6b20"') == 2  # sacrificed q1, q2
         assert svg.count('fill="#2f855a"') == 2  # rerouted q7, q8

@@ -389,7 +389,7 @@ class TestRerouteProperties:
             outcomes.append(reroute_uniform(table, attacked))
         for out in outcomes:
             if out.feasible:
-                text = render_pattern(table, outcome=out, partition=part)
+                text = render_pattern(out, partition=part)
                 assert np.array_equal(
                     parse_pattern(text, part).mask, pattern_from(out, part).mask
                 )

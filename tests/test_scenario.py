@@ -1024,22 +1024,12 @@ class TestCli:
         assert main(["render", "--pattern", str(tmp_path / "pattern.json")]) == 0
         assert capsys.readouterr().out == "■···\n·■··\n··■·\n···■\n"
 
-    def test_render_table_with_outcome(self, tmp_path, capsys, ex1_table):
-        from sparselink import outcome_to_doc, table_to_doc
+    def test_render_outcome(self, tmp_path, capsys, ex1_table):
+        from sparselink import outcome_to_doc
 
-        out = reroute_uniform(ex1_table, {3, 7, 8})
-        write_json(tmp_path / "table.json", table_to_doc(ex1_table))
-        write_json(tmp_path / "outcome.json", outcome_to_doc(out))
-        code = main(
-            [
-                "render",
-                "--table",
-                str(tmp_path / "table.json"),
-                "--outcome",
-                str(tmp_path / "outcome.json"),
-            ]
-        )
-        assert code == 0
+        # the outcome is drawn on its own n_final table
+        write_json(tmp_path / "outcome.json", outcome_to_doc(reroute_uniform(ex1_table, {3, 7, 8})))
+        assert main(["render", "--outcome", str(tmp_path / "outcome.json")]) == 0
         assert capsys.readouterr().out == "S·■R\n·A·R\n·■··\nS■·■\n"
 
     def test_render_svg_to_dir(self, tmp_path, ex1_partition):
@@ -1104,7 +1094,7 @@ class TestCli:
         assert main(["gen", "--n-nodes", "2", "--seed", "0", "--bogus"]) == 4
         assert main(["teleport"]) == 4
         # options that would have no effect: a --seed for a plant no
-        # generator makes, and an --outcome with no --table to draw it on
+        # generator makes, and a second thing to render beside --pattern
         plant = generate_plant(2, 0)
         inline = write_scenario(tmp_path, None, plant={"inline": plant_to_doc(plant)})
         assert main(["run", "--scenario", str(inline), "--seed", "7"]) == 4
@@ -1179,28 +1169,28 @@ class TestCli:
     def test_render_outcome_of_another_table_exit_four(self, tmp_path, capsys, ex1_table):
         from sparselink import outcome_to_doc, table_to_doc
 
-        # an outcome of the 9-row example table, rendered on a 4-row table
+        # an outcome of the 9-row example table beside a 4-row table: render
+        # draws exactly one source, and an outcome carries its own table
         write_json(tmp_path / "table.json", table_to_doc(make_table((1, 1, 1, 1))))
         write_json(tmp_path / "outcome.json", outcome_to_doc(reroute_uniform(ex1_table, {3})))
-        args = ["render", "--table", str(tmp_path / "table.json"),
-                "--outcome", str(tmp_path / "outcome.json")]
-        assert main(args) == 4
-        captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("input error:")
+        table, outcome = str(tmp_path / "table.json"), ["--outcome", str(tmp_path / "outcome.json")]
+        for args in (["--table", table, *outcome], ["--pattern", table, *outcome], []):
+            assert main(["render", *args]) == 4
+            captured = capsys.readouterr()
+            assert captured.out == "" and captured.err.startswith("input error:") and captured.err.count("\n") == 1
+        assert main(["render", *outcome]) == 0
+        assert capsys.readouterr().out == "S·■■\n·R·■\n·■··\n■■·■\n"
 
     def test_render_impossible_outcome_exit_four(self, tmp_path, capsys):
-        from sparselink import outcome_to_doc, table_to_doc
+        from sparselink import outcome_to_doc
 
         table = make_table((1, 1, 1, 1))
         # priority 9 on a 4-row table, and priority 2 both rerouted and dropped
         doc = dict(outcome_to_doc(reroute_uniform(table, {2})), rerouted=[2, 9], dropped=[2])
-        write_json(tmp_path / "table.json", table_to_doc(table))
         write_json(tmp_path / "outcome.json", doc)
-        args = ["render", "--table", str(tmp_path / "table.json"),
-                "--outcome", str(tmp_path / "outcome.json")]
-        assert main(args) == 4
+        assert main(["render", "--outcome", str(tmp_path / "outcome.json")]) == 4
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("input error:")
+        assert captured.out == "" and captured.err.startswith("input error: outcome names a priority outside 1..4")
 
 
 def _wrapped(doc, path, depth):
@@ -1255,9 +1245,8 @@ _READERS = {  # the commands that read each document; "@" is the document's text
     "plant.json": [_SYNTH],
     "pattern.json": [_SYNTH, ["render", "--pattern", "pattern.json"]],
     "gain.json": [_SYNTH + ["--init", "gain.json"]],
-    "table.json": [_REROUTE + ["attack.json"], ["render", "--table", "table.json"],
-                   ["render", "--table", "table.json", "--outcome", "outcome.json"]],
-    "outcome.json": [["render", "--table", "table.json", "--outcome", "outcome.json"]],
+    "table.json": [_REROUTE + ["attack.json"], ["render", "--table", "table.json"]],
+    "outcome.json": [["render", "--outcome", "outcome.json"]],
     "attack.json": [_REROUTE + ["attack.json"], _REROUTE + ["@"]],
     "scenario.json": [[command, "--scenario", "scenario.json"] for command in ("sweep", "rank", "run")],
     "inline.json": [["run", "--scenario", "inline.json"]],
@@ -1328,6 +1317,16 @@ class TestBadDocuments:
     def test_table_row_too_far_to_draw(self, capsys, documents, i):
         write_json("table.json", [dict(documents["table.json"][0], i=i)])
         assert "at most 1000" in self.exit_four(capsys, ["render", "--table", "table.json"])
+
+    @pytest.mark.parametrize("index", [{"i": 10**30}, {"j": 1000}], ids=["i_far", "j_at_bound"])
+    @pytest.mark.parametrize("argv", [_REROUTE + ["attack.json"], ["render", "--table", "table.json"],
+                                      ["render", "--outcome", "outcome.json"]], ids=["reroute", "render", "outcome"])
+    def test_table_row_past_the_bound(self, capsys, documents, index, argv):
+        # every table reader refuses the row, so reroute writes no outcome that render refuses
+        write_json("table.json", [dict(documents["table.json"][0], **index)] + documents["table.json"][1:])
+        outcome = documents["outcome.json"]
+        write_json("outcome.json", dict(outcome, n_final=[dict(outcome["n_final"][0], **index)] + outcome["n_final"][1:]))
+        assert "block indices must lie in 0..999" in self.exit_four(capsys, argv)
 
     def test_literal_nested_to_the_reader_limit(self, capsys, documents):
         # the deepest literals the JSON reader takes are too deep for repr to show
