@@ -1,5 +1,7 @@
 """Block-grid rendering of sparsity patterns, priority tables, and attack
-outcomes, as a text grid or a standalone SVG.
+outcomes, as a text grid or a standalone SVG. One view rule (_view) gives
+every drawing its grid and SVG labels from the object it draws, and refuses
+a keyword that does not apply to that object.
 
 Text grid: one character per block. ■ free, · structurally zero, A attacked
 (data lost), S sacrificed to host rerouted data, R attacked but rerouted
@@ -10,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DimensionMismatch, UnknownFormat
+from .errors import DimensionMismatch, InvalidAssumption, UnknownFormat
 from .plant import BlockPartition, SparsityPattern
 from .priority import PriorityTable
 from .reroute import RerouteOutcome
@@ -40,28 +42,29 @@ def _table_extent(table: PriorityTable) -> tuple[int, int]:
     return max(row.i for row in table.rows) + 1, max(row.j for row in table.rows) + 1
 
 
-def classify_blocks(
-    source,
-    *,
-    attacked=None,
-    partition: BlockPartition | None = None,
-) -> np.ndarray:
-    """Character grid over the block lattice. source is a SparsityPattern
-    (plain free/zero view), a PriorityTable (marked by an attacked priority
-    set, if given: the pre-reroute view) or a RerouteOutcome (its table,
-    marked by its sets). A given partition sets the grid, and the table
-    must fit it (check_fits); without one, the table's extent sets it."""
-    if isinstance(source, SparsityPattern):
-        grid = np.full(source.mask.shape, CHAR_ZERO, dtype="<U1")
-        grid[source.mask] = CHAR_FREE
-        return grid
-    if isinstance(source, RerouteOutcome):
+def _view(source, attacked, partition) -> tuple[np.ndarray, dict]:
+    """The one rule for what a drawing shows: the character grid of source
+    and the SVG label of each labelled cell. A pattern is drawn and
+    labelled (s{size}) on its own partition; a given partition must be it
+    (check_same). A table, or an outcome's table, is drawn on the given
+    partition, which it must fit (check_fits), or else on its extent, and
+    each row is labelled q{q} s{size}. Only a table takes attacked."""
+    if isinstance(source, PriorityTable):
+        table = source
+        marks = dict.fromkeys(() if attacked is None else attacked, CHAR_ATTACKED)
+    elif attacked is not None:
+        raise InvalidAssumption(f"attacked= marks a priority table, not a {type(source).__name__}")
+    elif isinstance(source, RerouteOutcome):
         table = source.table  # RerouteOutcome keeps these sets disjoint
         marked = ((source.dropped, CHAR_ATTACKED), (source.sacrificed, CHAR_SACRIFICED),
                   (source.rerouted, CHAR_REROUTED))
-    elif isinstance(source, PriorityTable):
-        table = source
-        marked = ((() if attacked is None else attacked, CHAR_ATTACKED),)
+        marks = {q: char for prios, char in marked for q in prios}
+    elif isinstance(source, SparsityPattern):
+        if partition is not None:
+            source.partition.check_same(partition, "render partition")
+        sizes = source.partition.block_sizes()
+        labels = {(i, j): f"s{int(sizes[i, j])}" for i, j in zip(*np.nonzero(source.mask))}
+        return np.where(source.mask, CHAR_FREE, CHAR_ZERO), labels
     else:
         raise UnknownFormat(f"cannot render a {type(source).__name__}")
     if partition is not None:
@@ -69,11 +72,20 @@ def classify_blocks(
         shape = (partition.n_nodes, partition.n_nodes)
     else:
         shape = _table_extent(table)
-    marks = {q: char for prios, char in marked for q in prios}
     grid = np.full(shape, CHAR_ZERO, dtype="<U1")
+    labels = {}
     for row in table.rows:
         grid[row.i, row.j] = marks.get(row.q, CHAR_FREE)
-    return grid
+        labels[(row.i, row.j)] = f"q{row.q} s{row.size}"
+    return grid, labels
+
+
+def classify_blocks(source, *, attacked=None, partition: BlockPartition | None = None) -> np.ndarray:
+    """Character grid over the block lattice, source's view (_view): a
+    SparsityPattern plain free/zero, a PriorityTable marked by an attacked
+    priority set if given (the pre-reroute view), a RerouteOutcome's table
+    marked by its sets."""
+    return _view(source, attacked, partition)[0]
 
 
 def render_text(grid: np.ndarray) -> str:
@@ -101,25 +113,12 @@ def parse_pattern(text: str, partition: BlockPartition | None = None) -> Sparsit
     return SparsityPattern(mask, partition)
 
 
-def render_svg(
-    grid: np.ndarray,
-    *,
-    table: PriorityTable | None = None,
-    partition: BlockPartition | None = None,
-) -> str:
-    """Standalone SVG of the block grid; free/attacked/sacrificed/rerouted
-    cells are colored and, when known, annotated with priority and size."""
+def render_svg(grid: np.ndarray, labels: dict | None = None) -> str:
+    """Standalone SVG of the block grid: free/attacked/sacrificed/rerouted
+    cells are colored, and each cell in labels, keyed (i, j), is annotated
+    with its label."""
     rows, cols = grid.shape
-    labels: dict[tuple[int, int], str] = {}
-    if table is not None:
-        for row in table.rows:
-            labels[(row.i, row.j)] = f"q{row.q} s{row.size}"
-    elif partition is not None:
-        sizes = partition.block_sizes()
-        for i in range(rows):
-            for j in range(cols):
-                if grid[i, j] != CHAR_ZERO:
-                    labels[(i, j)] = f"s{int(sizes[i, j])}"
+    labels = labels or {}
     parts = [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{cols * _CELL}"'
@@ -152,13 +151,11 @@ def render_pattern(
     attacked=None,
     partition: BlockPartition | None = None,
 ) -> str:
-    """source drawn by classify_blocks as text or SVG; the SVG labels a
-    table's blocks, or an outcome's table's, with priority and size."""
-    grid = classify_blocks(source, attacked=attacked, partition=partition)
+    """source drawn by its view (_view) as text or as an SVG with the
+    view's labels."""
+    grid, labels = _view(source, attacked, partition)
     if fmt == "text":
         return render_text(grid)
     if fmt == "svg":
-        if isinstance(source, SparsityPattern):
-            return render_svg(grid, partition=source.partition if partition is None else partition)
-        return render_svg(grid, table=source.table if isinstance(source, RerouteOutcome) else source)
+        return render_svg(grid, labels)
     raise UnknownFormat(f"unsupported render format: {fmt!r}")

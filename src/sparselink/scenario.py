@@ -84,15 +84,7 @@ class GeneratorSpec:
         shift = float(np.max(np.linalg.eigvals(drift).real)) + self.delta
         a = drift - shift * np.eye(n)
 
-        b_node = np.zeros((self.node_state, self.node_input))
-        for k in range(min(self.node_input, self.node_state)):
-            b_node[k, k] = 10.0
-        b = np.zeros((n, m))
-        for node in range(self.n_nodes):
-            rows = slice(node * self.node_state, (node + 1) * self.node_state)
-            cols = slice(node * self.node_input, (node + 1) * self.node_input)
-            b[rows, cols] = b_node
-
+        b = np.kron(np.eye(self.n_nodes), 10.0 * np.eye(self.node_state, self.node_input))
         partition = BlockPartition(
             (self.node_input,) * self.n_nodes, (self.node_state,) * self.n_nodes
         )

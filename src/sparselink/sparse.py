@@ -185,11 +185,10 @@ def sparsity_sweep(plant: LtiPlant, beta_schedule=None) -> SweepResult:
     takes that entry's polish. Passes and polishes start from the closed
     loops their gains carry (module docstring).
     """
+    schedule = None if beta_schedule is None else _checked_schedule(beta_schedule)
     gain = lqr_centralized(plant)  # K_c
-    if beta_schedule is None:
+    if schedule is None:
         schedule = default_beta_schedule(_closed_loop(plant, gain).value)
-    else:
-        schedule = _checked_schedule(beta_schedule)
 
     entries: list[SweepEntry] = []
     for beta in schedule:

@@ -8,12 +8,25 @@ under ATTACK: the sweep betas, masks and polished costs, the table order
 j_reroute. The cold record is the cold structured synthesis of the first
 synth_cold_n20 item (seed 0, item 0: generate_plant(20, 0) on the diagonal
 pattern): its cost and gain. JSON has no Infinity, so an infinite j_attack
-is null. Regenerate only when a change moves these outputs on purpose.
+is null.
+
+Beside the records, the digest section holds the SHA-256 of every
+write_artifacts file of each pipeline and of the cold gain document, stamped
+with the python, numpy and scipy versions that made them: other wheels may
+round differently, so the bytes are compared only under the same stamp.
+Regenerate only when a change moves these outputs on purpose.
 """
+import functools
+import hashlib
 import json
 import math
+import platform
 import re
+import tempfile
 from pathlib import Path
+
+import numpy as np
+import scipy
 
 import sparselink as sl
 
@@ -27,12 +40,19 @@ def _mask(pattern) -> list[str]:
     return ["".join("1" if free else "0" for free in row) for row in pattern.mask]
 
 
-def pipeline_record(n_nodes: int, seed: int) -> dict:
-    res = sl.run_pipeline(sl.Scenario(
+@functools.cache
+def pipeline_result(n_nodes: int, seed: int):
+    """run_pipeline on GeneratorSpec(n_nodes, seed), run once per process
+    for both the record and the digests."""
+    return sl.run_pipeline(sl.Scenario(
         name=f"outputs-{n_nodes}-{seed}",
         generator=sl.GeneratorSpec(n_nodes, seed),
         attack=dict(ATTACK),
     ))
+
+
+def pipeline_record(n_nodes: int, seed: int) -> dict:
+    res = pipeline_result(n_nodes, seed)
     entries, out, rep = res.sweep.entries, res.outcome, res.report
     return {
         "spec": [n_nodes, seed],
@@ -51,16 +71,49 @@ def pipeline_record(n_nodes: int, seed: int) -> dict:
     }
 
 
-def cold_record(n_nodes: int, seed: int) -> dict:
+@functools.cache
+def cold_synthesis(n_nodes: int, seed: int):
+    """(pattern, SynthesisInfo) of the cold synthesis, run once per process."""
     plant = sl.generate_plant(n_nodes, seed)
-    info = sl.synthesize_structured_info(plant, sl.SparsityPattern.diagonal(plant.partition))
+    pattern = sl.SparsityPattern.diagonal(plant.partition)
+    return pattern, sl.synthesize_structured_info(plant, pattern)
+
+
+def cold_record(n_nodes: int, seed: int) -> dict:
+    _, info = cold_synthesis(n_nodes, seed)
     return {"spec": [n_nodes, seed], "cost": info.cost, "gain": info.gain.K.tolist()}
+
+
+def stamp() -> dict:
+    return {"python": platform.python_version(), "numpy": np.__version__, "scipy": scipy.__version__}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def artifact_digests(n_nodes: int, seed: int) -> dict:
+    """SHA-256 of every write_artifacts file of the pipeline, by file name."""
+    with tempfile.TemporaryDirectory() as out:
+        return {path.name: _sha256(path.read_bytes())
+                for path in sl.write_artifacts(pipeline_result(n_nodes, seed), out)}
+
+
+def cold_digest(n_nodes: int, seed: int) -> str:
+    """SHA-256 of the cold synthesis's gain document."""
+    pattern, info = cold_synthesis(n_nodes, seed)
+    return _sha256(sl.dumps_canonical(sl.gain_to_doc(info, pattern)).encode("utf-8"))
 
 
 def corpus() -> dict:
     return {
         "pipelines": [pipeline_record(*spec) for spec in PIPELINES],
         "cold": cold_record(*COLD),
+        "digests": {
+            "stamp": stamp(),
+            "pipelines": [{"spec": list(spec), "files": artifact_digests(*spec)} for spec in PIPELINES],
+            "cold": {"spec": list(COLD), "gain.json": cold_digest(*COLD)},
+        },
     }
 
 

@@ -4,7 +4,10 @@ Discrete fields (sweep masks, the table order, the outcome sets) must be
 equal. Betas and costs agree within 1e-9 relative, table and gain values
 within 1e-9 of the largest value, and j_attack within 1e-6 relative: it
 prices a gain off any optimum, so it magnifies tiny moves of that gain (the
-README's note on j_attack). tests/data/make_outputs.py regenerates the
+README's note on j_attack). Under the python, numpy and scipy versions
+that stamp the digests, every write_artifacts file and the cold gain
+document must also be byte-identical; under other versions that test
+skips and names both stamps. tests/data/make_outputs.py regenerates the
 corpus; a change that moves these outputs on purpose regenerates it and
 argues for the diff.
 """
@@ -21,6 +24,7 @@ make_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(make_outputs)
 
 CORPUS = json.loads(make_outputs.CORPUS.read_text(encoding="utf-8"))
+DIGESTS = CORPUS["digests"]
 COST_REL = 1e-9
 VALUE_REL = 1e-9
 J_ATTACK_REL = 1e-6
@@ -39,8 +43,16 @@ def assert_values(got, want):
 
 
 def test_corpus_covers_the_listed_scenarios():
-    assert [tuple(r["spec"]) for r in CORPUS["pipelines"]] == list(make_outputs.PIPELINES)
-    assert tuple(CORPUS["cold"]["spec"]) == make_outputs.COLD
+    for records in (CORPUS["pipelines"], DIGESTS["pipelines"]):
+        assert [tuple(r["spec"]) for r in records] == list(make_outputs.PIPELINES)
+    for record in (CORPUS["cold"], DIGESTS["cold"]):
+        assert tuple(record["spec"]) == make_outputs.COLD
+
+
+def require_stamp():
+    got = make_outputs.stamp()
+    if got != DIGESTS["stamp"]:
+        pytest.skip(f"digests stamped {DIGESTS['stamp']}, running {got}")
 
 
 @pytest.mark.parametrize(
@@ -61,3 +73,17 @@ def test_cold_synthesis_output():
     got = make_outputs.cold_record(*want["spec"])
     assert_close(got["cost"], want["cost"], COST_REL)
     assert_values(got["gain"], want["gain"])
+
+
+@pytest.mark.parametrize(
+    "want", DIGESTS["pipelines"], ids=lambda r: "GeneratorSpec(%d, %d)" % tuple(r["spec"])
+)
+def test_pipeline_artifact_bytes(want):
+    require_stamp()
+    assert make_outputs.artifact_digests(*want["spec"]) == want["files"]
+
+
+def test_cold_gain_document_bytes():
+    require_stamp()
+    want = DIGESTS["cold"]
+    assert make_outputs.cold_digest(*want["spec"]) == want["gain.json"]

@@ -7,6 +7,7 @@ import pytest
 from sparselink import (
     BlockPartition,
     DimensionMismatch,
+    InvalidAssumption,
     PriorityTable,
     SparsityPattern,
     UnknownFormat,
@@ -74,6 +75,35 @@ class TestClassify:
             classify_blocks(PriorityTable(()))
         grid = classify_blocks(PriorityTable(()), partition=ex1_partition)
         assert render_text(grid) == "····\n····\n····\n····\n"
+
+
+class TestViewRule:
+    """Each drawing takes its grid and labels from the object it draws and
+    refuses a keyword that does not apply to it."""
+
+    def test_attacked_set_on_a_pattern_is_refused(self, ex1_partition):
+        with pytest.raises(InvalidAssumption):
+            render_pattern(SparsityPattern.full(ex1_partition), attacked={1})
+
+    def test_attacked_set_on_an_outcome_is_refused(self, ex1_table, ex1_partition):
+        out = reroute_uniform(ex1_table, EX1_ATTACK)
+        with pytest.raises(InvalidAssumption):
+            render_pattern(out, attacked={1, 2}, partition=ex1_partition)
+        with pytest.raises(InvalidAssumption):
+            classify_blocks(out, attacked=EX1_ATTACK)
+
+    def test_pattern_on_another_partition_is_refused(self, ex1_partition, ex2_partition):
+        pattern = SparsityPattern.full(ex2_partition)
+        for fmt in ("text", "svg"):
+            with pytest.raises(DimensionMismatch):
+                render_pattern(pattern, fmt, partition=ex1_partition)
+
+    def test_pattern_on_its_own_partition_draws_the_same(self, ex2_partition):
+        mask = np.eye(4, dtype=bool)
+        mask[1, 2] = True
+        pattern = SparsityPattern(mask, ex2_partition)
+        for fmt in ("text", "svg"):
+            assert render_pattern(pattern, fmt, partition=ex2_partition) == render_pattern(pattern, fmt)
 
 
 class TestParse:
@@ -157,6 +187,12 @@ class TestSvg:
         svg = render_svg(grid)
         assert svg.count("<rect") == 2
         assert svg.count("<text") == 0
+
+    def test_given_labels_only(self):
+        grid = np.array([["■", "·"]], dtype="<U1")
+        svg = render_svg(grid, {(0, 0): "x"})
+        assert svg.count("<text") == 1
+        assert 'x="14" y="17"' in svg and ">x</text>" in svg
 
 
 class TestDispatcher:

@@ -101,6 +101,15 @@ class TestGeneratePlant:
         block = plant.B[0:3, 0:2]
         assert np.array_equal(block, np.array([[10.0, 0.0], [0.0, 10.0], [0.0, 0.0]]))
 
+    @pytest.mark.parametrize("n_nodes, node_state, node_input", [(2, 2, 1), (5, 3, 2), (4, 1, 3), (3, 2, 2)])
+    def test_input_matrix_is_the_per_node_block(self, n_nodes, node_state, node_input):
+        plant = generate_plant(n_nodes, 0, node_state=node_state, node_input=node_input)
+        expected = np.zeros((n_nodes * node_state, n_nodes * node_input))
+        for node in range(n_nodes):
+            for k in range(min(node_state, node_input)):
+                expected[node * node_state + k, node * node_input + k] = 10.0
+        assert plant.B.tobytes() == expected.tobytes()
+
     def test_deterministic(self):
         a = generate_plant(4, 9)
         b = generate_plant(4, 9)

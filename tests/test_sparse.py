@@ -267,6 +267,14 @@ class TestBetaSchedule:
         with pytest.raises(InvalidAssumption, match="finite"):
             sparsity_sweep(generate_plant(2, 0), schedule)
 
+    def test_bad_schedule_is_rejected_before_the_riccati_solve(self, monkeypatch):
+        def unreachable(plant):
+            raise AssertionError("K_c solved before the schedule was checked")
+
+        monkeypatch.setattr(sparse, "lqr_centralized", unreachable)
+        with pytest.raises(InvalidAssumption, match="increasing"):
+            sparsity_sweep(generate_plant(2, 0), (1.0, 0.5))
+
 
 @pytest.mark.usefixtures("one_reweight")
 class TestSparsitySweep:
