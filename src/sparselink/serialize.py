@@ -6,7 +6,8 @@ with Python repr (the shortest decimal string that parses back to the same
 IEEE-754 double), trailing newline. Reading a written document reproduces
 the object bitwise, and re-serializing reproduces the byte stream. They
 are RFC 8259 JSON: dumps_canonical raises ValueError on a non-finite float
-rather than write Infinity or NaN.
+rather than write Infinity or NaN. Every reader refuses a key it does not
+know (_fields).
 """
 from __future__ import annotations
 
@@ -77,19 +78,17 @@ def _integers(doc, name: str) -> tuple[int, ...]:
     return tuple(_integer(v, name) for v in doc)
 
 
-def _fields(doc, name: str, required, optional=None) -> dict:
-    """doc, checked to be a JSON object holding every required key. When
-    optional is given, a key outside required and optional is rejected too;
-    without it, extra keys are ignored."""
+def _fields(doc, name: str, required, optional=()) -> dict:
+    """doc, checked to be a JSON object holding every required key and no
+    key outside required and optional."""
     if not isinstance(doc, dict):
         raise InvalidAssumption(f"{name} must be a JSON object, got {_shown(doc)}")
     missing = set(required) - set(doc)
     if missing:
         raise InvalidAssumption(f"{name} missing fields: {sorted(missing)}")
-    if optional is not None:
-        unknown = set(doc) - set(required) - set(optional)
-        if unknown:
-            raise InvalidAssumption(f"unknown {name} keys: {sorted(unknown)}")
+    unknown = set(doc) - set(required) - set(optional)
+    if unknown:
+        raise InvalidAssumption(f"unknown {name} keys: {sorted(unknown)}")
     return doc
 
 
@@ -231,7 +230,7 @@ def gain_to_doc(info: SynthesisInfo, pattern: SparsityPattern) -> dict:
 
 
 def gain_from_doc(doc: dict, partition: BlockPartition) -> GainMatrix:
-    _fields(doc, "gain document", ("K",))
+    _fields(doc, "gain document", ("K",), ("pattern", "J", "iterations", "converged"))
     return GainMatrix(_json_array(doc["K"], "K", _real, 2), partition)
 
 

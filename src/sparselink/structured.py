@@ -141,7 +141,7 @@ def synthesize_structured_info(
     res = descend(trail, start.k, prox=lambda v, s: v * ident,
                   grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER)
     require_converged(res, "structured polish")
-    gain = _carry(GainMatrix(res.x * ident, plant.partition), trail.last)  # exact off-pattern zeros
+    gain = _carry(GainMatrix(res.x, plant.partition), trail.last)
     return SynthesisInfo(gain=gain, cost=res.value, iterations=outer, converged=True)
 
 

@@ -3,6 +3,7 @@ exit-code table is what the command line does."""
 import ast
 import fnmatch
 import re
+import types
 from pathlib import Path
 
 import pytest
@@ -24,11 +25,13 @@ def entry_point_names():
     ]
 
 
+EXAMPLE = re.search(r"```python\n(.*?)```", README, re.S).group(1)
+
+
 def example_imports():
-    code = re.search(r"```python\n(.*?)```", README, re.S).group(1)
     return [
         alias.name
-        for node in ast.walk(ast.parse(code))
+        for node in ast.walk(ast.parse(EXAMPLE))
         if isinstance(node, ast.ImportFrom) and node.module == "sparselink"
         for alias in node.names
     ]
@@ -38,6 +41,12 @@ def test_all_resolves():
     missing = [name for name in sparselink.__all__ if not hasattr(sparselink, name)]
     assert missing == []
     assert len(set(sparselink.__all__)) == len(sparselink.__all__)
+
+
+def test_all_is_every_public_name():
+    public = {name for name, value in vars(sparselink).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert set(sparselink.__all__) == public
 
 
 def test_readme_entry_points_exported():
@@ -51,6 +60,12 @@ def test_readme_example_imports_exported():
     names = example_imports()
     assert "synthesize_structured_info" in names
     assert set(names) <= set(sparselink.__all__)
+
+
+def test_readme_example_runs(capsys):
+    exec(compile(EXAMPLE, "README.md", "exec"), {})
+    j_info, j_gain = map(float, capsys.readouterr().out.split())
+    assert j_info == j_gain
 
 
 def exit_code_table():

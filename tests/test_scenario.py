@@ -3,6 +3,7 @@ import collections
 import dataclasses
 import json
 import math
+import re
 import sys
 import tempfile
 
@@ -1228,6 +1229,20 @@ def _array_paths(doc, path=()):
             yield from _array_paths(value, path + (key,))
 
 
+def _object_paths(doc, path=()):
+    """The key path of every JSON object of doc, each row of an array
+    included."""
+    if isinstance(doc, dict):
+        yield path
+        items = doc.items()
+    elif isinstance(doc, list):
+        items = enumerate(doc)
+    else:
+        return
+    for key, value in items:
+        yield from _object_paths(value, path + (key,))
+
+
 def _documents():
     """A valid document for every reader, by file name."""
     plant = plant_to_doc(generate_plant(2, 0))
@@ -1260,6 +1275,9 @@ _READERS = {  # the commands that read each document; "@" is the document's text
     "scenario.json": [[command, "--scenario", "scenario.json"] for command in ("sweep", "rank", "run")],
     "inline.json": [["run", "--scenario", "inline.json"]],
 }
+
+
+_OBJECTS = [(name, path) for name, doc in _documents().items() for path in _object_paths(doc)]
 
 
 @pytest.fixture
@@ -1295,6 +1313,19 @@ class TestBadDocuments:
             for argv in commands:
                 argv = [json.dumps(documents[name]) if arg == "@" else arg for arg in argv]
                 assert self.run(capsys, argv)[0] in (0, 2), argv
+
+    @pytest.mark.parametrize("name, path", _OBJECTS,
+                             ids=[name[:-5] + "".join(f".{key}" for key in path) for name, path in _OBJECTS])
+    def test_object_with_an_unknown_key(self, capsys, documents, name, path):
+        doc = json.loads(json.dumps(documents[name]))
+        obj = doc
+        for key in path:
+            obj = obj[key]
+        obj["extra"] = 1
+        write_json(name, doc)
+        for argv in _READERS[name]:
+            err = self.exit_four(capsys, [json.dumps(doc) if arg == "@" else arg for arg in argv])
+            assert re.fullmatch(r"input error: unknown .* keys: \['extra'\]\n", err), argv
 
     @pytest.mark.parametrize("argv", [
         ["run", "--scenario", "deep.json"],

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 from sparselink import (
     BlockPartition,
     DimensionMismatch,
+    GainMatrix,
     GeneratorSpec,
     IndexOutOfRange,
     InvalidAssumption,
     SparsityPattern,
+    SynthesisInfo,
     attack_from_doc,
     dumps_canonical,
     gain_from_doc,
@@ -245,6 +247,14 @@ class TestGainDoc:
                 gain_from_doc({"K": k}, part)
         with pytest.raises(InvalidAssumption):
             gain_from_doc({}, part)
+
+    def test_takes_the_written_keys_and_no_other(self):
+        part = BlockPartition((1, 1), (1, 1))
+        gain = GainMatrix(np.eye(2), part)
+        doc = gain_to_doc(SynthesisInfo(gain, 2.0, 0, True), SparsityPattern.diagonal(part))
+        assert np.array_equal(gain_from_doc(doc, part).K, gain.K)
+        with pytest.raises(InvalidAssumption, match=r"unknown gain document keys: \['cost'\]"):
+            gain_from_doc(dict(doc, cost=2.0), part)
 
 
 class TestAttackDoc:
