@@ -16,6 +16,12 @@ step tau is prox(x - tau g, tau), accepted when F(trial) <= F -
 are seeded by a Barzilai-Borwein estimate. A trial that does not move x
 ends the descent as stalled. make_eval evaluates x0 first, then each
 trial, and is asked a gradient only at x0 and at each accepted trial.
+
+A caller may also end the descent early: stop(x), when given, is tested at
+x0 and at each accepted iterate, before the convergence test, and the
+first point that holds it ends the descent with status STOPPED. A stopped
+descent has not converged (require_converged raises on it); its caller
+decides what the point is worth.
 """
 from __future__ import annotations
 
@@ -30,6 +36,7 @@ CONVERGED = "converged"
 MAX_ITER = "max_iter"
 STALLED = "stalled"
 LOST_STABILITY = "lost_stability"
+STOPPED = "stopped"
 
 _STEP_MIN = 1e-18
 _STEP_MAX = 1e6
@@ -58,6 +65,7 @@ def descend(
     grad_tol: float,
     max_iter: int,
     prox=None,
+    stop=None,
 ) -> DescentResult:
     """Minimize F = f + h from a feasible start (see the module docstring).
 
@@ -68,6 +76,8 @@ def descend(
     max_iter-th is tested for convergence, at a fixed point of the
     proximal map: ||x - prox(x - S g, S)||_F / S <= grad_tol (1 + ||x||_F)
     for S = _RESIDUAL_STEP (for a projection, the projected gradient norm).
+    stop(x), when given, is tested first at each of those iterates, x0
+    included, and ends the descent there with status STOPPED.
     """
     if prox is None:
         prox = _identity
@@ -80,6 +90,8 @@ def descend(
     step = 1.0 / (1.0 + float(np.linalg.norm(g)))
 
     for it in range(max_iter + 1):
+        if stop is not None and stop(x):
+            return DescentResult(x, f, g, it, STOPPED)
         shrunk = prox(x - _RESIDUAL_STEP * g, _RESIDUAL_STEP)
         residual = float(np.linalg.norm(x - shrunk)) / _RESIDUAL_STEP
         if residual <= grad_tol * (1.0 + float(np.linalg.norm(x))):
@@ -129,11 +141,13 @@ _STATUS_ERRORS = {
         LostStabilizability,
         "lost stability: every trial step left the stabilizing set",
     ),
+    STOPPED: (MaxIterations, "stopped at its caller's predicate before it converged"),
 }
 
 
 def require_converged(res: DescentResult, what: str) -> DescentResult:
-    """res when it converged; otherwise the typed error of its status."""
+    """res when it converged; otherwise the typed error of its status (a
+    stopped descent raises MaxIterations: its caller ended it early)."""
     if res.status != CONVERGED:
         error, reason = _STATUS_ERRORS[res.status]
         raise error(f"{what} {reason}")

@@ -5,6 +5,7 @@ validated eagerly, so downstream numerics can assume consistent shapes.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,6 +14,7 @@ from .errors import DimensionMismatch, NotStabilizing, _integer
 
 STABILITY_TOL = 1e-9
 _MAX_DIM = 1000  # the package's size bound: generated n and m, table block indices
+_PLAN_LAYOUTS = 16  # block layouts whose index plans outlive their partitions
 
 
 def _frozen_array(x, dtype=float) -> np.ndarray:
@@ -21,11 +23,61 @@ def _frozen_array(x, dtype=float) -> np.ndarray:
     return a
 
 
+class _BlockPlans:
+    """The index plans of one block layout, each built on first use."""
+
+    def __init__(self, row_sizes: tuple[int, ...], col_sizes: tuple[int, ...]):
+        self.row_sizes = row_sizes
+        self.col_sizes = col_sizes
+
+    @functools.cached_property
+    def gathers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+        """For each distinct block shape (m_i, n_j): the flat (i * N + j)
+        indices of the blocks of that shape, and a (count, m_i * n_j) index
+        into a flattened m x n matrix, row-major within each block. One
+        group for a uniform layout."""
+        N = len(self.row_sizes)
+        rows, cols = np.array(self.row_sizes), np.array(self.col_sizes)
+        row_off = np.concatenate(([0], np.cumsum(rows)[:-1]))
+        col_off = np.concatenate(([0], np.cumsum(cols)[:-1]))
+        n = int(cols.sum())
+        groups = []
+        for mi in np.unique(rows):
+            for nj in np.unique(cols):
+                bi, bj = np.nonzero(np.outer(rows == mi, cols == nj))
+                a = np.repeat(np.arange(mi), nj)
+                b = np.tile(np.arange(nj), mi)
+                gather = (row_off[bi, None] + a) * n + col_off[bj, None] + b
+                groups.append((bi * N + bj, gather))
+        return tuple(groups)
+
+    @functools.cached_property
+    def entry_blocks(self) -> np.ndarray:
+        """m x n matrix of the flat (i * N + j) block index of each entry."""
+        N = len(self.row_sizes)
+        index = np.arange(N * N).reshape(N, N)
+        entry = np.repeat(np.repeat(index, self.row_sizes, axis=0), self.col_sizes, axis=1)
+        entry.setflags(write=False)
+        return entry
+
+
+@functools.lru_cache(maxsize=_PLAN_LAYOUTS)
+def _block_plans(row_sizes: tuple[int, ...], col_sizes: tuple[int, ...]) -> _BlockPlans:
+    """The one _BlockPlans of a block layout while it is among the last
+    _PLAN_LAYOUTS asked for; a partition keeps its own after that."""
+    return _BlockPlans(row_sizes, col_sizes)
+
+
 @dataclass(frozen=True)
 class BlockPartition:
     """Node-wise split of a gain matrix: row block i is node i's control
     dims, column block j is node j's state dims. Block (i, j) of a gain is
     the communication link carrying node j's state to node i's controller.
+
+    The index plans behind block_norms and expand belong to the block
+    layout, not to one partition: every partition with these block sizes
+    holds the same _BlockPlans, built on first use and kept for the last
+    _PLAN_LAYOUTS layouts, so a partition adds no arrays of its own.
     """
 
     row_sizes: tuple[int, ...]
@@ -46,6 +98,7 @@ class BlockPartition:
             raise DimensionMismatch("block sizes must be positive")
         object.__setattr__(self, "_row_off", (0,) + tuple(int(s) for s in np.cumsum(rows)))
         object.__setattr__(self, "_col_off", (0,) + tuple(int(s) for s in np.cumsum(cols)))
+        object.__setattr__(self, "_plans", _block_plans(rows, cols))
 
     @property
     def n_nodes(self) -> int:
@@ -81,47 +134,14 @@ class BlockPartition:
         self.check_gain_shape(x)
         flat = np.ascontiguousarray(x, dtype=float).reshape(-1)
         sq = np.empty(self.n_nodes * self.n_nodes)
-        for blocks, gather in self._block_gathers():
+        for blocks, gather in self._plans.gathers:
             entries = flat[gather]
             sq[blocks] = np.vecdot(entries, entries)
         return np.sqrt(sq).reshape(self.n_nodes, self.n_nodes)
 
-    def _block_gathers(self) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
-        """For each distinct block shape (m_i, n_j): the flat (i * N + j)
-        indices of the blocks of that shape, and a (count, m_i * n_j) index
-        into a flattened m x n matrix, row-major within each block. One
-        group for a uniform partition; built once and cached."""
-        cached = self.__dict__.get("_gathers")
-        if cached is None:
-            N = self.n_nodes
-            rows, cols = np.array(self.row_sizes), np.array(self.col_sizes)
-            row_off, col_off = np.array(self._row_off[:-1]), np.array(self._col_off[:-1])
-            groups = []
-            for mi in np.unique(rows):
-                for nj in np.unique(cols):
-                    bi, bj = np.nonzero(np.outer(rows == mi, cols == nj))
-                    a = np.repeat(np.arange(mi), nj)
-                    b = np.tile(np.arange(nj), mi)
-                    gather = (row_off[bi, None] + a) * self.n + col_off[bj, None] + b
-                    groups.append((bi * N + bj, gather))
-            cached = tuple(groups)
-            object.__setattr__(self, "_gathers", cached)
-        return cached
-
     def expand(self, blockwise: np.ndarray) -> np.ndarray:
         """m x n matrix repeating entry (i, j) of an N x N array over block (i, j)."""
-        return np.asarray(blockwise).reshape(-1)[self._entry_blocks()]
-
-    def _entry_blocks(self) -> np.ndarray:
-        """m x n matrix of the flat (i * N + j) block index of each entry;
-        built once and cached."""
-        cached = self.__dict__.get("_entry_block_index")
-        if cached is None:
-            index = np.arange(self.n_nodes * self.n_nodes).reshape(self.n_nodes, self.n_nodes)
-            cached = np.repeat(np.repeat(index, self.row_sizes, axis=0), self.col_sizes, axis=1)
-            cached.setflags(write=False)
-            object.__setattr__(self, "_entry_block_index", cached)
-        return cached
+        return np.asarray(blockwise).reshape(-1)[self._plans.entry_blocks]
 
     def check_gain_shape(self, k: np.ndarray):
         if k.shape != (self.m, self.n):
@@ -156,10 +176,20 @@ class GainMatrix:
     def project(self, pattern: "SparsityPattern") -> "GainMatrix":
         """Hard projection onto a pattern: zero every non-free entry. A gain
         with no non-zero entry off the pattern is its own projection (the
-        product equals it bit for bit) and comes back as itself."""
+        product equals it bit for bit) and comes back as itself. Any other
+        projection is kept on the gain per mask, so asking again returns the
+        same GainMatrix with the closed loop it carries (h2._carry): a
+        removal loss and j_attack that project K* onto one pattern factor
+        that projection once."""
         self.partition.check_same(pattern.partition, "pattern")
-        k = self.K * pattern.structural_identity()
-        return self if np.array_equal(k, self.K) else GainMatrix(k, self.partition)
+        held = self.__dict__.setdefault("_projections", {})
+        key = pattern.mask.tobytes()
+        if key not in held:
+            k = self.K * pattern.structural_identity()
+            if np.array_equal(k, self.K):
+                return self
+            held[key] = GainMatrix(k, self.partition)
+        return held[key]
 
 
 @dataclass(frozen=True, eq=False)
@@ -197,20 +227,13 @@ class SparsityPattern:
         return cls(gain.partition.block_norms(gain.K) > threshold, gain.partition)
 
     def structural_identity(self) -> np.ndarray:
-        """Entrywise m x n 0/1 matrix, 1 on free-block entries."""
-        cached = self.__dict__.get("_identity")
-        if cached is None:
-            ident = self.partition.expand(self.mask).astype(float)
-            ident.setflags(write=False)
-            object.__setattr__(self, "_identity", ident)
-            cached = ident
-        return cached
+        """Entrywise m x n 0/1 matrix, 1 on free-block entries, built anew
+        on each call: a pattern holds no array but its mask."""
+        return self.partition.expand(self.mask).astype(float)
 
     def complement_identity(self) -> np.ndarray:
         """Entrywise 0/1 matrix on the fixed-zero entries (1 - I)."""
-        comp = 1.0 - self.structural_identity()
-        comp.setflags(write=False)
-        return comp
+        return 1.0 - self.structural_identity()
 
     def free_blocks(self) -> tuple[tuple[int, int], ...]:
         return tuple(zip(*np.nonzero(self.mask)))

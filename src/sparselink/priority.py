@@ -33,10 +33,13 @@ is one structured synthesis of the reduced pattern
 (synthesize_structured_info with init). Its init is x0 with the closed
 loop factored there, by the hand-off of the h2 module docstring
 (h2._carry): x0 is on the reduced pattern, so it is its own projection,
-and the synthesis polishes from that loop. When the
-Hessian is not positive definite, H^-1_bb is numerically singular, or x0
-is not stabilizing, the init is K* instead (a polish from K*'s
-projection, or a cold start when that projection is not stabilizing). As
+and the synthesis polishes from that loop. The reduced problem can have
+more than one local minimum, and the two starts can end in different
+ones, so a loss synthesized from x0 is synthesized from K* as well (a
+polish from K*'s projection, or a cold start when that projection is not
+stabilizing) and takes the lower cost: it never ends above the warm start
+from K*. When the Hessian is not positive definite, H^-1_bb is
+numerically singular, or x0 is not stabilizing, K* is the only start. As
 everywhere, a polish that does not converge raises the typed error of its
 status.
 """
@@ -224,12 +227,15 @@ def removal_loss(
     served = _reduced_cost(_closed_loop(plant, base.gain), base_pattern, block)
     if isinstance(served, float):
         return served - base.cost
-    init = base.gain if served is None else served
-    try:
-        cost = synthesize_structured_info(plant, base_pattern.without_block(i, j), init=init).cost
-    except PatternNotStabilizable:
-        return math.inf
-    return cost - base.cost
+    reduced = base_pattern.without_block(i, j)
+    starts = (base.gain,) if served is None else (served, base.gain)
+    costs = []
+    for init in starts:
+        try:
+            costs.append(synthesize_structured_info(plant, reduced, init=init).cost)
+        except PatternNotStabilizable:
+            costs.append(math.inf)
+    return min(costs) - base.cost
 
 
 def rank_links(plant: LtiPlant, sweep: SweepResult) -> PriorityTable:

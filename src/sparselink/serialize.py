@@ -102,6 +102,14 @@ def _one_of(doc, name: str, kinds) -> tuple:
     return key, value
 
 
+def _partition_from(doc: dict) -> BlockPartition:
+    """The BlockPartition of a plant or pattern document's block sizes."""
+    return BlockPartition(
+        _integers(doc["rowBlockSizes"], "rowBlockSizes"),
+        _integers(doc["colBlockSizes"], "colBlockSizes"),
+    )
+
+
 # ---------------------------------------------------------------------------
 # plant
 
@@ -119,10 +127,7 @@ def plant_to_doc(plant: LtiPlant) -> dict:
 
 def plant_from_doc(doc: dict) -> LtiPlant:
     _fields(doc, "plant document", ("A", "B", "W", "Q", "R", "rowBlockSizes", "colBlockSizes"))
-    partition = BlockPartition(
-        _integers(doc["rowBlockSizes"], "rowBlockSizes"),
-        _integers(doc["colBlockSizes"], "colBlockSizes"),
-    )
+    partition = _partition_from(doc)
     return LtiPlant(*(_json_array(doc[name], name, _real, 2) for name in "ABWQR"), partition)
 
 
@@ -139,10 +144,7 @@ def pattern_to_doc(pattern: SparsityPattern) -> dict:
 
 def pattern_from_doc(doc: dict) -> SparsityPattern:
     _fields(doc, "pattern document", ("mask", "rowBlockSizes", "colBlockSizes"))
-    partition = BlockPartition(
-        _integers(doc["rowBlockSizes"], "rowBlockSizes"),
-        _integers(doc["colBlockSizes"], "colBlockSizes"),
-    )
+    partition = _partition_from(doc)
     return SparsityPattern(_json_array(doc["mask"], "mask", _boolean, 2), partition)
 
 

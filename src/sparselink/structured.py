@@ -10,10 +10,14 @@ by Lam + g (K o Ic) and the penalty grows geometrically. One stop rule ends
 the loop: the hard projection K o I is factored only once ||K o Ic||_F is
 below _EPS_STOP, and the first such projection that is stabilizing starts
 a projected-gradient polish on the free entries; with none in _MAX_OUTER
-outer iterations, the loop raises PatternNotStabilizable. It runs from K_c,
-for cold starts only: a warm start projects its init onto the pattern and
-polishes from there when the projection is stabilizing, so only an init
-whose projection is not stabilizing falls back to the cold start.
+outer iterations, the loop raises PatternNotStabilizable. The rule is each
+inner solve's descend stop predicate, so it is tested at the solve's start
+and at every iterate it accepts, and the first point that holds it ends
+the solve and the loop at once; SynthesisInfo.iterations counts the inner
+solves run, that last one included. The loop runs from K_c, for cold
+starts only: a warm start projects its init onto the pattern and polishes
+from there when the projection is stabilizing (iterations 0), so only an
+init whose projection is not stabilizing falls back to the cold start.
 
 Every closed loop the method factors serves all its later uses, by the
 hand-off of the h2 module docstring: an inner solve starts from the loop
@@ -37,15 +41,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .descent import descend, require_converged
+from .descent import STOPPED, descend, require_converged
 from .errors import NotStabilizing, PatternNotStabilizable
 from .h2 import _carry, _ClosedLoop, _closed_loop, _Trail, lqr_centralized
 from .plant import STABILITY_TOL, GainMatrix, LtiPlant, SparsityPattern
 
 # The penalty starts at _GAMMA0 and grows by _ALPHA per multiplier update, at
 # most _MAX_OUTER times (the schedule of Lin, Fardad & Jovanovic, IEEE TAC
-# 2013); the loop stops once ||K o Ic||_F < _EPS_STOP at a stabilizing
-# projection. Inner solves and the polish are descend runs with these limits.
+# 2013); the loop stops at the first inner iterate with ||K o Ic||_F <
+# _EPS_STOP and a stabilizing projection. Inner solves and the polish are descend runs with these limits.
 _GAMMA0 = 1.0
 _ALPHA = 5.0
 _MAX_OUTER = 50
@@ -60,7 +64,7 @@ _POLISH_MAX_ITER = 20000
 class SynthesisInfo:
     gain: GainMatrix
     cost: float
-    iterations: int
+    iterations: int  # inner solves of the multiplier loop; 0 for a warm polish
     converged: bool  # always True: a synthesis that does not converge raises
 
 
@@ -97,12 +101,14 @@ def augmented_lagrangian(plant: LtiPlant, gain, multiplier, gamma: float, patter
     return ev.value
 
 
-def _inner_solve(cl, lam, gamma, comp, grad_tol):
+def _inner_solve(cl, lam, gamma, comp, grad_tol, stop):
     """Descent of L_g over unstructured K at a fixed multiplier and penalty
-    from the closed loop cl; returns the closed loop of its end point
-    (h2._Trail.loop)."""
+    from the closed loop cl, ended early by the predicate stop; returns the
+    closed loop of its end point (h2._Trail.loop) and whether stop ended
+    it."""
     trail = _Trail(cl, lambda c: _AugLagEval(c, lam, gamma, comp))
-    return trail.loop(descend(trail, cl.k, grad_tol=grad_tol, max_iter=_INNER_MAX_ITER).x)
+    res = descend(trail, cl.k, grad_tol=grad_tol, max_iter=_INNER_MAX_ITER, stop=stop)
+    return trail.loop(res.x), res.status == STOPPED
 
 
 def synthesize_structured_info(
@@ -148,18 +154,27 @@ def synthesize_structured_info(
 def _multiplier_loop(plant, comp, ident):
     """The multiplier loop from K_c (module docstring). Returns the closed
     loop of the first stabilizing projection whose violation is below
-    _EPS_STOP, and the number of outer iterations before it."""
+    _EPS_STOP, and the number of inner solves run, the one it ended
+    included; a projection is tested at the start of each inner solve and
+    at each iterate the solve accepts."""
+    projection = None
+
+    def stop(k):
+        nonlocal projection
+        if np.linalg.norm(k * comp) >= _EPS_STOP:
+            return False
+        projection = _ClosedLoop(plant, k * ident)
+        return projection.stable
+
     cl = _closed_loop(plant, lqr_centralized(plant))
     lam = np.zeros_like(cl.k)
     gamma = _GAMMA0
     for outer in range(_MAX_OUTER):
-        if np.linalg.norm(cl.k * comp) < _EPS_STOP:
-            projection = _ClosedLoop(plant, cl.k * ident)
-            if projection.stable:
-                return projection, outer
         # Loose-to-tight inner tolerance keeps early outer iterations cheap.
         inner_tol = max(_INNER_TOL, 1e-2 / gamma)
-        cl = _inner_solve(cl, lam, gamma, comp, inner_tol)
+        cl, stopped = _inner_solve(cl, lam, gamma, comp, inner_tol, stop)
+        if stopped:
+            return projection, outer + 1
         lam = lam + gamma * (cl.k * comp)
         gamma = _ALPHA * gamma
     raise PatternNotStabilizable(f"no tight stabilizing projection within {_MAX_OUTER} outer iterations")

@@ -21,6 +21,7 @@ from sparselink.descent import (
     LOST_STABILITY,
     MAX_ITER,
     STALLED,
+    STOPPED,
     DescentResult,
     descend,
     require_converged,
@@ -251,12 +252,68 @@ def test_proximal_descent_reaches_a_fixed_point(sizes, seed, penalty):
     assert residual <= grad_tol * (1.0 + np.linalg.norm(res.x))
 
 
+def _accepted_points(x0, target, **limits):
+    """descend on 0.5 ||x - target||^2 from x0, and the points it asked a
+    gradient of: x0 and each accepted iterate, in order."""
+    accepted = []
+
+    class _Recorded(_Quadratic):
+        def __init__(self, x):
+            super().__init__(x, target)
+            self.x = x
+
+        def gradient(self):
+            accepted.append(self.x)
+            return super().gradient()
+
+    return descend(_Recorded, x0, **limits), accepted
+
+
+@pytest.mark.parametrize("threshold", [10.0, 1.0, 1e-3])
+def test_stop_ends_at_the_first_point_that_holds_it(threshold):
+    # stop is tested at x0 and at each accepted iterate, in order, and the
+    # first that holds it ends the descent there, unconverged
+    target = np.array([[1.0, -2.0], [3.0, 0.5]])
+    x0 = np.zeros((2, 2))
+    free, points = _accepted_points(x0, target, grad_tol=1e-12, max_iter=500)
+    assert free.status == CONVERGED
+    first = next(i for i, x in enumerate(points) if 0.5 * np.sum((x - target) ** 2) < threshold)
+    tested = []
+
+    def stop(x):
+        tested.append(x.copy())
+        return 0.5 * float(np.sum((x - target) ** 2)) < threshold
+
+    res, seen = _accepted_points(x0, target, grad_tol=1e-12, max_iter=500, stop=stop)
+    assert res.status == STOPPED
+    assert res.iterations == first
+    assert np.array_equal(res.x, points[first])
+    assert [x.tobytes() for x in seen] == [x.tobytes() for x in points[:first + 1]]
+    assert [x.tobytes() for x in tested] == [x.tobytes() for x in seen]
+
+
+def test_stop_at_the_start_evaluates_only_the_start():
+    evaluated = []
+
+    def make(x):
+        evaluated.append(x)
+        return _Quadratic(x, np.ones((1, 2)))
+
+    x0 = np.array([[3.0, 4.0]])
+    res = descend(make, x0, grad_tol=1e-12, max_iter=50, stop=lambda x: True)
+    assert (res.status, res.iterations) == (STOPPED, 0)
+    assert np.array_equal(res.x, x0) and len(evaluated) == 1
+    with pytest.raises(MaxIterations, match="stopped"):
+        require_converged(res, "inner solve")
+
+
 @pytest.mark.parametrize(
     "status, error",
     [
         (MAX_ITER, MaxIterations),
         (STALLED, LineSearchFailure),
         (LOST_STABILITY, LostStabilizability),
+        (STOPPED, MaxIterations),
     ],
 )
 def test_require_converged_raises_typed_error(status, error):

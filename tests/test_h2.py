@@ -339,7 +339,9 @@ class TestLoopHandOff:
 
         monkeypatch.setattr(structured, "descend", giving_up)
         factored = self._factorizations(monkeypatch)
-        end = structured._inner_solve(start, np.zeros_like(start.k), 1.0, comp, 1e-6)
+        end, stopped = structured._inner_solve(start, np.zeros_like(start.k), 1.0, comp, 1e-6,
+                                               lambda k: False)
+        assert not stopped
         assert len(factored) == 2 and end is not start
         assert h2._holds(end, start.k) and end.stable
 

@@ -6,10 +6,11 @@ within 1e-9 of the largest value, and j_attack within 1e-6 relative: it
 prices a gain off any optimum, so it magnifies tiny moves of that gain (the
 README's note on j_attack). Under the python, numpy and scipy versions
 that stamp the digests, every write_artifacts file and the cold gain
-document must also be byte-identical; under other versions that test
-skips and names both stamps. tests/data/make_outputs.py regenerates the
-corpus; a change that moves these outputs on purpose regenerates it and
-argues for the diff.
+document must also be byte-identical, and each run's work counts
+(make_outputs.work_counts) must equal the pinned ones exactly; under other
+versions those tests skip and name both stamps. tests/data/make_outputs.py
+regenerates the corpus; a change that moves these outputs or this work on
+purpose regenerates it and argues for the diff.
 """
 import importlib.util
 import json
@@ -25,6 +26,7 @@ _spec.loader.exec_module(make_outputs)
 
 CORPUS = json.loads(make_outputs.CORPUS.read_text(encoding="utf-8"))
 DIGESTS = CORPUS["digests"]
+WORK = CORPUS["work"]
 COST_REL = 1e-9
 VALUE_REL = 1e-9
 J_ATTACK_REL = 1e-6
@@ -43,16 +45,16 @@ def assert_values(got, want):
 
 
 def test_corpus_covers_the_listed_scenarios():
-    for records in (CORPUS["pipelines"], DIGESTS["pipelines"]):
+    for records in (CORPUS["pipelines"], DIGESTS["pipelines"], WORK["pipelines"]):
         assert [tuple(r["spec"]) for r in records] == list(make_outputs.PIPELINES)
-    for record in (CORPUS["cold"], DIGESTS["cold"]):
+    for record in (CORPUS["cold"], DIGESTS["cold"], WORK["cold"]):
         assert tuple(record["spec"]) == make_outputs.COLD
 
 
-def require_stamp():
+def require_stamp(section=DIGESTS):
     got = make_outputs.stamp()
-    if got != DIGESTS["stamp"]:
-        pytest.skip(f"digests stamped {DIGESTS['stamp']}, running {got}")
+    if got != section["stamp"]:
+        pytest.skip(f"stamped {section['stamp']}, running {got}")
 
 
 @pytest.mark.parametrize(
@@ -87,3 +89,17 @@ def test_cold_gain_document_bytes():
     require_stamp()
     want = DIGESTS["cold"]
     assert make_outputs.cold_digest(*want["spec"]) == want["gain.json"]
+
+
+@pytest.mark.parametrize(
+    "want", WORK["pipelines"], ids=lambda r: "GeneratorSpec(%d, %d)" % tuple(r["spec"])
+)
+def test_pipeline_work_counts(want):
+    require_stamp(WORK)
+    assert make_outputs.pipeline_run(*want["spec"])[1] == want["counts"]
+
+
+def test_cold_work_counts():
+    require_stamp(WORK)
+    want = WORK["cold"]
+    assert make_outputs.cold_run(*want["spec"])[1] == want["counts"]

@@ -26,6 +26,17 @@ def simple_plant():
 
 
 class TestBlockPartition:
+    def test_equal_partitions_share_one_index_plan(self):
+        # the index plans belong to the block layout: a second partition
+        # with the same sizes builds no array of its own
+        a, b = BlockPartition((1, 2), (3, 1)), BlockPartition((1, 2), (3, 1))
+        x = np.arange(12.0).reshape(3, 4)
+        norms, expanded = a.block_norms(x), a.expand(np.arange(4).reshape(2, 2))
+        assert a is not b and a._plans is b._plans
+        assert np.array_equal(b.block_norms(x), norms)
+        assert np.array_equal(b.expand(np.arange(4).reshape(2, 2)), expanded)
+        assert BlockPartition((2, 1), (3, 1))._plans is not a._plans
+
     def test_dimensions(self):
         p = BlockPartition((1, 2), (3, 4))
         assert p.n_nodes == 2
@@ -154,6 +165,8 @@ class TestSparsityPattern:
         assert ident[0, 2] == 0.0
         comp = diag.complement_identity()
         assert np.array_equal(ident + comp, np.ones((4, 8)))
+        # built on demand: the pattern keeps no array but its mask
+        assert set(vars(diag)) == {"mask", "partition"}
 
     def test_free_blocks_and_without(self, ex1_partition):
         diag = SparsityPattern.diagonal(ex1_partition)

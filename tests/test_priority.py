@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import block_diag
 
@@ -392,6 +392,8 @@ def counting_kernel(monkeypatch):
 class TestNewtonRemovalLoss:
     @settings(max_examples=25, deadline=None)
     @given(n_nodes=st.integers(2, 4), seed=st.integers(0, 10_000))
+    @example(n_nodes=2, seed=588)  # from x0 alone, block (0, 0) ended 0.14% above
+    @example(n_nodes=2, seed=1111)  # and block (1, 1) 0.18% above
     def test_matches_reference_synthesis(self, n_nodes, seed):
         plant = generate_plant(n_nodes, seed)
         sweep = sparsity_sweep(plant, LOSS_SCHEDULE)

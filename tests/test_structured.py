@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import block_diag, solve_continuous_are
 
 from conftest import fd_gradient, perturbed_gain, single_node_plant
@@ -19,6 +21,7 @@ from sparselink import (
     augmented_lagrangian,
     closed_loop_cost,
     cost_gradient,
+    generate_plant,
     is_stabilizing,
     lqr_centralized,
     synthesize_structured_info,
@@ -110,8 +113,8 @@ class TestAugmentedLagrangian:
 class TestMinimizeInner:
     @staticmethod
     def _inner_solve(monkeypatch, *args):
-        """structured._inner_solve(*args), which returns the end point's loop,
-        and the result of the descent it ran."""
+        """structured._inner_solve(*args) under a stop predicate that never
+        holds: the result of the descent it ran and the end point's loop."""
         results = []
 
         def recorded(*a, **kw):
@@ -119,7 +122,8 @@ class TestMinimizeInner:
             return results[-1]
 
         monkeypatch.setattr(structured, "descend", recorded)
-        end = structured._inner_solve(*args)
+        end, stopped = structured._inner_solve(*args, lambda k: False)
+        assert not stopped
         return results[0], end
 
     def test_reduces_to_h2_descent(self, monkeypatch):
@@ -241,15 +245,75 @@ class TestSynthesizeStructured:
         assert np.linalg.norm(masked) <= 1e-5 * (1.0 + np.linalg.norm(info.gain.K))
         assert info.converged
 
+    @settings(max_examples=12, deadline=None)
+    @given(n_nodes=st.integers(2, 5), seed=st.integers(0, 10_000),
+           shift=st.sampled_from([0.0, 0.3, 1.0]), density=st.sampled_from([0.0, 0.3]))
+    def test_cold_stationarity_on_shifted_plants(self, n_nodes, seed, shift, density):
+        # A + c I moves the open loop toward instability (unstable at c = 1
+        # on most generated plants); the cold synthesis still ends
+        # stationary on the pattern, exactly zero off it, and stabilizing
+        base = generate_plant(n_nodes, seed)
+        plant = LtiPlant(base.A + shift * np.eye(base.n), base.B, base.W, base.Q, base.R,
+                         base.partition)
+        u = np.random.default_rng(seed).uniform(size=(n_nodes, n_nodes))
+        pattern = SparsityPattern(np.eye(n_nodes, dtype=bool) | (u < density), plant.partition)
+        info = synthesize_structured_info(plant, pattern)
+        k = info.gain.K
+        masked = cost_gradient(plant, info.gain) * pattern.structural_identity()
+        assert np.linalg.norm(masked) <= 1e-5 * (1.0 + np.linalg.norm(k))
+        assert np.all(k * pattern.complement_identity() == 0.0)
+        assert is_stabilizing(plant, info.gain)
+        assert info.cost == closed_loop_cost(plant, info.gain)
+        assert info.iterations >= 1
+
+    @pytest.mark.parametrize("seed, n_nodes, density", [(5, 2, 0.0), (7, 2, 0.0), (3, 4, 0.3)])
+    def test_polish_starts_at_first_tight_stabilizing_iterate(self, monkeypatch, seed, n_nodes, density):
+        # Each descent's start and accepted iterates are the points it asks
+        # a gradient of. The polish starts at the projection of the first
+        # such inner point with ||K o Ic||_F < _EPS_STOP and a stabilizing
+        # projection; that point ends the last inner solve, so no solve or
+        # multiplier update follows it, and iterations counts the solves.
+        descents = []  # (x0, is the polish, points asked a gradient of)
+        real = descent.descend
+
+        class Recorded:
+            def __init__(self, ev, k, points):
+                self.value, self._ev, self._k, self._points = ev.value, ev, k, points
+
+            def gradient(self):
+                self._points.append(self._k.copy())
+                return self._ev.gradient()
+
+        def recording(make_eval, x0, **kwargs):
+            points = []
+            descents.append((np.array(x0), "prox" in kwargs, points))
+            return real(lambda k: Recorded(make_eval(k), k, points), x0, **kwargs)
+
+        monkeypatch.setattr(structured, "descend", recording)
+        plant = generate_plant(n_nodes, seed)
+        u = np.random.default_rng(seed).uniform(size=(n_nodes, n_nodes))
+        pattern = SparsityPattern(np.eye(n_nodes, dtype=bool) | (u < density), plant.partition)
+        info = synthesize_structured_info(plant, pattern)
+        inner = [points for _, polish, points in descents if not polish]
+        [polish_start] = [x0 for x0, polish, _ in descents if polish]
+        assert len(inner) == info.iterations >= 1
+        comp, ident = pattern.complement_identity(), pattern.structural_identity()
+        first = next((solve, k) for solve, points in enumerate(inner) for k in points
+                     if np.linalg.norm(k * comp) < structured._EPS_STOP
+                     and is_stabilizing(plant, k * ident))
+        assert first[0] == len(inner) - 1
+        assert first[1].tobytes() == inner[-1][-1].tobytes()
+        assert polish_start.tobytes() == (first[1] * ident).tobytes()
+
     def test_outer_loop_contract(self, monkeypatch):
         # gamma grows geometrically; Lambda updated as Lambda + gamma (K o Ic);
         # recorded at the start of every outer iteration's inner solve
         calls = []
         inner = structured._inner_solve
 
-        def recording(cl, lam, gamma, comp, grad_tol):
+        def recording(cl, lam, gamma, comp, grad_tol, stop):
             calls.append((cl.k.copy(), lam.copy(), gamma))
-            return inner(cl, lam, gamma, comp, grad_tol)
+            return inner(cl, lam, gamma, comp, grad_tol, stop)
 
         monkeypatch.setattr(structured, "_inner_solve", recording)
         plant = two_node_plant(7)
