@@ -144,6 +144,23 @@ def one_reweight(monkeypatch):
     monkeypatch.setattr(sparse, "MAX_REWEIGHT", 1)
 
 
+@pytest.fixture
+def factorizations(monkeypatch):
+    """The bytes of each matrix h2 brings to real Schur form, in the order
+    factored; clear() restarts the record."""
+    from sparselink import h2
+
+    factored = []
+    schur = h2._real_schur
+
+    def recording(a):
+        factored.append(a.tobytes())
+        return schur(a)
+
+    monkeypatch.setattr(h2, "_real_schur", recording)
+    return factored
+
+
 # ---------------------------------------------------------------------------
 # invariants
 

@@ -78,6 +78,7 @@ def test_prox_onto_one_point_converges_in_one_iteration(max_iter):
     assert np.array_equal(res.x, point)
 
 
+@pytest.mark.property
 @settings(max_examples=60, deadline=None)
 @given(rows=st.integers(1, 3), cols=st.integers(1, 4), seed=st.integers(0, 10_000),
        projected=st.booleans(), max_iter=st.sampled_from([1, 5, 500]))
@@ -213,6 +214,7 @@ def test_stalled_status():
     assert res.status == STALLED
 
 
+@pytest.mark.property
 @settings(max_examples=60, deadline=None)
 @given(sizes=st.lists(st.tuples(st.integers(1, 2), st.integers(1, 3)), min_size=1, max_size=3),
        seed=st.integers(0, 10_000), penalty=st.floats(0.0, 3.0))

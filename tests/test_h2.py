@@ -247,19 +247,7 @@ class TestHessian:
 
 
 class TestLoopHandOff:
-    @staticmethod
-    def _factorizations(monkeypatch):
-        factored = []
-        schur = h2._real_schur
-
-        def recording(a):
-            factored.append(a)
-            return schur(a)
-
-        monkeypatch.setattr(h2, "_real_schur", recording)
-        return factored
-
-    def test_loop_of_other_bits_is_refused(self, monkeypatch):
+    def test_loop_of_other_bits_is_refused(self, factorizations):
         # K = 0 against a loop held for K with one -0.0: equal values, one
         # bit apart. Neither _carry nor _closed_loop may take that loop.
         plant = generate_plant(2, 0)
@@ -267,64 +255,63 @@ class TestLoopHandOff:
         signed = k.copy()
         signed[0, 0] = -0.0
         held = _ClosedLoop(plant, signed)
-        factored = self._factorizations(monkeypatch)
+        factorizations.clear()
         gain = _carry(GainMatrix(k, plant.partition), held)
         assert "_loop" not in gain.__dict__
         object.__setattr__(gain, "_loop", held)  # held by hand: still refused
         cl = _closed_loop(plant, gain)
         assert cl is not held and cl.k.tobytes() == gain.K.tobytes()
-        assert len(factored) == 1
+        assert len(factorizations) == 1
         # the loop of the same bits is taken without a factorization
         same = _carry(GainMatrix(signed, plant.partition), held)
-        assert _closed_loop(plant, same) is held and len(factored) == 1
+        assert _closed_loop(plant, same) is held and len(factorizations) == 1
 
-    def test_a_gain_keeps_the_loop_factored_for_it(self, monkeypatch):
+    def test_a_gain_keeps_the_loop_factored_for_it(self, factorizations):
         plant = generate_plant(2, 0)
         gain = GainMatrix(lqr_centralized(plant).K.copy(), plant.partition)
-        factored = self._factorizations(monkeypatch)
+        factorizations.clear()
         costs = [closed_loop_cost(plant, gain) for _ in range(2)]
-        assert costs[0] == costs[1] and len(factored) == 1
+        assert costs[0] == costs[1] and len(factorizations) == 1
 
-    def test_trail_end_on_an_accepted_trial_is_its_last_loop(self, monkeypatch):
+    def test_trail_end_on_an_accepted_trial_is_its_last_loop(self, factorizations):
         plant = generate_plant(2, 0)
         start = _ClosedLoop(plant, lqr_centralized(plant).K)
-        factored = self._factorizations(monkeypatch)
+        factorizations.clear()
         trail = _Trail(start, lambda c: c)
-        assert trail.loop(start.k.copy()) is start and not factored
+        assert trail.loop(start.k.copy()) is start and not factorizations
         k = 1.1 * start.k
-        assert trail(k).k is k and len(factored) == 1
-        assert trail.loop(k.copy()) is trail.last and len(factored) == 1
+        assert trail(k).k is k and len(factorizations) == 1
+        assert trail.loop(k.copy()) is trail.last and len(factorizations) == 1
 
-    def test_trail_end_on_a_rejected_trial_factors_once(self, monkeypatch):
+    def test_trail_end_on_a_rejected_trial_factors_once(self, factorizations):
         plant = generate_plant(2, 0)
         start = _ClosedLoop(plant, lqr_centralized(plant).K)
-        factored = self._factorizations(monkeypatch)
+        factorizations.clear()
         trail = _Trail(start, lambda c: c)
         assert trail(-100.0 * start.k).value == math.inf  # a rejected trial
         end = trail.loop(start.k)
-        assert len(factored) == 2 and end is not start
+        assert len(factorizations) == 2 and end is not start
         assert end.k.tobytes() == start.k.tobytes() and end.value == start.value
 
-    def test_trail_called_twice_on_one_gain_factors_once(self, monkeypatch):
+    def test_trail_called_twice_on_one_gain_factors_once(self, factorizations):
         # a backtrack whose prox maps two steps to one K (every block
         # shrunk to zero) repeats a rejected trial: its loop is the last one
         plant = generate_plant(2, 0)
         start = _ClosedLoop(plant, lqr_centralized(plant).K)
-        factored = self._factorizations(monkeypatch)
+        factorizations.clear()
         trail = _Trail(start, lambda c: c)
         zero = np.zeros_like(start.k)
         first = trail(zero)
-        assert trail(zero.copy()) is first and len(factored) == 1
+        assert trail(zero.copy()) is first and len(factorizations) == 1
 
-    def test_pipeline_never_factors_one_matrix_twice_in_a_row(self, monkeypatch):
-        factored = self._factorizations(monkeypatch)
+    def test_pipeline_never_factors_one_matrix_twice_in_a_row(self, factorizations):
         run_pipeline(Scenario(name="repeats", generator=GeneratorSpec(2, 0)))
-        assert len(factored) > 1
-        repeats = [i for i in range(1, len(factored))
-                   if factored[i].tobytes() == factored[i - 1].tobytes()]
+        assert len(factorizations) > 1
+        repeats = [i for i in range(1, len(factorizations))
+                   if factorizations[i] == factorizations[i - 1]]
         assert not repeats
 
-    def test_inner_solve_that_gives_up_on_a_rejected_trial(self, monkeypatch):
+    def test_inner_solve_that_gives_up_on_a_rejected_trial(self, monkeypatch, factorizations):
         # the descent's last trial is not its end point: the loop handed on
         # still holds the end point, factored once more
         plant = generate_plant(2, 0)
@@ -338,11 +325,11 @@ class TestLoopHandOff:
                                          descent.LOST_STABILITY)
 
         monkeypatch.setattr(structured, "descend", giving_up)
-        factored = self._factorizations(monkeypatch)
+        factorizations.clear()
         end, stopped = structured._inner_solve(start, np.zeros_like(start.k), 1.0, comp, 1e-6,
                                                lambda k: False)
         assert not stopped
-        assert len(factored) == 2 and end is not start
+        assert len(factorizations) == 2 and end is not start
         assert h2._holds(end, start.k) and end.stable
 
 
@@ -384,6 +371,7 @@ class TestLqrCentralized:
             g = cost_gradient(plant, kc)
             assert np.linalg.norm(g) <= 1e-6 * (1.0 + np.linalg.norm(kc.K))
 
+    @pytest.mark.property
     @settings(deadline=None)
     @given(plant=st.one_of(plants(), shifted_generated_plants()))
     def test_kleinman_fixed_point(self, plant):

@@ -315,6 +315,7 @@ def attacked_tables(draw):
     return table, draw(st.sets(st.integers(1, table.r1)))
 
 
+@pytest.mark.property
 class TestRerouteProperties:
     @settings(max_examples=300, deadline=None)
     @example(case=(PriorityTable(EX2_ROWS), {5}))

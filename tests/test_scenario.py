@@ -3,15 +3,19 @@ import collections
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
 import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import sparselink
 from sparselink import (
     BlockPartition,
     CostReport,
@@ -281,6 +285,7 @@ class TestSelectReroute:
         assert out == reroute_uniform(ex1_table, {1})
 
 
+@pytest.mark.property
 @pytest.mark.usefixtures("one_reweight")
 class TestPipelineProperties:
     # The fixture patches a module constant once for all examples.
@@ -415,31 +420,23 @@ class TestPipeline:
         # zeroing every attacked block costs
         assert rep.j_attack > rep.j_before
 
-    def test_factors_no_gain_twice(self, monkeypatch):
+    def test_factors_no_gain_twice(self, factorizations):
         # Every stage starts from the closed loop its gain carries: across
         # the whole pipeline no matrix is factored twice except A itself
         # (K = 0: a proximal trial that shrinks every block to zero), and
         # lqr_centralized factors one matrix, the loop A - B K_c its gain
         # carries.
-        factored = []
-        schur = h2._real_schur
-
-        def recording(a):
-            factored.append(a.tobytes())
-            return schur(a)
-
-        monkeypatch.setattr(h2, "_real_schur", recording)
         for seed, attack in ((2, None), (2, {"attacked_top": 1}), (4, {"attacked_top": 2})):
-            factored.clear()
+            factorizations.clear()
             res = run_pipeline(fast_scenario(attack, seed))
             a = res.plant.A.tobytes()
-            assert len(factored) > 20
-            assert [n for key, n in collections.Counter(factored).items()
+            assert len(factorizations) > 20
+            assert [n for key, n in collections.Counter(factorizations).items()
                     if n > 1 and key != a] == []
 
-            factored.clear()
+            factorizations.clear()
             kc = lqr_centralized(res.plant)
-            assert factored == [(res.plant.A - res.plant.B @ kc.K).tobytes()]
+            assert factorizations == [(res.plant.A - res.plant.B @ kc.K).tobytes()]
 
     def test_one_synthesis_after_the_sweep(self, monkeypatch):
         # The pre-attack gain is entry 0's polish as the sweep made it, so
@@ -753,12 +750,14 @@ class TestCli:
 
     @pytest.mark.parametrize(
         "rows, cols, mask",
-        [([1, 1], [1, 3], [[True, False], [False, True]]), ([2], [4], [[True]])],
-        ids=["other_column_blocks", "one_node"],
+        [([1, 1], [1, 3], [[True, False], [False, True]]), ([2], [4], [[True]]),
+         ([1, 1], [2, 2], [["false", True], [False, True]])],
+        ids=["other_column_blocks", "one_node", "string_entry"],
     )
     def test_synth_pattern_on_another_grid_exit_four(self, tmp_path, capsys, rows, cols, mask):
         # the plant's gain is 2 x 4 in blocks (1, 1) x (2, 2); a pattern over
-        # the same 2 x 4 in other blocks would zero the wrong entries
+        # the same 2 x 4 in other blocks would zero the wrong entries, and on
+        # its own grid a mask entry must still be true or false
         write_json(tmp_path / "plant.json", plant_to_doc(generate_plant(2, 0)))
         write_json(tmp_path / "pattern.json", {"mask": mask, "rowBlockSizes": rows, "colBlockSizes": cols})
         code = main(["synth", "--plant", str(tmp_path / "plant.json"),
@@ -1116,6 +1115,17 @@ class TestCli:
         assert main([]) == 4
         assert "usage" in capsys.readouterr().err.lower()
 
+    def test_process_exits_with_mains_return(self, tmp_path):
+        # python -m sparselink.cli, like the console script, exits with what
+        # main returns; both processes start before main runs, to overlap
+        # their imports
+        env = dict(os.environ, PYTHONPATH=str(Path(sparselink.__file__).resolve().parents[1]))
+        calls = (["gen", "--n-nodes", "2", "--seed", "0"], ["gen", "--n-nodes", "2", "--seed", "0", "--bogus"])
+        processes = [subprocess.Popen([sys.executable, "-m", "sparselink.cli", *argv], cwd=tmp_path, env=env,
+                                      stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL) for argv in calls]
+        assert [main(argv) for argv in calls] == [0, 4]
+        assert [process.wait() for process in processes] == [0, 4]
+
     @pytest.mark.parametrize("command", ["render", "reroute"])
     @pytest.mark.parametrize("doc", [
         [  # block (0, 0) named twice
@@ -1383,6 +1393,7 @@ class TestBadDocuments:
         for depth in range(taken - 20, taken + 1):
             assert "must be an integer" in reroute(depth)
 
+    @pytest.mark.property
     @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(data=st.data())
     def test_every_reader_exits_with_a_documented_code(self, tmp_path, capsys, documents, data):

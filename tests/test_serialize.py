@@ -188,6 +188,7 @@ class TestOutcomeDoc:
             outcome_from_doc(dict(doc, rerouted=[1.5]))
 
 
+@pytest.mark.property
 @pytest.mark.usefixtures("one_reweight")
 class TestRankedDocProperties:
     # The fixture patches a module constant once for all examples.
