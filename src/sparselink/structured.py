@@ -26,8 +26,16 @@ check of the projection it starts at, and each descent's start is that
 loop. An init already on the pattern is its own projection and brings the
 closed loop it carries (h2._closed_loop), and the returned gain is handed
 the last loop the polish evaluated (h2._carry), so the next solve from it
-factors nothing. A polish that does not converge raises the typed error of
-its status, so SynthesisInfo.converged is always True.
+factors nothing. On an ill-conditioned J the gradient steps of the polish
+can stall while the projected gradient is still above _POLISH_TOL: every
+decrease they offer is below the rounding of J. A stalled polish is
+finished by full Newton steps on the free entries, with the Hessian H of
+J there (h2._ClosedLoop.hessian_factor), while it is in the quadratic
+phase: H is positive definite and the predicted decrease 1/2 g^T H^-1 g is
+at most _FINISH_TOL J, so each step is taken whole and the gradient, not
+the rounded J, shows its progress. The finish ends at the first point
+that meets the polish's own test. A polish that does not converge raises
+the typed error of its status, so SynthesisInfo.converged is always True.
 
 A pattern with no input entry (B^T o I = 0) cannot move trace(A - B K) off
 trace(A); when that is not below -n STABILITY_TOL, no gain on the pattern
@@ -40,8 +48,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dpotrs
 
-from .descent import STOPPED, descend, require_converged
+from .descent import CONVERGED, STALLED, STOPPED, DescentResult, descend, require_converged
 from .errors import NotStabilizing, PatternNotStabilizable
 from .h2 import _carry, _ClosedLoop, _closed_loop, _Trail, lqr_centralized
 from .plant import STABILITY_TOL, GainMatrix, LtiPlant, SparsityPattern
@@ -58,6 +67,10 @@ _INNER_TOL = 1e-6
 _INNER_MAX_ITER = 3000
 _POLISH_TOL = 1e-6
 _POLISH_MAX_ITER = 20000
+# A stalled polish takes at most _NEWTON_MAX_ITER Newton steps, each with a
+# predicted decrease of at most _FINISH_TOL J.
+_NEWTON_MAX_ITER = 20
+_FINISH_TOL = 1e-6
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,9 +159,36 @@ def synthesize_structured_info(
     trail = _Trail(start, lambda c: c)
     res = descend(trail, start.k, prox=lambda v, s: v * ident,
                   grad_tol=_POLISH_TOL, max_iter=_POLISH_MAX_ITER)
+    if res.status == STALLED:
+        res = _newton_finish(trail, res, ident)
     require_converged(res, "structured polish")
     gain = _carry(GainMatrix(res.x, plant.partition), trail.last)
     return SynthesisInfo(gain=gain, cost=res.value, iterations=outer, converged=True)
+
+
+def _newton_finish(trail, stalled, ident):
+    """Newton steps on the free entries from the end point of a stalled
+    polish while they stay in the quadratic phase (module docstring); a
+    converged result at the first point that meets the polish's test, else
+    stalled itself."""
+    free = ident != 0.0
+    x, cl = stalled.x, trail.loop(stalled.x)
+    for it in range(_NEWTON_MAX_ITER + 1):
+        g = cl.gradient()
+        if float(np.linalg.norm(g * ident)) <= _POLISH_TOL * (1.0 + float(np.linalg.norm(x))):
+            return DescentResult(x, cl.value, g, stalled.iterations + it, CONVERGED)
+        chol = cl.hessian_factor(free) if it < _NEWTON_MAX_ITER else None
+        if chol is None:
+            break
+        step = dpotrs(chol, g[free])[0]
+        if 0.5 * float(g[free] @ step) > _FINISH_TOL * cl.value:
+            break
+        x = x.copy()
+        x[free] -= step
+        cl = trail.loop(x)
+        if not cl.stable:
+            break
+    return stalled
 
 
 def _multiplier_loop(plant, comp, ident):

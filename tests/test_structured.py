@@ -260,7 +260,52 @@ class TestSynthesizeStructured:
         assert info.cost == closed_loop_cost(plant, info.gain)
         assert info.iterations >= 1
 
-    @pytest.mark.parametrize("seed, n_nodes, density", [(5, 2, 0.0), (7, 2, 0.0), (3, 4, 0.3)])
+    @pytest.fixture
+    def polish_statuses(self, monkeypatch):
+        """The status of each polish descent, in order."""
+        statuses = []
+        real = descent.descend
+
+        def recording(make_eval, x0, **kwargs):
+            res = real(make_eval, x0, **kwargs)
+            if "prox" in kwargs:
+                statuses.append(res.status)
+            return res
+
+        monkeypatch.setattr(structured, "descend", recording)
+        return statuses
+
+    def test_stalled_polish_finished_by_newton_steps(self, polish_statuses):
+        # On generate_plant(2, 162) with A + I the polish from K_c's
+        # projection stalls above its tolerance on an ill-conditioned J,
+        # and the Newton finish ends it stationary
+        base = generate_plant(2, 162)
+        plant = LtiPlant(base.A + np.eye(base.n), base.B, base.W, base.Q, base.R, base.partition)
+        pattern = SparsityPattern.diagonal(plant.partition)
+        info = synthesize_structured_info(plant, pattern, init=lqr_centralized(plant))
+        assert polish_statuses == [descent.STALLED]
+        assert info.iterations == 0
+        k = info.gain.K
+        masked = cost_gradient(plant, info.gain) * pattern.structural_identity()
+        assert np.linalg.norm(masked) <= structured._POLISH_TOL * (1.0 + np.linalg.norm(k))
+        assert np.all(k * pattern.complement_identity() == 0.0)
+        assert is_stabilizing(plant, info.gain)
+        assert info.cost == closed_loop_cost(plant, info.gain)
+
+    def test_weakly_controllable_plant_on_the_full_pattern(self, polish_statuses):
+        # A B entry of 1e-6 puts a 1.37e7 entry in K_c and J(K_c) near
+        # 4.7e13; the polish from K_c stalls, and the Newton finish ends at
+        # the centralized optimum
+        part = BlockPartition((1,), (2,))
+        plant = LtiPlant(np.diag([1.0, 2.0]), [[1.0], [1e-6]], np.eye(2), np.eye(2), [[1.0]], part)
+        info = synthesize_structured_info(plant, SparsityPattern.full(part))
+        assert polish_statuses == [descent.STALLED]
+        kc = lqr_centralized(plant)
+        assert info.cost == pytest.approx(closed_loop_cost(plant, kc), rel=1e-12)
+        assert info.gain.K == pytest.approx(kc.K, rel=1e-8)
+        assert info.cost == closed_loop_cost(plant, info.gain)
+
+    @pytest.mark.parametrize("seed, n_nodes, density",[(5, 2, 0.0), (7, 2, 0.0), (3, 4, 0.3)])
     def test_polish_starts_at_first_tight_stabilizing_iterate(self, monkeypatch, seed, n_nodes, density):
         # Each descent's start and accepted iterates are the points it asks
         # a gradient of. The polish starts at the projection of the first
